@@ -9,6 +9,7 @@ z-scored distance vector separates clean from distorted inputs.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .imagecore import FormatError, Image
-from .featnet import FilterMask, NetworkModel, forward_batch
+from .featnet import FORWARD_CHUNK, FilterMask, NetworkModel, forward_batch
 from .seeds import rng_from
 
 _MREP_MAGIC = b"MREP1"
 _STD_FLOOR = 1e-8
+_CANBERRA_BLOCK_ROWS = 16  # tap rows per float64 Canberra block
 
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -50,6 +52,10 @@ class DetectorModel:
     def n_layers(self) -> int:
         return len(self.w)
 
+    def decision(self, feats: np.ndarray) -> np.ndarray:
+        """Scores of an (N, n_taps) feature matrix; > 0 means "distorted"."""
+        return ((feats - self.feat_mean) / self.feat_std) @ self.w + self.b
+
 
 def _stack_batch(images) -> np.ndarray:
     if isinstance(images, np.ndarray):
@@ -64,40 +70,61 @@ def compute_mean_reps(model: NetworkModel, clean_images) -> MeanReps:
         raise ValueError("need at least one clean image")
     sums = None
     n = batch.shape[0]
-    for lo in range(0, n, 256):
-        _, taps = forward_batch(model, batch[lo : lo + 256])
+    for lo in range(0, n, FORWARD_CHUNK):
+        _, taps = forward_batch(model, batch[lo : lo + FORWARD_CHUNK])
         part = [t.astype(np.float64).sum(axis=0) for t in taps]
         sums = part if sums is None else [s + p for s, p in zip(sums, part)]
     return MeanReps(tuple(s / n for s in sums), n)
 
 
-def canberra(a: np.ndarray, b: np.ndarray) -> float:
-    """Canberra distance with 0/0 terms counted as 0."""
-    a = np.asarray(a, dtype=np.float64).ravel()
+def canberra(a, b) -> float | np.ndarray:
+    """Canberra distance over the last axis, with 0/0 terms counted as 0.
+
+    `a` is one vector, or an (N, L) matrix whose rows are each compared with
+    the length-L vector `b`; returns a float, or an (N,) float64 array. Rows
+    are reduced in blocks of _CANBERRA_BLOCK_ROWS so the float64 temporaries
+    stay small; each row is still summed whole, so blocking moves no bit.
+    """
+    a = np.asarray(a)
     b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
+    rows = a.reshape(1, -1) if a.ndim == 1 else a
+    if rows.ndim != 2 or rows.shape[1] != b.shape[0]:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    denom = np.abs(a) + np.abs(b)
-    num = np.abs(a - b)
-    return float(np.sum(np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)))
+    abs_b = np.abs(b)
+    out = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], _CANBERRA_BLOCK_ROWS):
+        t = rows[lo : lo + _CANBERRA_BLOCK_ROWS].astype(np.float64)
+        denom = np.abs(t) + abs_b
+        num = np.abs(t - b)
+        terms = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
+        out[lo : lo + t.shape[0]] = terms.sum(axis=1)
+    return float(out[0]) if a.ndim == 1 else out
+
+
+def embed_and_features(model: NetworkModel, mean_reps: MeanReps, images,
+                       mask: FilterMask | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Embeddings (N, D) and per-layer Canberra features (N, n_taps) from one pass.
+
+    The batch is forwarded in chunks of FORWARD_CHUNK images, so each
+    embedding is bitwise the one a plain chunked forward pass gives.
+    """
+    batch = _stack_batch(images)
+    if batch.shape[0] < 1:
+        raise ValueError("need at least one image")
+    embs = []
+    feats = np.empty((batch.shape[0], len(mean_reps.means)))
+    for lo in range(0, batch.shape[0], FORWARD_CHUNK):
+        emb, taps = forward_batch(model, batch[lo : lo + FORWARD_CHUNK], mask)
+        embs.append(emb)
+        for i, (t, mu) in enumerate(zip(taps, mean_reps.means)):
+            feats[lo : lo + t.shape[0], i] = canberra(t, mu)
+    return np.vstack(embs), feats
 
 
 def canberra_features_batch(model: NetworkModel, mean_reps: MeanReps,
                             images, mask: FilterMask | None = None) -> np.ndarray:
     """(N, n_taps) matrix of per-layer Canberra distances to the clean means."""
-    batch = _stack_batch(images)
-    out = np.empty((batch.shape[0], len(mean_reps.means)))
-    for lo in range(0, batch.shape[0], 256):
-        _, taps = forward_batch(model, batch[lo : lo + 256], mask)
-        for i, (t, mu) in enumerate(zip(taps, mean_reps.means)):
-            t = t.astype(np.float64)
-            if t.shape[1] != mu.shape[0]:
-                raise ValueError(f"tap {i} length {t.shape[1]} != mean length {mu.shape[0]}")
-            denom = np.abs(t) + np.abs(mu)[None, :]
-            num = np.abs(t - mu[None, :])
-            terms = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
-            out[lo : lo + t.shape[0], i] = terms.sum(axis=1)
-    return out
+    return embed_and_features(model, mean_reps, images, mask)[1]
 
 
 def canberra_features(model: NetworkModel, mean_reps: MeanReps, img: Image) -> np.ndarray:
@@ -200,9 +227,7 @@ def train_detector(model: NetworkModel, mean_reps: MeanReps, clean, distorted,
 
 
 def detect_scores(det: DetectorModel, model: NetworkModel, images) -> np.ndarray:
-    feats = canberra_features_batch(model, det.mean_reps, images)
-    xn = (feats - det.feat_mean) / det.feat_std
-    return xn @ det.w + det.b
+    return det.decision(canberra_features_batch(model, det.mean_reps, images))
 
 
 def detect(det: DetectorModel, model: NetworkModel, img: Image) -> tuple[float, str]:
@@ -248,7 +273,9 @@ def load_mean_reps(path) -> MeanReps:
 
 
 def save_detector(det: DetectorModel, path, mean_reps_path) -> None:
+    """Write the detector JSON and its mean reps, named relative to the JSON's directory."""
     save_mean_reps(det.mean_reps, mean_reps_path)
+    reps_rel = os.path.relpath(mean_reps_path, Path(path).parent)
     doc = {
         "w": det.w.tolist(),
         "b": det.b,
@@ -256,13 +283,14 @@ def save_detector(det: DetectorModel, path, mean_reps_path) -> None:
         "feat_mean": det.feat_mean.tolist(),
         "feat_std": det.feat_std.tolist(),
         "n_layers": det.n_layers,
-        "mean_reps_path": str(mean_reps_path),
+        "mean_reps_path": Path(reps_rel).as_posix(),
     }
     Path(path).write_text(json.dumps(doc, indent=2))
 
 
 def load_detector(path) -> DetectorModel:
+    """Read a detector JSON; its mean reps path is relative to the JSON's directory."""
     doc = json.loads(Path(path).read_text())
-    reps = load_mean_reps(doc["mean_reps_path"])
+    reps = load_mean_reps(Path(path).parent / doc["mean_reps_path"])
     return DetectorModel(np.array(doc["w"]), doc["b"], doc["C"],
                          np.array(doc["feat_mean"]), np.array(doc["feat_std"]), reps)

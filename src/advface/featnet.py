@@ -20,6 +20,10 @@ _MAGIC = b"FNET1"
 _KIND_CODES = {"conv": 0, "relu": 1, "maxpool": 2, "flatten": 3, "dense": 4, "l2norm": 5}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
+# Images per forward_batch call wherever a batch is split; the same chunks
+# give the same bytes, so every caller that shares results must use this.
+FORWARD_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class LayerDef:
@@ -179,9 +183,16 @@ def _conv2d(x: np.ndarray, layer: LayerDef) -> np.ndarray:
 
 
 def _maxpool(x: np.ndarray, layer: LayerDef) -> np.ndarray:
+    """Running np.maximum over the k*k strided slices, one per window offset."""
     k, s = layer.window, layer.stride
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    return win[:, :, ::s, ::s].max(axis=(-2, -1))
+    ho = (x.shape[2] - k) // s + 1
+    wo = (x.shape[3] - k) // s + 1
+    out = None
+    for di in range(k):
+        for dj in range(k):
+            tap = x[:, :, di : di + s * (ho - 1) + 1 : s, dj : dj + s * (wo - 1) + 1 : s]
+            out = tap.copy() if out is None else np.maximum(out, tap, out=out)
+    return out
 
 
 def l2_normalize(x: np.ndarray) -> np.ndarray:

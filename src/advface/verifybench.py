@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distortions
-from .featnet import NetworkModel, forward_batch
+from .detector import embed_and_features
+from .featnet import FORWARD_CHUNK, NetworkModel, forward_batch
 from .mitigator import MitigationPlan, mitigate_batch
 from .imagecore import median_filter_array
 from .synthface import Dataset, split_protocol
@@ -60,19 +61,23 @@ class RocCurve:
 
 def _embed_plain(model: NetworkModel, batch: np.ndarray) -> np.ndarray:
     out = []
-    for lo in range(0, batch.shape[0], 256):
-        emb, _ = forward_batch(model, batch[lo : lo + 256])
+    for lo in range(0, batch.shape[0], FORWARD_CHUNK):
+        emb, _ = forward_batch(model, batch[lo : lo + FORWARD_CHUNK])
         out.append(emb)
     return np.vstack(out)
+
+
+def _embed_and_flag(model: NetworkModel, batch: np.ndarray,
+                    det) -> tuple[np.ndarray, np.ndarray]:
+    """Plain embeddings and detector flags of a batch, from one forward pass."""
+    emb, feats = embed_and_features(model, det.mean_reps, batch)
+    return emb, det.decision(feats) > 0
 
 
 def pipeline_embeddings(model: NetworkModel, batch: np.ndarray,
                         det, plan: MitigationPlan) -> np.ndarray:
     """Two-stage embeddings: detect each image, mitigate the flagged ones."""
-    from .detector import detect_scores
-
-    emb = _embed_plain(model, batch)
-    flags = detect_scores(det, model, batch) > 0
+    emb, flags = _embed_and_flag(model, batch, det)
     if flags.any():
         emb[flags] = mitigate_batch(model, plan, batch[flags])
     return emb
@@ -182,12 +187,20 @@ def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionS
                                              ids, far_target)
     row("original", gar, n_gen, n_imp)
 
+    # with a defence, the distorted condition's forward pass also scores the
+    # detector, so each image is forwarded once per condition
     mixed, _, _ = _distorted_copy(ds, spec, fraction, seed)
-    gar, n_gen, n_imp = _gar_from_embeddings(_embed_plain(model, mixed), ids, far_target)
+    defended = det is not None and plan is not None
+    if defended:
+        emb, flags = _embed_and_flag(model, mixed, det)
+    else:
+        emb = _embed_plain(model, mixed)
+    gar, n_gen, n_imp = _gar_from_embeddings(emb, ids, far_target)
     row("distorted", gar, n_gen, n_imp)
 
-    if det is not None and plan is not None:
-        emb = pipeline_embeddings(model, mixed, det, plan)
+    if defended:
+        if flags.any():
+            emb[flags] = mitigate_batch(model, plan, mixed[flags])
         gar, n_gen, n_imp = _gar_from_embeddings(emb, ids, far_target)
         row("corrected", gar, n_gen, n_imp)
     return rows
@@ -209,37 +222,40 @@ def write_report(rows, path) -> None:
 # Split evaluation used by the mitigation grid search
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class PipelineEval:
+    """Plan-independent state of the corrected condition on one distorted set."""
+
+    ids: np.ndarray              # subject id per image
+    emb_plain: np.ndarray        # undefended embeddings
+    flags: np.ndarray            # detector verdict per image, True = distorted
+    flagged_raw: np.ndarray      # pixels of the flagged images
+    flagged_median5: np.ndarray  # the same, 5x5 median filtered
+
+
 def prepare_pipeline_eval(model: NetworkModel, ds: Dataset,
                           spec: distortions.DistortionSpec, det,
-                          fraction: float = 0.5, seed: int = 0) -> dict:
+                          fraction: float = 0.5, seed: int = 0) -> PipelineEval:
     """Plan-independent state for repeated corrected-GAR evaluations."""
-    from .detector import detect_scores
-
     mixed, ids, _ = _distorted_copy(ds, spec, fraction, seed)
-    emb_plain = _embed_plain(model, mixed)
-    flags = detect_scores(det, model, mixed) > 0
+    emb_plain, flags = _embed_and_flag(model, mixed, det)
     flagged_raw = mixed[flags]
-    return {
-        "ids": ids,
-        "emb_plain": emb_plain,
-        "flags": flags,
-        "flagged_raw": flagged_raw,
-        "flagged_median5": median_filter_array(flagged_raw, 5),
-    }
+    return PipelineEval(ids, emb_plain, flags, flagged_raw,
+                        median_filter_array(flagged_raw, 5))
 
 
-def finish_pipeline_eval(model: NetworkModel, prep: dict, plan: MitigationPlan,
+def finish_pipeline_eval(model: NetworkModel, prep: PipelineEval, plan: MitigationPlan,
                          far_target: float) -> float:
     """Corrected-condition GAR@FAR for one candidate plan."""
-    emb = prep["emb_plain"].copy()
-    if prep["flags"].any():
+    emb = prep.emb_plain.copy()
+    if prep.flags.any():
         if plan.use_median_filter and plan.median_size == 5:
-            batch = prep["flagged_median5"]
+            batch = prep.flagged_median5
         elif plan.use_median_filter:
-            batch = median_filter_array(prep["flagged_raw"], plan.median_size)
+            batch = median_filter_array(prep.flagged_raw, plan.median_size)
         else:
-            batch = prep["flagged_raw"]
+            batch = prep.flagged_raw
         masked, _ = forward_batch(model, batch, plan.mask)
-        emb[prep["flags"]] = masked
-    gar, _, _ = _gar_from_embeddings(emb, prep["ids"], far_target)
+        emb[prep.flags] = masked
+    gar, _, _ = _gar_from_embeddings(emb, prep.ids, far_target)
     return gar

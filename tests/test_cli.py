@@ -89,6 +89,24 @@ class TestSubcommands:
         assert [l.split(",")[0] for l in lines[1:]] == \
             ["original", "distorted", "corrected"]
 
+    def test_detect_from_another_directory(self, pipeline, tmp_path, monkeypatch, capsys):
+        # train with relative paths, then detect from a different cwd
+        root = pipeline["root"]
+        monkeypatch.chdir(root)
+        assert run("train-detector", "--net-seed", 1,
+                   "--mean-reps", pipeline["extracted"].relative_to(root) / "mean_reps.mrep",
+                   "--clean", "data", "--distorted", "distorted",
+                   "--seed", 5, "--out", "det_rel") == 0
+        capsys.readouterr()
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+        assert run("detect", "--net-seed", 1, "--detector", pipeline["detector"],
+                   "--image", img) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.chdir(tmp_path)
+        assert run("detect", "--net-seed", 1, "--detector", root / "det_rel" / "detector.json",
+                   "--image", img) == 0
+        assert capsys.readouterr().out == expected
+
     def test_weights_file_round_trip_through_cli(self, pipeline, tmp_path, capsys):
         img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
         assert run("detect", "--weights", pipeline["extracted"] / "network.fnet",

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from advface.detector import (
     compute_mean_reps,
     detect,
     detect_scores,
+    embed_and_features,
     hinge_objective,
     load_detector,
     load_mean_reps,
@@ -111,6 +114,27 @@ class TestCanberra:
             single = canberra_features(default_model, mean_reps, images[i])
             # batched float32 forward passes round slightly differently
             assert np.allclose(feats[i], single, rtol=1e-5)
+
+    def test_shared_pass_across_chunk_is_bitwise(self, default_model, mean_reps):
+        # 300 images cross the 256-image forward chunk
+        rng = np.random.default_rng(11)
+        batch = rng.integers(0, 256, size=(300, 64, 64, 1), dtype=np.uint8)
+        emb, feats = embed_and_features(default_model, mean_reps, batch)
+        want_emb, want_feats = [], []
+        for lo in (0, 256):
+            e, taps = forward_batch(default_model, batch[lo : lo + 256])
+            want_emb.append(e)
+            cols = []
+            for t, mu in zip(taps, mean_reps.means):  # whole-chunk float64 terms
+                t = t.astype(np.float64)
+                denom = np.abs(t) + np.abs(mu)[None, :]
+                num = np.abs(t - mu[None, :])
+                cols.append(np.divide(num, denom, out=np.zeros_like(num),
+                                      where=denom > 0).sum(axis=1))
+            want_feats.append(np.stack(cols, axis=1))
+        assert np.array_equal(emb, np.vstack(want_emb))
+        assert np.array_equal(feats, np.vstack(want_feats))
+        assert np.array_equal(feats, canberra_features_batch(default_model, mean_reps, batch))
 
     def test_single_image_wrapper(self, default_model, mean_reps, images):
         batch = canberra_features_batch(default_model, mean_reps, images[:1])
@@ -243,6 +267,7 @@ class TestPersistence:
         fd = rng.normal(3, 1, (10, len(mean_reps.means)))
         det = train_detector(None, mean_reps, None, None, features=(fc, fd), seed=0)
         save_detector(det, tmp_path / "det.json", tmp_path / "reps.mrep")
+        assert json.loads((tmp_path / "det.json").read_text())["mean_reps_path"] == "reps.mrep"
         back = load_detector(tmp_path / "det.json")
         assert np.array_equal(back.w, det.w)
         assert back.b == det.b and back.C == det.C

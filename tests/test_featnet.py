@@ -79,14 +79,17 @@ class TestForward:
                               w.astype(np.float64), b.astype(np.float64), 1, 1)
         assert np.allclose(taps[0][0], expected.ravel(), atol=1e-6)
 
-    def test_maxpool_matches_naive_oracle(self):
-        layers = (LayerDef("maxpool", window=2, stride=2),)
-        model = NetworkModel(layers, (0,), (6, 6, 1))
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 2), (2, 1), (3, 3)])
+    def test_maxpool_matches_naive_oracle(self, window, stride):
+        layers = (LayerDef("maxpool", window=window, stride=stride),)
+        model = NetworkModel(layers, (0,), (9, 7, 2))  # odd W and H
         rng = np.random.default_rng(6)
-        batch = rng.integers(0, 256, size=(1, 6, 6, 1), dtype=np.uint8)
+        batch = rng.integers(0, 256, size=(3, 7, 9, 2), dtype=np.uint8)
         _, taps = forward_batch(model, batch)
-        expected = naive_maxpool(batch[0, :, :, 0][None] / 255.0, 2, 2)
-        assert np.allclose(taps[0][0], expected.ravel(), atol=1e-6)
+        for i in range(3):
+            x = np.moveaxis(batch[i], 2, 0).astype(np.float32) / np.float32(255.0)
+            expected = naive_maxpool(x, window, stride)
+            assert np.array_equal(taps[0][i], expected.ravel())
 
     def test_shape_mismatch_rejected(self, default_model):
         with pytest.raises(ValueError, match="does not match model input"):

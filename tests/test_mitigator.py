@@ -257,6 +257,7 @@ class TestGridSearch:
         baseline = build_plan(table, 1, 0.0)
         preps = [verifybench.prepare_pipeline_eval(default_model, small_dataset,
                                                    s, det, seed=3) for s in specs]
+        assert all(isinstance(pr, verifybench.PipelineEval) for pr in preps)
 
         def mean_gar(p):
             return np.mean([verifybench.finish_pipeline_eval(default_model, pr, p, 0.01)

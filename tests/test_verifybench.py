@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advface.detector import DetectorModel, compute_mean_reps
+from advface import detector, mitigator, verifybench
+from advface.detector import DetectorModel, compute_mean_reps, detect_scores
 from advface.distortions import DistortionSpec
 from advface.featnet import FilterMask
 from advface.mitigator import MitigationPlan
@@ -204,6 +205,35 @@ class TestProtocol:
         for r in rows:
             assert 0.0 <= r["gar_at_far"] <= 1.0
             assert r["n_genuine"] > 0 and r["n_impostor"] > 0
+
+    def test_each_condition_forwards_each_image_once(self, default_model, small_dataset,
+                                                     monkeypatch):
+        reps = compute_mean_reps(default_model,
+                                 [it.image for it in small_dataset.items])
+        n_taps = len(reps.means)
+        spec = DistortionSpec("grids", seed=4)
+        mixed, _, _ = verifybench._distorted_copy(small_dataset, spec, 0.5, 2)
+        feats = detector.canberra_features_batch(default_model, reps, mixed)
+        # flags the images whose first-layer feature is above the median
+        det = DetectorModel(np.eye(n_taps)[0], 0.0, 1.0,
+                            np.r_[np.median(feats[:, 0]), np.zeros(n_taps - 1)],
+                            np.ones(n_taps), reps)
+        flagged = int((detect_scores(det, default_model, mixed) > 0).sum())
+        assert 0 < flagged < len(mixed)
+        plan = MitigationPlan(1, 0.25, FilterMask({(0, 0)}))
+
+        counts = {"plain": 0, "masked": 0}
+        real = verifybench.forward_batch
+
+        def counting(model, images, mask=None, **kw):
+            counts["plain" if mask is None else "masked"] += images.shape[0]
+            return real(model, images, mask, **kw)
+
+        for mod in (verifybench, detector, mitigator):
+            monkeypatch.setattr(mod, "forward_batch", counting)
+        run_protocol(small_dataset, default_model, spec, det=det, plan=plan,
+                     fraction=0.5, seed=2)
+        assert counts == {"plain": 2 * len(mixed), "masked": flagged}
 
     def test_deterministic(self, default_model, small_dataset):
         args = (small_dataset, default_model, DistortionSpec("grids", seed=9))
