@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagecore import Image, Point, fill_polygon, polygon_mask, raster_line
+from .imagecore import Image, Point, check_json, line_pixels, polygon_mask
 from .seeds import derive_seed, rng_from
 from .synthface import LandmarkSet
 
@@ -55,6 +55,8 @@ class DistortionSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DistortionSpec":
+        check_json(d, "distortion spec", {"kind": str},
+                   {"rho_grids": int, "phi": (list, float), "psi": float, "seed": int})
         return cls(
             kind=d["kind"],
             rho_grids=d.get("rho_grids", DEFAULT_RHO_GRIDS),
@@ -73,7 +75,13 @@ class DistortionSpec:
 class DistortionRecord:
     spec: DistortionSpec
     affected_pixel_count: int
-    rng_trace_seed: int
+
+
+def _zero_mask(img: Image, mask: np.ndarray, spec: DistortionSpec) -> tuple[Image, DistortionRecord]:
+    """Zero the (H, W) mask's pixels on all channels; the record counts them."""
+    px = img.pixels.copy()
+    px[mask] = 0
+    return Image(px), DistortionRecord(spec, int(mask.sum()))
 
 
 def apply_grids(img: Image, rho_grids: int, seed: int) -> tuple[Image, DistortionRecord]:
@@ -87,7 +95,6 @@ def apply_grids(img: Image, rho_grids: int, seed: int) -> tuple[Image, Distortio
         raise ValueError("rho_grids must be >= 0")
     w, h = img.width, img.height
     rng = rng_from(seed, 0x621D5)
-    px = img.pixels.copy()
     changed = np.zeros((h, w), dtype=bool)
     for i in range(rho_grids):
         if i % 2 == 0:  # top boundary anchor, endpoint on bottom
@@ -96,11 +103,10 @@ def apply_grids(img: Image, rho_grids: int, seed: int) -> tuple[Image, Distortio
         else:           # left boundary anchor, endpoint on right
             a = Point(0, int(rng.integers(0, h)))
             b = Point(w - 1, int(rng.integers(0, h)))
-        for p in raster_line(a, b):
-            px[p.y, p.x, :] = 0
-            changed[p.y, p.x] = True
+        xs, ys = line_pixels(a, b)
+        changed[ys, xs] = True
     spec = DistortionSpec("grids", rho_grids=rho_grids, seed=seed)
-    return Image(px), DistortionRecord(spec, int(changed.sum()), seed)
+    return _zero_mask(img, changed, spec)
 
 
 _BIT_MASKS = (128, 64, 32)
@@ -131,7 +137,7 @@ def apply_xmsb(img: Image, phi, seed: int) -> tuple[Image, DistortionRecord]:
         flat[idx] ^= mask
         touched[idx] = True
     spec = DistortionSpec("xmsb", phi=phi, seed=seed)
-    return Image(px), DistortionRecord(spec, int(touched.sum()), seed)
+    return Image(px), DistortionRecord(spec, int(touched.sum()))
 
 
 def ero_band(landmarks: LandmarkSet, psi: float, height: int) -> tuple[int, int]:
@@ -155,21 +161,19 @@ def apply_ero(img: Image, landmarks: LandmarkSet, psi: float) -> tuple[Image, Di
     px[lo:hi + 1, :, :] = 0
     spec = DistortionSpec("ero", psi=psi)
     affected = (hi - lo + 1) * img.width if hi >= lo else 0
-    return Image(px), DistortionRecord(spec, affected, 0)
+    return Image(px), DistortionRecord(spec, affected)
 
 
 def apply_fhbo(img: Image, landmarks: LandmarkSet) -> tuple[Image, DistortionRecord]:
     """Zero the forehead-and-brow mask polygon."""
-    out = fill_polygon(img, landmarks.forehead_polygon, 0)
-    count = int(polygon_mask(landmarks.forehead_polygon, img.width, img.height).sum())
-    return out, DistortionRecord(DistortionSpec("fhbo"), count, 0)
+    mask = polygon_mask(landmarks.forehead_polygon, img.width, img.height)
+    return _zero_mask(img, mask, DistortionSpec("fhbo"))
 
 
 def apply_beard(img: Image, landmarks: LandmarkSet) -> tuple[Image, DistortionRecord]:
     """Zero the lower-face (beard) mask polygon."""
-    out = fill_polygon(img, landmarks.beard_polygon, 0)
-    count = int(polygon_mask(landmarks.beard_polygon, img.width, img.height).sum())
-    return out, DistortionRecord(DistortionSpec("beard"), count, 0)
+    mask = polygon_mask(landmarks.beard_polygon, img.width, img.height)
+    return _zero_mask(img, mask, DistortionSpec("beard"))
 
 
 def apply(spec: DistortionSpec, img: Image,

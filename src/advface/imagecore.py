@@ -6,14 +6,35 @@ The only file formats are binary PGM (P5) and PPM (P6) with maxval 255.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 
 class FormatError(ValueError):
-    """Malformed or unsupported image file content."""
+    """Malformed or unsupported file content."""
+
+
+def _json_is(value, kind) -> bool:
+    if isinstance(kind, tuple):  # (list, item kind)
+        return isinstance(value, list) and all(_json_is(v, kind[1]) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def check_json(d, what: str, required: dict, optional: dict) -> None:
+    """Raise FormatError unless JSON object d has every required key and each key
+    present holds its kind: bool, int, float (any number), str or (list, item kind)."""
+    if not isinstance(d, dict):
+        raise FormatError(f"{what}: expected a JSON object, got {type(d).__name__}")
+    for key, kind in {**required, **optional}.items():
+        if key not in d and key in required:
+            raise FormatError(f"{what}: missing key {key!r}")
+        if key in d and not _json_is(d[key], kind):
+            raise FormatError(f"{what}: key {key!r} has the wrong type: {d[key]!r}")
 
 
 class Point(NamedTuple):
@@ -158,35 +179,29 @@ def write_image(img: Image, path) -> None:
 # Rasterization
 # ---------------------------------------------------------------------------
 
-def raster_line(a: Point, b: Point) -> list[Point]:
-    """8-connected Bresenham segment from a to b, endpoints inclusive.
+def line_pixels(a: Point, b: Point) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) of the 8-connected Bresenham segment from a to b, endpoints inclusive.
 
-    The segment is always traced in a canonical direction so that a->b and
-    b->a rasterize to the same point set (classic Bresenham is not
-    direction-symmetric on its own).
+    Traced in a canonical direction so that a->b and b->a give the same point
+    set; there the minor coordinate at major step i is round-half-up(i * minor / major).
     """
     x0, y0 = int(a[0]), int(a[1])
     x1, y1 = int(b[0]), int(b[1])
     if (x1, y1) < (x0, y0):
-        return raster_line(Point(x1, y1), Point(x0, y0))[::-1]
-    dx = abs(x1 - x0)
-    dy = -abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    points = []
-    while True:
-        points.append(Point(x0, y0))
-        if x0 == x1 and y0 == y1:
-            break
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x0 += sx
-        if e2 <= dx:
-            err += dx
-            y0 += sy
-    return points
+        xs, ys = line_pixels(Point(x1, y1), Point(x0, y0))
+        return xs[::-1], ys[::-1]
+    dx, dy = x1 - x0, abs(y1 - y0)
+    sy = 1 if y1 > y0 else -1
+    if dx >= dy:
+        i = np.arange(dx + 1)
+        return x0 + i, y0 + sy * ((2 * dy * i + dx) // max(2 * dx, 1))
+    j = np.arange(dy + 1)
+    return x0 + (2 * dx * j + dy) // (2 * dy), y0 + sy * j
+
+
+def raster_line(a: Point, b: Point) -> list[Point]:
+    """line_pixels(a, b) as a list of points."""
+    return [Point(x, y) for x, y in zip(*(v.tolist() for v in line_pixels(a, b)))]
 
 
 def polygon_mask(poly: Polygon, width: int, height: int) -> np.ndarray:
@@ -195,29 +210,36 @@ def polygon_mask(poly: Polygon, width: int, height: int) -> np.ndarray:
     A pixel (x, y) is inside when the even-odd crossing count at that point is
     odd, or when the point lies exactly on a polygon edge.
     """
-    verts = np.array(poly.vertices, dtype=np.float64)
-    xs = np.arange(width, dtype=np.float64)[None, :]
-    ys = np.arange(height, dtype=np.float64)[:, None]
-    inside = np.zeros((height, width), dtype=bool)
-    boundary = np.zeros((height, width), dtype=bool)
-    n = len(verts)
-    for i in range(n):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % n]
-        # even-odd ray cast toward +x with the half-open vertex rule
-        crosses = (y0 > ys) != (y1 > ys)
-        if np.any(crosses):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xint = x0 + (ys - y0) * (x1 - x0) / (y1 - y0)
-            inside ^= crosses & (xs < xint)
-        # exact on-segment test
-        cross = (x1 - x0) * (ys - y0) - (y1 - y0) * (xs - x0)
-        within = (
-            (xs >= min(x0, x1)) & (xs <= max(x0, x1))
-            & (ys >= min(y0, y1)) & (ys <= max(y0, y1))
-        )
-        boundary |= (cross == 0) & within
-    return inside | boundary
+    p0 = np.array(poly.vertices, dtype=np.int64)
+    p1 = np.roll(p0, -1, axis=0)
+    # even-odd ray cast toward +x with the half-open vertex rule: pixel x of a
+    # row toggles at each crossing xint of that row with x < ceil(xint)
+    ys = np.arange(height, dtype=np.float64)
+    e, r = np.nonzero((p0[:, 1:] > ys) != (p1[:, 1:] > ys))
+    (xa, ya), (xb, yb) = p0[e].T, p1[e].T
+    xint = xa + (ys[r] - ya) * (xb - xa) / (yb - ya)
+    cut = np.clip(np.ceil(xint), 0, width).astype(np.int64)
+    counts = np.bincount(r * (width + 1) + cut, minlength=height * (width + 1))
+    left_of = np.cumsum(counts.reshape(height, width + 1)[:, ::-1], axis=1)[:, ::-1]
+    mask = (left_of[:, 1:] & 1).astype(bool)
+    # boundary: each edge's integer lattice points p0 + t * step, t in [0, g],
+    # with t clipped to the image along the edge's major axis
+    d = p1 - p0
+    g = np.maximum(np.gcd(d[:, 0], d[:, 1]), 1)
+    step = d // g[:, None]
+    ax = (np.abs(step[:, 1]) > np.abs(step[:, 0])).astype(np.int64)
+    edges = np.arange(len(g))
+    p, s, n = p0[edges, ax], step[edges, ax], np.where(ax == 1, height, width)
+    mag = np.maximum(np.abs(s), 1)
+    lo = np.maximum(0, -(np.where(s < 0, n - 1 - p, p) // mag))
+    hi = np.minimum(g, np.where(s < 0, p, n - 1 - p) // mag)
+    cnt = np.maximum(hi - lo + 1, 0)
+    e = np.repeat(edges, cnt)
+    t = lo[e] + np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    bx, by = (p0[e] + t[:, None] * step[e]).T
+    ok = (bx >= 0) & (bx < width) & (by >= 0) & (by < height)
+    mask[by[ok], bx[ok]] = True
+    return mask
 
 
 def fill_polygon(img: Image, poly: Polygon, value: int) -> Image:
@@ -236,27 +258,46 @@ def fill_polygon(img: Image, poly: Polygon, value: int) -> Image:
 
 def median_filter(img: Image, k: int) -> Image:
     """k x k median filter with edge-replicated padding, per channel."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"window size must be odd and >= 1, got {k}")
-    if k == 1:
-        return img
-    return Image(_median_any(img.pixels, k))
+    return Image(median_filter_array(img.pixels[None], k)[0])
 
 
-def _median_any(px: np.ndarray, k: int) -> np.ndarray:
-    pad = k // 2
-    padded = np.pad(px, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
-    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(0, 1))
-    return np.median(win, axis=(-2, -1)).astype(np.uint8)
+@functools.cache
+def _median_network(k: int) -> tuple[tuple[int, int], ...]:
+    """Comparators (min wire, max wire) that leave the median of k*k wires on wire
+    k*k // 2: Batcher's odd-even merge sort on the next power of two wires,
+    pruned to the comparators that output depends on."""
+    m = k * k
+    n = 1 << (m - 1).bit_length()
+    comps = []
+    p = 1
+    while p < n:
+        d = p
+        while d >= 1:
+            for j in range(d % p, n - d, 2 * d):
+                # the extra wires hold +inf, which no comparator moves down
+                comps += [(i, i + d) for i in range(j, min(j + d, n - d))
+                          if i // (2 * p) == (i + d) // (2 * p) and i + d < m]
+            d //= 2
+        p *= 2
+    needed, kept = {m // 2}, []
+    for lo, hi in reversed(comps):
+        if lo in needed or hi in needed:
+            kept.append((lo, hi))
+            needed |= {lo, hi}
+    return tuple(reversed(kept))
 
 
-def median_filter_array(batch: np.ndarray, k: int = 5) -> np.ndarray:
-    """Median-filter a (N, H, W, C) uint8 batch; same semantics as median_filter."""
+def median_filter_array(batch: np.ndarray, k: int) -> np.ndarray:
+    """k x k median filter of a (N, H, W, C) uint8 batch, edge-replicated padding:
+    an exact min/max selection network over the k*k shifted views."""
     if k < 1 or k % 2 == 0:
         raise ValueError(f"window size must be odd and >= 1, got {k}")
     if k == 1:
         return batch
     pad = k // 2
+    h, w = batch.shape[1:3]
     padded = np.pad(batch, ((0, 0), (pad, pad), (pad, pad), (0, 0)), mode="edge")
-    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
-    return np.median(win, axis=(-2, -1)).astype(np.uint8)
+    v = [padded[:, dy:dy + h, dx:dx + w] for dy in range(k) for dx in range(k)]
+    for lo, hi in _median_network(k):
+        v[lo], v[hi] = np.minimum(v[lo], v[hi]), np.maximum(v[lo], v[hi])
+    return v[k * k // 2]

@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .imagecore import Image, median_filter, median_filter_array
+from .imagecore import FormatError, Image, check_json, median_filter_array
 from .featnet import FilterMask, NetworkModel, forward_batch
 from .synthface import Dataset
 
 _AGG_TOL = 1e-6
+MEDIAN_WINDOW = 5  # side of the median filter a plan applies before the masked forward
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,6 @@ class MitigationPlan:
     kappa: float
     mask: FilterMask
     use_median_filter: bool = True
-    median_size: int = 5
 
     def to_json_dict(self) -> dict:
         return {"eta": self.eta, "kappa": self.kappa, "mask": self.mask.to_json_list(),
@@ -67,6 +67,10 @@ class MitigationPlan:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MitigationPlan":
+        check_json(d, "mitigation plan", {"eta": int, "kappa": float, "mask": (list, (list, int))},
+                   {"use_median_filter": bool})
+        if any(len(pair) != 2 for pair in d["mask"]):
+            raise FormatError("mitigation plan: mask entries must be [layer, filter] pairs")
         return cls(d["eta"], d["kappa"], FilterMask(frozenset(map(tuple, d["mask"]))),
                    d.get("use_median_filter", True))
 
@@ -118,17 +122,14 @@ def mitigate_batch(model: NetworkModel, plan: MitigationPlan, images: np.ndarray
     """Embeddings for a (N, H, W, C) batch under the plan."""
     model.validate_mask(plan.mask)
     if plan.use_median_filter:
-        images = median_filter_array(images, plan.median_size)
+        images = median_filter_array(images, MEDIAN_WINDOW)
     emb, _ = forward_batch(model, images, plan.mask)
     return emb
 
 
 def mitigate(model: NetworkModel, plan: MitigationPlan, img: Image) -> np.ndarray:
     """Embedding of one image after median filtering and masked forward."""
-    if plan.use_median_filter:
-        img = median_filter(img, plan.median_size)
-    emb, _ = forward_batch(model, img.pixels[None], plan.mask)
-    return emb[0]
+    return mitigate_batch(model, plan, img.pixels[None])[0]
 
 
 def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dataset,

@@ -16,7 +16,7 @@ import numpy as np
 from . import distortions
 from .detector import embed_and_features
 from .featnet import FORWARD_CHUNK, NetworkModel, forward_batch
-from .mitigator import MitigationPlan, mitigate_batch
+from .mitigator import MEDIAN_WINDOW, MitigationPlan, mitigate_batch
 from .imagecore import median_filter_array
 from .synthface import Dataset, split_protocol
 
@@ -30,7 +30,6 @@ class ScoreMatrix:
     scores: np.ndarray
     genuine_mask: np.ndarray
     probe_ids: tuple[int, ...]
-    gallery_ids: tuple[int, ...]
 
     def __post_init__(self):
         if self.scores.shape != self.genuine_mask.shape:
@@ -104,7 +103,7 @@ def score_matrix(model: NetworkModel, images, plan: MitigationPlan | None = None
     scores = _cosine_matrix(emb)
     labels = np.array(ids)
     genuine = labels[:, None] == labels[None, :]
-    return ScoreMatrix(scores, genuine, tuple(ids), tuple(ids))
+    return ScoreMatrix(scores, genuine, tuple(ids))
 
 
 def roc(sm: ScoreMatrix) -> RocCurve:
@@ -158,7 +157,7 @@ def _gar_from_embeddings(emb: np.ndarray, ids: np.ndarray,
                          far_target: float) -> tuple[float, int, int]:
     scores = _cosine_matrix(emb)
     genuine = ids[:, None] == ids[None, :]
-    sm = ScoreMatrix(scores, genuine, tuple(ids), tuple(ids))
+    sm = ScoreMatrix(scores, genuine, tuple(ids))
     curve = roc(sm)
     return (gar_at_far(curve, far_target),
             len(sm.genuine_scores()), len(sm.impostor_scores()))
@@ -230,7 +229,7 @@ class PipelineEval:
     emb_plain: np.ndarray        # undefended embeddings
     flags: np.ndarray            # detector verdict per image, True = distorted
     flagged_raw: np.ndarray      # pixels of the flagged images
-    flagged_median5: np.ndarray  # the same, 5x5 median filtered
+    flagged_median: np.ndarray   # the same, median filtered as a plan does it
 
 
 def prepare_pipeline_eval(model: NetworkModel, ds: Dataset,
@@ -241,7 +240,7 @@ def prepare_pipeline_eval(model: NetworkModel, ds: Dataset,
     emb_plain, flags = _embed_and_flag(model, mixed, det)
     flagged_raw = mixed[flags]
     return PipelineEval(ids, emb_plain, flags, flagged_raw,
-                        median_filter_array(flagged_raw, 5))
+                        median_filter_array(flagged_raw, MEDIAN_WINDOW))
 
 
 def finish_pipeline_eval(model: NetworkModel, prep: PipelineEval, plan: MitigationPlan,
@@ -249,12 +248,7 @@ def finish_pipeline_eval(model: NetworkModel, prep: PipelineEval, plan: Mitigati
     """Corrected-condition GAR@FAR for one candidate plan."""
     emb = prep.emb_plain.copy()
     if prep.flags.any():
-        if plan.use_median_filter and plan.median_size == 5:
-            batch = prep.flagged_median5
-        elif plan.use_median_filter:
-            batch = median_filter_array(prep.flagged_raw, plan.median_size)
-        else:
-            batch = prep.flagged_raw
+        batch = prep.flagged_median if plan.use_median_filter else prep.flagged_raw
         masked, _ = forward_batch(model, batch, plan.mask)
         emb[prep.flags] = masked
     gar, _, _ = _gar_from_embeddings(emb, prep.ids, far_target)

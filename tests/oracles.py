@@ -28,6 +28,33 @@ def dda_points(a, b) -> list[tuple[int, int]]:
     return pts
 
 
+def bresenham_loop(a, b) -> list[tuple[int, int]]:
+    """Error-term Bresenham, one point per iteration, traced in the canonical
+    direction ((x, y) ascending) and reversed back when a > b."""
+    x0, y0 = int(a[0]), int(a[1])
+    x1, y1 = int(b[0]), int(b[1])
+    if (x1, y1) < (x0, y0):
+        return bresenham_loop((x1, y1), (x0, y0))[::-1]
+    dx = abs(x1 - x0)
+    dy = -abs(y1 - y0)
+    sx = 1 if x0 < x1 else -1
+    sy = 1 if y0 < y1 else -1
+    err = dx + dy
+    points = []
+    while True:
+        points.append((x0, y0))
+        if x0 == x1 and y0 == y1:
+            break
+        e2 = 2 * err
+        if e2 >= dy:
+            err += dy
+            x0 += sx
+        if e2 <= dx:
+            err += dx
+            y0 += sy
+    return points
+
+
 def point_in_polygon(vertices, x: float, y: float) -> bool:
     """Even-odd test with boundary points counted as inside."""
     n = len(vertices)

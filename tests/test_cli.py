@@ -157,3 +157,38 @@ class TestErrors:
     def test_bad_parameter_is_usage_error(self, tmp_path):
         assert run("gen-data", "--subjects", 1, "--samples", 2, "--size", 64,
                    "--seed", 0, "--out", tmp_path / "d") == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"eta": 1},
+        {"eta": "1", "kappa": 0.1, "mask": []},
+        {"eta": True, "kappa": 0.1, "mask": []},
+        {"eta": 1, "kappa": 0.1, "mask": [[0]]},
+        {"eta": 1, "kappa": 0.1, "mask": [], "use_median_filter": "no"},
+        [1, 0.1],
+    ])
+    def test_malformed_plan_is_data_error(self, pipeline, tmp_path, capsys, doc):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+        assert run("mitigate", "--net-seed", 1, "--plan", plan, "--image", img,
+                   "--out", tmp_path / "emb.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mitigation plan") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "grids", "rho_grids": "x"},
+        {"rho_grids": 3},
+        {"kind": "xmsb", "phi": ["a", 0, 0]},
+        {"kind": "grids", "seed": 1.5},
+        {"kind": "ero", "psi": None},
+    ])
+    def test_malformed_spec_is_data_error(self, pipeline, tmp_path, capsys, doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert run("distort", "--spec", spec, "--in", pipeline["data"],
+                   "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: distortion spec") and err.count("\n") == 1
+        assert "Traceback" not in err
+

@@ -20,7 +20,7 @@ from advface.seeds import rng_from
 from advface.synthface import LandmarkSet
 
 from conftest import random_landmarks
-from oracles import flip_bit_arithmetic, ero_rows
+from oracles import flip_bit_arithmetic, ero_rows, point_in_polygon
 
 
 def constant_image(size=64, value=255, channels=1):
@@ -199,6 +199,24 @@ class TestFaceMasks:
         assert (out.pixels[mask] == 0).all()
         assert (out.pixels[~mask] == 180).all()
         assert rec.affected_pixel_count == int(mask.sum())
+
+    @pytest.mark.parametrize("fn,poly_attr", [
+        (apply_fhbo, "forehead_polygon"), (apply_beard, "beard_polygon")])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_changes_exactly_the_oracle_mask_of_a_synthetic_face(self, fn, poly_attr, channels):
+        from advface.synthface import generate_dataset
+
+        rng = np.random.default_rng(channels)
+        for item in generate_dataset(2, 2, 48, seed=9).items:
+            img = Image(rng.integers(1, 256, size=(48, 48, channels), dtype=np.uint8))
+            out, rec = fn(img, item.landmarks)
+            verts = getattr(item.landmarks, poly_attr).vertices
+            mask = np.array([[point_in_polygon(verts, x, y) for x in range(48)]
+                             for y in range(48)])
+            changed = (out.pixels != img.pixels).any(axis=2)
+            assert np.array_equal(changed, mask)
+            assert (out.pixels[mask] == 0).all()
+            assert rec.affected_pixel_count == int(mask.sum())
 
     def test_zero_area_polygon_rejected_at_construction(self):
         with pytest.raises(ValueError, match="degenerate"):

@@ -17,7 +17,7 @@ from advface.imagecore import (
     write_image,
 )
 
-from oracles import dda_points, naive_median, point_in_polygon
+from oracles import bresenham_loop, dda_points, naive_median, point_in_polygon
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +175,15 @@ class TestRasterLine:
         for a, b in zip(fwd, fwd[1:]):
             assert max(abs(a.x - b.x), abs(a.y - b.y)) == 1
 
+    def test_closed_form_matches_loop_oracle_on_every_small_segment(self):
+        coords = range(-6, 7)
+        for x0 in coords:
+            for y0 in coords:
+                for x1 in coords:
+                    for y1 in coords:
+                        assert raster_line(Point(x0, y0), Point(x1, y1)) == \
+                            bresenham_loop((x0, y0), (x1, y1)), (x0, y0, x1, y1)
+
 
 # ---------------------------------------------------------------------------
 # Polygons
@@ -237,6 +246,33 @@ class TestPolygon:
         outside_bbox[max(min(ys), 0):max(ys) + 1, max(min(xs), 0):max(xs) + 1] = False
         assert (out.pixels[outside_bbox] == img.pixels[outside_bbox]).all()
 
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_mask_matches_oracle_with_outside_horizontal_and_collinear_vertices(self, seed):
+        rng = np.random.default_rng(seed)
+        w, h = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        while True:
+            verts = [(int(rng.integers(-8, w + 8)), int(rng.integers(-8, h + 8)))
+                     for _ in range(int(rng.integers(3, 7)))]
+            # a horizontal edge, and verts[3] collinear with its neighbours
+            verts.insert(1, (verts[0][0] + int(rng.integers(-9, 10)), verts[0][1]))
+            verts.insert(4, (2 * verts[3][0] - verts[2][0], 2 * verts[3][1] - verts[2][1]))
+            try:
+                poly = Polygon(verts)
+                break
+            except ValueError:
+                continue
+        mask = polygon_mask(poly, w, h)
+        expected = [[point_in_polygon(poly.vertices, x, y) for x in range(w)] for y in range(h)]
+        assert np.array_equal(mask, np.array(expected, dtype=bool))
+
+    def test_mask_of_far_vertices_matches_oracle(self):
+        poly = Polygon([(-10**6, -3), (10**6, 5), (3, 10**5), (3, 9)])
+        mask = polygon_mask(poly, 12, 10)
+        for y in range(10):
+            for x in range(12):
+                assert mask[y, x] == point_in_polygon(poly.vertices, x, y), (x, y)
+
 
 # ---------------------------------------------------------------------------
 # Median filter
@@ -292,3 +328,13 @@ class TestMedianFilter:
         assert median_filter_array(batch, 1) is batch
         with pytest.raises(ValueError):
             median_filter_array(batch, 4)
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_network_matches_naive_oracle(self, k, c):
+        rng = np.random.default_rng(k * 10 + c)
+        # tie-heavy binary images, full-range images, and images smaller than the window
+        for h, w, hi in [(9, 8, 2), (9, 8, 256), (1, 1, 256), (2, 3, 2), (k - 1, k + 1, 256)]:
+            px = rng.integers(0, hi, size=(h, w, c), dtype=np.uint8)
+            out = median_filter_array(px[None], k)[0]
+            assert np.array_equal(out, naive_median(px, k)), (h, w, hi)

@@ -166,7 +166,7 @@ class TestMitigate:
 
     def test_median_applied_before_masked_forward(self, default_model, small_dataset):
         img = small_dataset.items[0].image
-        plan = MitigationPlan(1, 0.0, FilterMask(), use_median_filter=True, median_size=5)
+        plan = MitigationPlan(1, 0.0, FilterMask(), use_median_filter=True)
         emb = mitigate(default_model, plan, img)
         expected, _ = forward_batch(default_model,
                                     median_filter(img, 5).pixels[None])

@@ -42,7 +42,7 @@ def matrix_from_pairs(genuine_vals, impostor_vals):
     for (i, j), v in zip(pairs[5:], impostor_vals):
         scores[i, j] = scores[j, i] = v
     ids = tuple(range(5))
-    return ScoreMatrix(scores, mask, ids, ids)
+    return ScoreMatrix(scores, mask, ids)
 
 
 def random_score_matrix(rng):
@@ -54,7 +54,7 @@ def random_score_matrix(rng):
     while len(np.unique(ids)) < 2:
         ids = rng.integers(0, max(2, n // 2), size=n)
     mask = ids[:, None] == ids[None, :]
-    return ScoreMatrix(scores, mask, tuple(ids), tuple(ids))
+    return ScoreMatrix(scores, mask, tuple(ids))
 
 
 class TestScoreMatrix:
@@ -91,7 +91,7 @@ class TestScoreMatrix:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes disagree"):
-            ScoreMatrix(np.zeros((2, 2)), np.zeros((3, 3), dtype=bool), (0, 1), (0, 1))
+            ScoreMatrix(np.zeros((2, 2)), np.zeros((3, 3), dtype=bool), (0, 1))
 
 
 class TestRoc:
@@ -124,7 +124,7 @@ class TestRoc:
         scores = np.array([[1.0, 0.5], [0.5, 1.0]])
         mask = np.ones((2, 2), dtype=bool)
         with pytest.raises(ProtocolError, match="at least one genuine"):
-            roc(ScoreMatrix(scores, mask, (0, 0), (0, 0)))
+            roc(ScoreMatrix(scores, mask, (0, 0)))
 
     @settings(max_examples=200)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -181,7 +181,7 @@ class TestRelabeling:
         perm = {old: new for new, old in enumerate(rng.permutation(np.unique(labels)))}
         relabeled = np.array([perm[v] for v in labels])
         sm2 = ScoreMatrix(sm.scores, relabeled[:, None] == relabeled[None, :],
-                          tuple(relabeled), tuple(relabeled))
+                          tuple(relabeled))
         assert gar_at_far(roc(sm), 0.1) == gar_at_far(roc(sm2), 0.1)
 
 
