@@ -84,6 +84,7 @@ def canberra(a, b) -> float | np.ndarray:
     the length-L vector `b`; returns a float, or an (N,) float64 array. Rows
     are reduced in blocks of _CANBERRA_BLOCK_ROWS so the float64 temporaries
     stay small; each row is still summed whole, so blocking moves no bit.
+    The block buffers are allocated once and reused in place.
     """
     a = np.asarray(a)
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -92,12 +93,18 @@ def canberra(a, b) -> float | np.ndarray:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     abs_b = np.abs(b)
     out = np.empty(rows.shape[0])
+    shape = (min(rows.shape[0], _CANBERRA_BLOCK_ROWS), b.shape[0])
+    t_buf, num_buf, den_buf = np.empty(shape), np.empty(shape), np.empty(shape)
+    nz_buf = np.empty(shape, bool)
     for lo in range(0, rows.shape[0], _CANBERRA_BLOCK_ROWS):
-        t = rows[lo : lo + _CANBERRA_BLOCK_ROWS].astype(np.float64)
-        denom = np.abs(t) + abs_b
-        num = np.abs(t - b)
-        terms = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
-        out[lo : lo + t.shape[0]] = terms.sum(axis=1)
+        blk = rows[lo : lo + _CANBERRA_BLOCK_ROWS]
+        t, num, den, nz = (buf[: blk.shape[0]] for buf in (t_buf, num_buf, den_buf, nz_buf))
+        np.copyto(t, blk)
+        np.add(np.abs(t, out=den), abs_b, out=den)
+        np.abs(np.subtract(t, b, out=num), out=num)
+        # a zero denominator means t == b == 0, where num already holds 0
+        np.divide(num, den, out=num, where=np.greater(den, 0, out=nz))
+        out[lo : lo + blk.shape[0]] = num.sum(axis=1)
     return float(out[0]) if a.ndim == 1 else out
 
 

@@ -23,6 +23,8 @@ _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 # Images per forward_batch call wherever a batch is split; the same chunks
 # give the same bytes, so every caller that shares results must use this.
 FORWARD_CHUNK = 256
+# Images per reused im2col block in _conv2d; it bounds that buffer and moves no bit.
+_CONV_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -169,17 +171,45 @@ def default_network(seed: int) -> NetworkModel:
 # Forward pass
 # ---------------------------------------------------------------------------
 
+def _tap_range(u: int, pad: int, stride: int, n_in: int, n_out: int) -> tuple[int, int]:
+    """Output indices [lo, hi) whose kernel offset u reads an input cell, not the border."""
+    lo = max(0, -((u - pad) // stride))            # ceil((pad - u) / stride)
+    hi = min(n_out, (n_in - 1 + pad - u) // stride + 1)
+    return lo, max(lo, hi)
+
+
 def _conv2d(x: np.ndarray, layer: LayerDef) -> np.ndarray:
+    """Weight-stationary conv: per image, (O, C*k*k) @ im2col (C*k*k, H'*W').
+
+    The im2col block holds _CONV_BLOCK images and is filled by k*k strided
+    slice copies; its zero-padding cells are never written, so it is zeroed
+    once and reused for every block. Each image is one GEMM of a shape that
+    does not depend on the batch, so its output bits do not either. Returns a
+    fresh C-contiguous (N, O, H', W') float32 array.
+    """
     w = layer.weights
-    k = w.shape[2]
+    o, c, k, _ = w.shape
+    n, _, h, wd = x.shape
     p, s = layer.pad, layer.stride
-    if p:
-        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::s, ::s]
-    out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))  # (N, H', W', O)
-    out = np.moveaxis(out, 3, 1)
-    return out + layer.bias[None, :, None, None]
+    ho = (h + 2 * p - k) // s + 1
+    wo = (wd + 2 * p - k) // s + 1
+    wmat = w.reshape(o, c * k * k)
+    out = np.empty((n, o, ho, wo), np.float32)
+    col = np.zeros((min(n, _CONV_BLOCK), c, k, k, ho, wo), np.float32)
+    rows = [_tap_range(u, p, s, h, ho) for u in range(k)]
+    cols = [_tap_range(v, p, s, wd, wo) for v in range(k)]
+    for lo in range(0, n, _CONV_BLOCK):
+        nb = min(_CONV_BLOCK, n - lo)
+        for u, (i0, i1) in enumerate(rows):
+            for v, (j0, j1) in enumerate(cols):
+                y0, x0 = i0 * s + u - p, j0 * s + v - p
+                col[:nb, :, u, v, i0:i1, j0:j1] = x[lo : lo + nb, :,
+                                                    y0 : y0 + s * (i1 - i0) : s,
+                                                    x0 : x0 + s * (j1 - j0) : s]
+        np.matmul(wmat, col[:nb].reshape(nb, c * k * k, ho * wo),
+                  out=out[lo : lo + nb].reshape(nb, o, ho * wo))
+    out += layer.bias[:, None, None]
+    return out
 
 
 def _maxpool(x: np.ndarray, layer: LayerDef) -> np.ndarray:
@@ -226,6 +256,7 @@ def forward_batch(model: NetworkModel, images: np.ndarray,
     taps: list[np.ndarray] = []
     conv_maps: list[np.ndarray] = []
     conv_ord = -1
+    fresh = False  # x is the previous layer's conv output and no tap holds it
     for idx, layer in enumerate(model.layers):
         if layer.kind == "conv":
             conv_ord += 1
@@ -233,7 +264,7 @@ def forward_batch(model: NetworkModel, images: np.ndarray,
             if conv_ord in disabled_by_conv:
                 x[:, disabled_by_conv[conv_ord], :, :] = 0.0
         elif layer.kind == "relu":
-            x = np.maximum(x, 0.0)
+            x = np.maximum(x, 0.0, out=x if fresh else None)
             if want_conv_maps:
                 conv_maps.append(x)
         elif layer.kind == "maxpool":
@@ -246,6 +277,7 @@ def forward_batch(model: NetworkModel, images: np.ndarray,
             x = l2_normalize(x)
         if idx in model.tap_points:
             taps.append(x.reshape(x.shape[0], -1))
+        fresh = layer.kind == "conv" and idx not in model.tap_points
     if want_conv_maps:
         return x, taps, conv_maps
     return x, taps

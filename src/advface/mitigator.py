@@ -48,6 +48,8 @@ class SensitivityTable:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SensitivityTable":
+        check_json(d, "sensitivity table",
+                   {"eps": (list, (list, float)), "layer_agg": (list, float), "n_dis": int}, {})
         table = cls(tuple(np.array(row) for row in d["eps"]), d["n_dis"])
         if not np.allclose(table.layer_agg, d["layer_agg"], atol=_AGG_TOL):
             raise ValueError("layer aggregates inconsistent with eps matrix")
@@ -91,9 +93,13 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
         _, _, maps_d = forward_batch(model, dist[lo : lo + 128], want_conv_maps=True)
         _, _, maps_c = forward_batch(model, clean[lo : lo + 128], want_conv_maps=True)
         for i, (md, mc) in enumerate(zip(maps_d, maps_c)):
-            diff = md.astype(np.float64) - mc.astype(np.float64)
+            # channels-last float64 difference: the (h, w) sums below then
+            # accumulate each filter's squares in row-major order, one add at a time
+            n, o, h, w = md.shape
+            diff = np.subtract(md.transpose(0, 2, 3, 1), mc.transpose(0, 2, 3, 1),
+                               out=np.empty((n, h, w, o)), dtype=np.float64)
             # L2 norm of each filter's flattened response difference, per pair
-            norms = np.sqrt((diff ** 2).sum(axis=(2, 3)))
+            norms = np.sqrt((diff ** 2).sum(axis=(1, 2)))
             sums[i] += norms.sum(axis=0)
     return SensitivityTable(tuple(sums), len(pairs))
 

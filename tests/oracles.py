@@ -119,6 +119,20 @@ def naive_conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
     return out
 
 
+def tensordot_conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+                   stride: int, pad: int) -> np.ndarray:
+    """The earlier featnet conv kernel: one tensordot over a strided window
+    view of the padded batch; x is (N, C, H, W) float32, the result (N, O, H', W')."""
+    k = weights.shape[2]
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    out = np.tensordot(win, weights, axes=([1, 4, 5], [1, 2, 3]))  # (N, H', W', O)
+    out = np.moveaxis(out, 3, 1)
+    return out + bias[None, :, None, None]
+
+
 def naive_maxpool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
     c, h, w = x.shape
     ho = (h - window) // stride + 1
@@ -143,6 +157,31 @@ def canberra_loop(a, b) -> float:
         if denom > 0:
             total += abs(av - bv) / denom
     return total
+
+
+def sensitivity_loop(maps_d, maps_c, chunk: int) -> list[np.ndarray]:
+    """Per-filter sum over pairs of the L2 norm of the post-ReLU response
+    difference. maps_d / maps_c hold one (N, O, H, W) array per conv layer.
+    Each pair's squared float64 differences accumulate over (h, w) in
+    row-major order, one add at a time; the pair norms are summed in order
+    within each `chunk` of pairs, and the chunk totals in order."""
+    out = []
+    for md, mc in zip(maps_d, maps_c):
+        n, o, h, w = md.shape
+        acc = np.zeros((n, o))
+        for y in range(h):
+            for x in range(w):
+                d = md[:, :, y, x].astype(np.float64) - mc[:, :, y, x].astype(np.float64)
+                acc += d * d
+        norms = np.sqrt(acc)
+        total = np.zeros(o)
+        for lo in range(0, n, chunk):
+            part = np.zeros(o)
+            for i in range(lo, min(n, lo + chunk)):
+                part += norms[i]
+            total += part
+        out.append(total)
+    return out
 
 
 def flip_bit_arithmetic(value: int, bit_mask: int) -> int:

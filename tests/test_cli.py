@@ -192,3 +192,18 @@ class TestErrors:
         assert err.startswith("error: distortion spec") and err.count("\n") == 1
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"eps": [[1.0, 2.0]], "n_dis": 1},
+        {"eps": [[1.0, 2.0]], "layer_agg": [3.0], "n_dis": "1"},
+        {"eps": 3.0, "layer_agg": [3.0], "n_dis": 1},
+    ])
+    def test_malformed_table_is_data_error(self, tmp_path, capsys, doc):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        assert run("build-plan", "--table", table, "--eta", 1, "--kappa", 0.25,
+                   "--out", tmp_path / "plan.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sensitivity table") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -99,6 +99,22 @@ class TestCanberra:
         assert 0.0 <= d <= n
         assert d == pytest.approx(canberra_loop(a, b), abs=1e-9)
 
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 15, 16, 17, 33]),
+           length=st.integers(1, 40))
+    def test_blocks_bitwise_equal_whole_rows_and_loop(self, seed, n, length):
+        rng = np.random.default_rng(seed)
+        a = (rng.normal(size=(n, length)) * rng.choice([0, 1], size=(n, length))).astype(np.float32)
+        b = rng.normal(size=length) * rng.choice([0, 1], size=length)
+        got = canberra(a, b)
+        t = a.astype(np.float64)  # whole-matrix float64 terms, no blocks
+        denom = np.abs(t) + np.abs(b)
+        terms = np.divide(np.abs(t - b), denom, out=np.zeros_like(t), where=denom > 0)
+        assert np.array_equal(got, terms.sum(axis=1))
+        assert canberra(a[0], b) == got[0]
+        if length < 8:  # NumPy sums fewer than 8 terms one at a time, like the loop
+            assert got.tolist() == [canberra_loop(row.astype(np.float64), b) for row in a]
+
     def test_features_match_scalar_canberra(self, default_model, mean_reps, images):
         for i in range(3):
             feats = canberra_features(default_model, mean_reps, images[i])

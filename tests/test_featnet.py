@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import advface
+from advface import featnet
 from advface.featnet import (
+    FORWARD_CHUNK,
     FilterMask,
     LayerDef,
     NetworkModel,
@@ -16,8 +24,9 @@ from advface.featnet import (
     save_weights,
 )
 from advface.imagecore import FormatError, Image
+from advface.mitigator import SensitivityTable, build_plan
 
-from oracles import naive_conv, naive_maxpool
+from oracles import naive_conv, naive_maxpool, tensordot_conv
 
 
 def tiny_conv_model(weights, bias, stride=1, pad=0, input_hw=(4, 4), channels=1):
@@ -109,6 +118,160 @@ class TestForward:
         e1, _ = forward_batch(default_model, batch)
         e2, _ = forward_batch(default_model, batch)
         assert np.array_equal(e1, e2)
+
+
+def _n_conv_taps(model):
+    """Taps that lie before the first flatten: conv-stage activations."""
+    kinds = [layer.kind for layer in model.layers]
+    end = kinds.index("flatten") if "flatten" in kinds else len(kinds)
+    return sum(1 for t in model.tap_points if t < end)
+
+
+@pytest.fixture(scope="module")
+def net43():
+    return default_network(43)
+
+
+@pytest.fixture(scope="module")
+def batch300():
+    return np.random.default_rng(43).integers(0, 256, size=(300, 64, 64, 1), dtype=np.uint8)
+
+
+@pytest.fixture(scope="module")
+def plan_mask(net43):
+    """The mask a mitigation plan builds: top quarter of filters in 3 layers."""
+    rng = np.random.default_rng(4)
+    table = SensitivityTable(tuple(rng.random(n) for n in net43.conv_filter_counts()), 1)
+    return build_plan(table, 3, 0.25).mask
+
+
+class TestConvKernel:
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 256, 300])
+    def test_default_net_bitwise_equals_tensordot_kernel(self, net43, batch300, plan_mask,
+                                                         monkeypatch, n, masked):
+        mask = plan_mask if masked else None
+        got = forward_batch(net43, batch300[:n], mask, want_conv_maps=True)
+        monkeypatch.setattr(featnet, "_conv2d", lambda x, layer: tensordot_conv(
+            x, layer.weights, layer.bias, layer.stride, layer.pad))
+        want = forward_batch(net43, batch300[:n], mask, want_conv_maps=True)
+        assert np.array_equal(got[0], want[0])
+        assert len(got[1]) == len(want[1]) == 5 and len(got[2]) == len(want[2]) == 4
+        for g, w in zip(got[1] + got[2], want[1] + want[2]):
+            assert g.dtype == w.dtype == np.float32
+            assert np.array_equal(g, w)
+
+    @settings(max_examples=150)
+    @given(k=st.sampled_from([1, 2, 3, 5]), stride=st.integers(1, 3), pad=st.integers(0, 2),
+           c=st.sampled_from([1, 3, 8]), o=st.sampled_from([1, 4, 16]),
+           n=st.sampled_from([1, featnet._CONV_BLOCK - 1, featnet._CONV_BLOCK,
+                              featnet._CONV_BLOCK + 1, 2 * featnet._CONV_BLOCK + 1]),
+           h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_naive_conv_within_float32_bound(self, k, stride, pad, c, o, n, h, w, seed):
+        assume(h + 2 * pad >= k and w + 2 * pad >= k)
+        rng = np.random.default_rng(seed)
+        wts = rng.standard_normal((o, c, k, k)).astype(np.float32)
+        bias = rng.standard_normal(o).astype(np.float32)
+        layer = LayerDef("conv", wts, bias, stride=stride, pad=pad)
+        model = NetworkModel((layer,), (0,), (w, h, c))
+        batch = rng.integers(0, 256, size=(n, h, w, c), dtype=np.uint8)
+        _, taps = forward_batch(model, batch)
+        ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        got = taps[0].reshape(n, o, ho, wo)
+        # float32 dot of K = c*k*k terms plus a bias, inputs in [0, 1]:
+        # |error| <= (K + 1) * eps32 * (sum |w_f| + |b_f|) per filter
+        terms = np.abs(wts.astype(np.float64)).sum(axis=(1, 2, 3)) + np.abs(bias)
+        bound = (c * k * k + 1) * np.finfo(np.float32).eps * terms
+        for i in range(n):
+            x = np.moveaxis(batch[i], 2, 0).astype(np.float32) / np.float32(255.0)
+            want = naive_conv(x, wts, bias, stride, pad)
+            assert np.all(np.abs(got[i] - want) <= bound[:, None, None])
+
+    def test_output_is_contiguous_nchw(self, net43, batch300):
+        _, _, maps = forward_batch(net43, batch300[:3], want_conv_maps=True)
+        assert [m.shape for m in maps] == [(3, 8, 64, 64), (3, 16, 32, 32),
+                                            (3, 32, 16, 16), (3, 32, 8, 8)]
+        assert all(m.flags.c_contiguous for m in maps)
+
+    def test_tapped_conv_output_is_not_overwritten_by_relu(self):
+        rng = np.random.default_rng(12)
+        layers = (LayerDef("conv", rng.standard_normal((3, 1, 3, 3)).astype(np.float32),
+                           rng.standard_normal(3).astype(np.float32), pad=1),
+                  LayerDef("relu"))
+        model = NetworkModel(layers, (0, 1), (5, 5, 1))
+        _, (pre, post) = forward_batch(model, rng.integers(0, 256, (2, 5, 5, 1), np.uint8))
+        assert (pre < 0).any()
+        assert np.array_equal(post, np.maximum(pre, 0))
+
+
+class TestBatchInvariance:
+    """Conv taps and conv maps of an image do not depend on its batch."""
+
+    @staticmethod
+    def _assert_rows_match_single(model, batch, rows):
+        _, taps, maps = forward_batch(model, batch, want_conv_maps=True)
+        n_conv = _n_conv_taps(model)
+        for i in rows:
+            _, taps1, maps1 = forward_batch(model, batch[i : i + 1], want_conv_maps=True)
+            for a, b in zip(taps[:n_conv] + maps, taps1[:n_conv] + maps1):
+                assert np.array_equal(a[i], b[0])
+
+    def test_default_net_across_block_and_chunk(self, net43):
+        block = featnet._CONV_BLOCK
+        batch = np.random.default_rng(7).integers(0, 256, size=(FORWARD_CHUNK + 4, 64, 64, 1),
+                                                   dtype=np.uint8)
+        rows = (0, block - 1, block, block + 1, FORWARD_CHUNK - 1, FORWARD_CHUNK,
+                FORWARD_CHUNK + 3)
+        self._assert_rows_match_single(net43, batch, rows)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_shape_net(self, seed):
+        rng = np.random.default_rng(seed)
+        c, h, w = int(rng.choice([1, 3])), int(rng.integers(5, 13)), int(rng.integers(5, 13))
+        input_spec = (w, h, c)
+        layers, taps = [], []
+        for _ in range(int(rng.integers(1, 4))):
+            k, s, p = int(rng.choice([1, 2, 3, 5])), int(rng.integers(1, 4)), int(rng.integers(0, 3))
+            if h + 2 * p < k or w + 2 * p < k:
+                break
+            o = int(rng.choice([1, 4, 16]))
+            layers.append(LayerDef("conv", rng.standard_normal((o, c, k, k)).astype(np.float32),
+                                   rng.standard_normal(o).astype(np.float32), stride=s, pad=p))
+            if rng.random() < 0.3:
+                taps.append(len(layers) - 1)
+            layers.append(LayerDef("relu"))
+            taps.append(len(layers) - 1)
+            c, h, w = o, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        assume(layers)
+        layers += [LayerDef("flatten"),
+                   LayerDef("dense", rng.standard_normal((4, c * h * w)).astype(np.float32),
+                            np.zeros(4, np.float32)),
+                   LayerDef("l2norm")]
+        taps.append(len(layers) - 2)
+        model = NetworkModel(tuple(layers), tuple(taps), input_spec)
+        w_in, h_in, c_in = input_spec
+        batch = rng.integers(0, 256, size=(FORWARD_CHUNK + 2, h_in, w_in, c_in), dtype=np.uint8)
+        block = featnet._CONV_BLOCK
+        self._assert_rows_match_single(
+            model, batch, (0, block - 1, block, FORWARD_CHUNK - 1, FORWARD_CHUNK + 1))
+
+    def test_blas_thread_count_gives_same_bytes(self):
+        script = (
+            "import hashlib, numpy as np\n"
+            "from advface.featnet import default_network, forward_batch\n"
+            "b = np.random.default_rng(3).integers(0, 256, (300, 64, 64, 1), np.uint8)\n"
+            "e, t, m = forward_batch(default_network(43), b, want_conv_maps=True)\n"
+            "print(hashlib.sha256(b''.join(a.tobytes() for a in [e, *t, *m])).hexdigest())\n")
+        src = str(Path(advface.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class TestMasking:

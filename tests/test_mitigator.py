@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advface.detector import DetectorModel, compute_mean_reps
-from advface.distortions import DistortionSpec
-from advface.featnet import FilterMask, LayerDef, NetworkModel, forward_batch
+from advface.distortions import DistortionSpec, apply_grids, apply_xmsb
+from advface.featnet import FilterMask, LayerDef, NetworkModel, default_network, forward_batch
 from advface.imagecore import Image, median_filter
 from advface.mitigator import (
     MitigationPlan,
@@ -21,8 +21,9 @@ from advface.mitigator import (
     save_plan,
     save_table,
 )
+from advface.synthface import generate_dataset
 
-from oracles import naive_conv
+from oracles import naive_conv, sensitivity_loop
 
 
 def table_from(rows, n_dis=1):
@@ -58,6 +59,27 @@ class TestSensitivity:
         mc = np.maximum(naive_conv(c[:, :, 0][None] / 255.0, w, bias, 1, 1), 0)
         expected = np.sqrt(((md - mc) ** 2).sum())
         assert table.eps[0][0] == pytest.approx(expected, abs=1e-5)
+
+    def test_bitwise_equals_row_major_loop_across_chunk(self):
+        # 160 pairs cross the 128-pair chunk; the float64 sums must add each
+        # filter's squares in row-major (h, w) order, whatever the map layout
+        model = default_network(43)
+        clean = generate_dataset(40, 4, 64, seed=21)
+        pairs = []
+        for i, it in enumerate(clean.items):
+            dist = (apply_grids(it.image, 4, seed=i) if i % 2
+                    else apply_xmsb(it.image, (0.05, 0.05, 0.1), seed=i))[0]
+            pairs.append((dist, it.image))
+        assert len(pairs) == 160
+        table = compute_sensitivity(model, pairs)
+        _, _, maps_d = forward_batch(model, np.stack([d.pixels for d, _ in pairs]),
+                                     want_conv_maps=True)
+        _, _, maps_c = forward_batch(model, np.stack([c.pixels for _, c in pairs]),
+                                     want_conv_maps=True)
+        want = sensitivity_loop(maps_d, maps_c, chunk=128)
+        for got, exp in zip(table.eps, want):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, exp)
 
     def test_empty_pairs_rejected(self, default_model):
         with pytest.raises(ValueError, match="at least one"):
