@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import detector as det_mod
 from . import distortions, featnet, mitigator, synthface, verifybench
 from .imagecore import FormatError, read_image
@@ -23,10 +21,6 @@ def _load_network(args) -> featnet.NetworkModel:
     if getattr(args, "weights", None):
         return featnet.load_weights(args.weights)
     return featnet.default_network(args.net_seed)
-
-
-def _dataset_batch(ds):
-    return np.stack([it.image.pixels for it in ds.items])
 
 
 def _cmd_gen_data(args):
@@ -58,7 +52,7 @@ def _cmd_distort(args):
 def _cmd_extract(args):
     model = _load_network(args)
     ds = synthface.load_dataset(args.dataset)
-    reps = det_mod.compute_mean_reps(model, _dataset_batch(ds))
+    reps = det_mod.compute_mean_reps(model, ds.pixel_batch())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     featnet.save_weights(model, out / "network.fnet")
@@ -71,8 +65,7 @@ def _cmd_train_detector(args):
     reps = det_mod.load_mean_reps(args.mean_reps)
     clean = synthface.load_dataset(args.clean)
     distorted = synthface.load_dataset(args.distorted)
-    det = det_mod.train_detector(model, reps, _dataset_batch(clean),
-                                 _dataset_batch(distorted),
+    det = det_mod.train_detector(model, reps, clean.pixel_batch(), distorted.pixel_batch(),
                                  C_grid=args.c_grid, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

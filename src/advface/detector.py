@@ -16,13 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .imagecore import FormatError, Image
+from .imagecore import FormatError, Image, check_json
+from . import featnet
 from .featnet import FORWARD_CHUNK, FilterMask, NetworkModel, forward_batch
 from .seeds import rng_from
 
 _MREP_MAGIC = b"MREP1"
 _STD_FLOOR = 1e-8
-_CANBERRA_BLOCK_ROWS = 16  # tap rows per float64 Canberra block
+# float64 entries per Canberra block buffer: two of them, 1 MiB, stay in a core's L2
+_CANBERRA_BLOCK_ELEMS = 1 << 16
 
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -82,29 +84,38 @@ def canberra(a, b) -> float | np.ndarray:
 
     `a` is one vector, or an (N, L) matrix whose rows are each compared with
     the length-L vector `b`; returns a float, or an (N,) float64 array. Rows
-    are reduced in blocks of _CANBERRA_BLOCK_ROWS so the float64 temporaries
-    stay small; each row is still summed whole, so blocking moves no bit.
-    The block buffers are allocated once and reused in place.
+    are reduced in float64 blocks of about _CANBERRA_BLOCK_ELEMS entries (at
+    least one row), run across the process's CPUs; each row is still summed
+    whole, so blocking moves no bit.
+
+    The zeros of |b| in the denominator are raised to the smallest positive
+    float64, 2**-1074, so the divide needs no mask: where t == b == 0 the term
+    is 0 / 2**-1074 = 0, and any other |t| absorbs the raise when it is at
+    least 2**-1020. That holds for every nonzero float32 (the network's taps)
+    or integer entry; a float64 entry below it, against a zero of b, gives a
+    term just under 1.
     """
     a = np.asarray(a)
     b = np.asarray(b, dtype=np.float64).ravel()
     rows = a.reshape(1, -1) if a.ndim == 1 else a
     if rows.ndim != 2 or rows.shape[1] != b.shape[0]:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    abs_b = np.abs(b)
+    den_b = np.abs(b)
+    den_b[den_b == 0] = np.nextafter(0.0, 1.0)
     out = np.empty(rows.shape[0])
-    shape = (min(rows.shape[0], _CANBERRA_BLOCK_ROWS), b.shape[0])
-    t_buf, num_buf, den_buf = np.empty(shape), np.empty(shape), np.empty(shape)
-    nz_buf = np.empty(shape, bool)
-    for lo in range(0, rows.shape[0], _CANBERRA_BLOCK_ROWS):
-        blk = rows[lo : lo + _CANBERRA_BLOCK_ROWS]
-        t, num, den, nz = (buf[: blk.shape[0]] for buf in (t_buf, num_buf, den_buf, nz_buf))
-        np.copyto(t, blk)
-        np.add(np.abs(t, out=den), abs_b, out=den)
+    step = max(1, _CANBERRA_BLOCK_ELEMS // max(1, b.shape[0]))
+    shape = (min(rows.shape[0], step), b.shape[0])
+
+    def block(bufs, lo: int, hi: int) -> None:
+        num, den = (buf[: hi - lo] for buf in bufs)
+        t = rows[lo:hi]  # float32 taps are cast to float64 exactly by each ufunc
         np.abs(np.subtract(t, b, out=num), out=num)
-        # a zero denominator means t == b == 0, where num already holds 0
-        np.divide(num, den, out=num, where=np.greater(den, 0, out=nz))
-        out[lo : lo + blk.shape[0]] = num.sum(axis=1)
+        np.add(np.abs(t, out=den), den_b, out=den)
+        np.divide(num, den, out=num)
+        out[lo:hi] = num.sum(axis=1)
+
+    featnet._parallel_blocks(rows.shape[0], step,
+                             lambda: (np.empty(shape), np.empty(shape)), block)
     return float(out[0]) if a.ndim == 1 else out
 
 
@@ -298,6 +309,19 @@ def save_detector(det: DetectorModel, path, mean_reps_path) -> None:
 def load_detector(path) -> DetectorModel:
     """Read a detector JSON; its mean reps path is relative to the JSON's directory."""
     doc = json.loads(Path(path).read_text())
+    check_json(doc, "detector", {"w": (list, float), "b": float, "C": float,
+                                 "feat_mean": (list, float), "feat_std": (list, float),
+                                 "n_layers": int, "mean_reps_path": str}, {})
     reps = load_mean_reps(Path(path).parent / doc["mean_reps_path"])
-    return DetectorModel(np.array(doc["w"]), doc["b"], doc["C"],
-                         np.array(doc["feat_mean"]), np.array(doc["feat_std"]), reps)
+    lengths = [len(doc["w"]), len(doc["feat_mean"]), len(doc["feat_std"]), doc["n_layers"],
+               len(reps.means)]
+    if len(set(lengths)) != 1:
+        raise FormatError("detector: lengths of w, feat_mean, feat_std, n_layers and the "
+                          f"mean reps' taps disagree: {lengths}")
+    w, feat_mean, feat_std = (np.array(doc[k]) for k in ("w", "feat_mean", "feat_std"))
+    finite = np.isfinite(np.concatenate([w, feat_mean, feat_std, [doc["b"]]])).all()
+    if not finite or (feat_std <= 0).any():
+        # a zero std or a non-finite weight would score every image -inf or nan
+        raise FormatError("detector: w, b, feat_mean and feat_std must be finite "
+                          "and feat_std positive")
+    return DetectorModel(w, doc["b"], doc["C"], feat_mean, feat_std, reps)

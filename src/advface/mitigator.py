@@ -50,9 +50,13 @@ class SensitivityTable:
     def from_json_dict(cls, d: dict) -> "SensitivityTable":
         check_json(d, "sensitivity table",
                    {"eps": (list, (list, float)), "layer_agg": (list, float), "n_dis": int}, {})
-        table = cls(tuple(np.array(row) for row in d["eps"]), d["n_dis"])
-        if not np.allclose(table.layer_agg, d["layer_agg"], atol=_AGG_TOL):
-            raise ValueError("layer aggregates inconsistent with eps matrix")
+        try:
+            table = cls(tuple(np.array(row) for row in d["eps"]), d["n_dis"])
+        except ValueError as exc:
+            raise FormatError(f"sensitivity table: {exc}") from None
+        if (len(d["layer_agg"]) != len(table.eps)
+                or not np.allclose(table.layer_agg, d["layer_agg"], atol=_AGG_TOL)):
+            raise FormatError("sensitivity table: layer aggregates inconsistent with eps matrix")
         return table
 
 

@@ -95,6 +95,10 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.items)
 
+    def pixel_batch(self) -> np.ndarray:
+        """(N, H, W, C) uint8 stack of the item images, in item order."""
+        return np.stack([it.image.pixels for it in self.items])
+
 
 _BACKGROUND = 110.0
 _EYE_INTENSITY = 25.0

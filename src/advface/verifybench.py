@@ -141,14 +141,12 @@ def _distorted_copy(ds: Dataset, spec: distortions.DistortionSpec,
     """(pixel batch, subject ids, distorted-index set) for the protocol split."""
     _, to_distort = split_protocol(ds, fraction, seed)
     distorted = set(to_distort)
-    batch = np.empty((len(ds),) + ds.items[0].image.pixels.shape, dtype=np.uint8)
-    for i, item in enumerate(ds.items):
-        if i in distorted:
-            out, _ = distortions.apply(distortions.per_image_spec(spec, i),
-                                       item.image, item.landmarks)
-            batch[i] = out.pixels
-        else:
-            batch[i] = item.image.pixels
+    batch = ds.pixel_batch()
+    for i in sorted(distorted):
+        item = ds.items[i]
+        out, _ = distortions.apply(distortions.per_image_spec(spec, i),
+                                   item.image, item.landmarks)
+        batch[i] = out.pixels
     ids = np.array([it.subject_id for it in ds.items])
     return batch, ids, distorted
 
@@ -168,7 +166,7 @@ def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionS
                  fraction: float = 0.5, seed: int = 0,
                  far_target: float = 0.01) -> list[dict]:
     """Original / distorted / corrected GAR@FAR rows for one distortion."""
-    clean_batch = np.stack([it.image.pixels for it in ds.items])
+    clean_batch = ds.pixel_batch()
     ids = np.array([it.subject_id for it in ds.items])
     if len(np.unique(ids)) < 2:
         raise ProtocolError("dataset must span at least 2 subjects")

@@ -159,6 +159,22 @@ def canberra_loop(a, b) -> float:
     return total
 
 
+def canberra_masked(a, b) -> np.ndarray:
+    """The where-masked Canberra kernel: (N, L) rows copied to float64 in
+    16-row blocks, each |t - b| / (|t| + |b|) divided only where the
+    denominator is positive, each row summed whole."""
+    a = np.asarray(a)
+    b = np.asarray(b, dtype=np.float64).ravel()
+    out = np.empty(a.shape[0])
+    for lo in range(0, a.shape[0], 16):
+        t = a[lo : lo + 16].astype(np.float64)
+        den = np.abs(t) + np.abs(b)
+        num = np.abs(t - b)
+        np.divide(num, den, out=num, where=den > 0)
+        out[lo : lo + 16] = num.sum(axis=1)
+    return out
+
+
 def sensitivity_loop(maps_d, maps_c, chunk: int) -> list[np.ndarray]:
     """Per-filter sum over pairs of the L2 norm of the post-ReLU response
     difference. maps_d / maps_c hold one (N, O, H, W) array per conv layer.

@@ -207,3 +207,56 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: sensitivity table") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", [
+        {"eps": [[1.0, 2.0]], "layer_agg": [4.0], "n_dis": 1},
+        {"eps": [[1.0, 2.0]], "layer_agg": [3.0, 0.0], "n_dis": 1},
+        {"eps": [[1.0, 2.0], [3.0]], "layer_agg": [3.0], "n_dis": 1},
+        {"eps": [[-1.0, 4.0]], "layer_agg": [3.0], "n_dis": 1},
+        {"eps": [[float("nan"), 2.0]], "layer_agg": [3.0], "n_dis": 1},
+        {"eps": [[float("inf"), 2.0]], "layer_agg": [float("inf")], "n_dis": 1},
+        {"eps": [[1.0, 2.0]], "layer_agg": [3.0], "n_dis": 0},
+    ])
+    def test_inconsistent_table_is_data_error(self, tmp_path, capsys, doc):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        assert run("build-plan", "--table", table, "--eta", 1, "--kappa", 0.25,
+                   "--out", tmp_path / "plan.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sensitivity table") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("feat_std"),
+        lambda d: d.pop("mean_reps_path"),
+        lambda d: d.update(n_layers="5"),
+        lambda d: d.update(w=["0.1"] * 5),
+        lambda d: d.update(b=None),
+        lambda d: d.update(w=d["w"][:-1]),
+        lambda d: d.update(n_layers=d["n_layers"] + 1),
+        lambda d: d.update(w=d["w"] + [0.0], feat_mean=d["feat_mean"] + [0.0],
+                           feat_std=d["feat_std"] + [1.0], n_layers=d["n_layers"] + 1),
+        lambda d: d.update(feat_std=[0.0] * d["n_layers"]),
+        lambda d: d.update(w=[float("nan")] * d["n_layers"]),
+        lambda d: d.update(b=float("inf")),
+    ], ids=["missing-key", "missing-path", "n_layers-str", "w-str", "b-null",
+            "short-w", "n_layers-off", "more-than-mean-reps", "zero-std", "nan-w", "inf-b"])
+    def test_malformed_detector_is_data_error(self, pipeline, tmp_path, capsys, edit):
+        doc = json.loads(pipeline["detector"].read_text())
+        doc["mean_reps_path"] = str((pipeline["detector"].parent / doc["mean_reps_path"])
+                                    .resolve())
+        edit(doc)
+        self._assert_detect_data_error(pipeline, tmp_path, capsys, doc)
+
+    def test_non_object_detector_is_data_error(self, pipeline, tmp_path, capsys):
+        self._assert_detect_data_error(pipeline, tmp_path, capsys, [1, 2])
+
+    @staticmethod
+    def _assert_detect_data_error(pipeline, tmp_path, capsys, doc):
+        path = tmp_path / "detector.json"
+        path.write_text(json.dumps(doc))
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+        assert run("detect", "--net-seed", 1, "--detector", path, "--image", img) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: detector") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -22,10 +22,11 @@ from advface.detector import (
     save_mean_reps,
     train_detector,
 )
+from advface import detector, featnet
 from advface.featnet import forward_batch
 from advface.imagecore import FormatError, Image
 
-from oracles import canberra_loop
+from oracles import canberra_loop, canberra_masked
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,52 @@ class TestCanberra:
         assert canberra(a[0], b) == got[0]
         if length < 8:  # NumPy sums fewer than 8 terms one at a time, like the loop
             assert got.tolist() == [canberra_loop(row.astype(np.float64), b) for row in a]
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 15, 16, 17, 33]),
+           length=st.integers(1, 300), zeros=st.sampled_from(["t", "b", "both"]))
+    def test_trimmed_kernel_bitwise_equals_where_masked(self, seed, n, length, zeros):
+        rng = np.random.default_rng(seed)
+        # float32 rows spanning the normal range down to the smallest subnormal
+        scale = 2.0 ** rng.integers(-149, 30, size=(n, length))
+        a = (rng.normal(size=(n, length)) * scale).astype(np.float32)
+        b = rng.normal(size=length) * 2.0 ** rng.integers(-1074, 30, size=length)
+        if zeros in ("t", "both"):
+            a[rng.random((n, length)) < 0.3] = 0
+        if zeros in ("b", "both"):
+            b[rng.random(length) < 0.3] = 0
+        if zeros == "both":  # t == b == 0 cells in every row
+            a[:, 0], b[0] = 0, 0
+        got = canberra(a, b)
+        assert np.array_equal(got, canberra_masked(a, b))
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 15, 16, 17, 33]),
+           length=st.integers(1, 300), rows_per_block=st.sampled_from([1, 2, 16]))
+    def test_block_size_moves_no_bit(self, seed, n, length, rows_per_block):
+        rng = np.random.default_rng(seed)
+        a = (rng.normal(size=(n, length)) * rng.choice([0, 1], size=(n, length))).astype(np.float32)
+        b = rng.normal(size=length) * rng.choice([0, 1], size=length)
+        want = canberra(a, b)  # one block: these rows are far below the budget
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detector, "_CANBERRA_BLOCK_ELEMS", rows_per_block * length)
+            for workers in (1, 2):
+                mp.setattr(featnet, "_WORKERS", workers)
+                assert np.array_equal(canberra(a, b), want)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 256, 300])
+    def test_bitwise_for_any_worker_count(self, default_model, mean_reps, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        rows = (rng.normal(size=(n, 500)) * rng.choice([0, 1], size=(n, 500))).astype(np.float32)
+        b = rng.normal(size=500) * rng.choice([0, 1], size=500)
+        batch = rng.integers(0, 256, size=(n, 64, 64, 1), dtype=np.uint8)
+        outs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(featnet, "_WORKERS", workers)
+            outs.append((canberra(rows, b), *embed_and_features(default_model, mean_reps, batch)))
+        for other in outs[1:]:
+            for g, w in zip(other, outs[0]):
+                assert np.array_equal(g, w)
 
     def test_features_match_scalar_canberra(self, default_model, mean_reps, images):
         for i in range(3):

@@ -1,6 +1,10 @@
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +276,127 @@ class TestBatchInvariance:
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.strip())
         assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+WORKER_SIZES = [1, 7, 8, 9, 15, 16, 17, 256, 300]
+
+# forward and Canberra feature bytes of 300 images, printed by a subprocess
+_AFFINITY_SCRIPT = (
+    "import hashlib, os, sys, numpy as np\n"
+    "if sys.argv[1] == 'pin':\n"
+    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    "from advface import detector, featnet\n"
+    "net = featnet.default_network(43)\n"
+    "b = np.random.default_rng(3).integers(0, 256, (300, 64, 64, 1), np.uint8)\n"
+    "e, t, m = featnet.forward_batch(net, b, want_conv_maps=True)\n"
+    "_, f = detector.embed_and_features(net, detector.compute_mean_reps(net, b[:64]), b)\n"
+    "print(featnet._WORKERS,\n"
+    "      hashlib.sha256(b''.join(a.tobytes() for a in [e, *t, *m, f])).hexdigest())\n")
+
+
+def _parallel_blocks_in_child():
+    featnet._parallel_blocks(64, 8, lambda: None, lambda scratch, lo, hi: None)
+
+
+class TestWorkers:
+    """The blocked loops give the same bytes for any worker count."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("n", WORKER_SIZES)
+    def test_forward_bitwise_for_any_worker_count(self, net43, batch300, plan_mask,
+                                                  monkeypatch, n, masked):
+        mask = plan_mask if masked else None
+        outs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(featnet, "_WORKERS", workers)
+            emb, taps, maps = forward_batch(net43, batch300[:n], mask, want_conv_maps=True)
+            outs.append([emb, *taps, *maps])
+        assert len(outs[0]) == 1 + 5 + 4
+        for other in outs[1:]:
+            for g, w in zip(other, outs[0]):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("n", [1, 8, 9, 17, 50])
+    def test_parallel_blocks_covers_each_block_once(self, monkeypatch, workers, n):
+        monkeypatch.setattr(featnet, "_WORKERS", workers)
+        caller = threading.get_ident()
+        allocs, calls = [], []
+
+        def alloc():
+            allocs.append(threading.get_ident())
+            return object()
+
+        featnet._parallel_blocks(n, 8, alloc,
+                                 lambda scratch, lo, hi: calls.append(
+                                     (lo, hi, id(scratch), threading.get_ident())))
+        n_blocks = -(-n // 8)
+        threads = min(workers, n_blocks)
+        assert allocs == [caller] * threads  # scratch comes from the calling thread
+        assert sorted((lo, hi) for lo, hi, _, _ in calls) == [
+            (lo, min(lo + 8, n)) for lo in range(0, n, 8)]
+        # each thread keeps to one scratch, which no other thread touches
+        tid_of_scratch = {}
+        for _, _, sid, tid in calls:
+            assert tid_of_scratch.setdefault(sid, tid) == tid
+        assert len(set(tid_of_scratch.values())) == len(tid_of_scratch)
+        if threads < 2:  # a lone block never touches the pool
+            assert {tid for *_, tid in calls} == {caller}
+
+    def test_caller_never_waits_for_a_helper_to_start(self, monkeypatch):
+        monkeypatch.setattr(featnet, "_WORKERS", 2)
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(featnet, "_pool", pool)
+        release = threading.Event()
+        blocker = pool.submit(release.wait, 60)  # the pool's only thread is busy
+        timer = threading.Timer(5, release.set)  # frees the pool if the caller waits for it
+        timer.start()
+        try:
+            tids = []
+            featnet._parallel_blocks(40, 8, lambda: None,
+                                     lambda scratch, lo, hi: tids.append(threading.get_ident()))
+            assert not release.is_set()
+            assert tids == [threading.get_ident()] * 5
+        finally:
+            timer.cancel()
+            release.set()
+            blocker.result()
+            pool.shutdown()
+
+    def test_worker_errors_propagate(self, monkeypatch):
+        monkeypatch.setattr(featnet, "_WORKERS", 2)
+
+        def fn(scratch, lo, hi):
+            if lo:
+                raise RuntimeError("block failed")
+
+        with pytest.raises(RuntimeError, match="block failed"):
+            featnet._parallel_blocks(16, 8, lambda: None, fn)
+
+    def test_forked_child_runs_parallel_blocks(self, monkeypatch):
+        monkeypatch.setattr(featnet, "_WORKERS", 2)
+        # busy blocks make the pool start both threads, which the child lacks
+        featnet._parallel_blocks(64, 8, lambda: None, lambda scratch, lo, hi: time.sleep(0.01))
+        child = multiprocessing.get_context("fork").Process(target=_parallel_blocks_in_child)
+        child.start()
+        child.join(timeout=60)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+            child.join()
+        assert not alive and child.exitcode == 0
+
+    def test_one_cpu_affinity_gives_same_bytes(self):
+        src = str(Path(advface.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = []
+        for mode in ("pin", "default"):
+            proc = subprocess.run([sys.executable, "-c", _AFFINITY_SCRIPT, mode], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout.split())
+        assert out[0][0] == "1" and out[1][0] == str(len(os.sched_getaffinity(0)))
+        assert len(out[0][1]) == 64 and out[0][1] == out[1][1]
 
 
 class TestMasking:
