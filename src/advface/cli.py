@@ -76,9 +76,8 @@ def _cmd_train_detector(args):
 def _cmd_detect(args):
     model = _load_network(args)
     det = det_mod.load_detector(args.detector)
-    img = read_image(args.image)
-    score, verdict = det_mod.detect(det, model, img)
-    print(f"{args.image},{score:.6f},{verdict}")
+    score = det_mod.detect_scores(det, model, read_image(args.image).pixels[None])[0]
+    print(f"{args.image},{score:.6f},{'distorted' if score > 0 else 'clean'}")
 
 
 def _cmd_sensitivity(args):
@@ -105,8 +104,7 @@ def _cmd_build_plan(args):
 def _cmd_mitigate(args):
     model = _load_network(args)
     plan = mitigator.MitigationPlan.from_json_file(args.plan)
-    img = read_image(args.image)
-    emb = mitigator.mitigate(model, plan, img)
+    emb = mitigator.mitigate_batch(model, plan, read_image(args.image).pixels[None])[0]
     Path(args.out).write_text(json.dumps([float(v) for v in emb]))
     print(f"embedding ({len(emb)}-d) -> {args.out}")
 

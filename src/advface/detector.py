@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .imagecore import FormatError, Image, check_json
+from .imagecore import FormatError, check_json
 from . import featnet
-from .featnet import FORWARD_CHUNK, FilterMask, NetworkModel, forward_batch
+from .featnet import FilterMask, NetworkModel
 from .seeds import rng_from
 
 _MREP_MAGIC = b"MREP1"
@@ -59,21 +59,13 @@ class DetectorModel:
         return ((feats - self.feat_mean) / self.feat_std) @ self.w + self.b
 
 
-def _stack_batch(images) -> np.ndarray:
-    if isinstance(images, np.ndarray):
-        return images
-    return np.stack([im.pixels for im in images])
-
-
-def compute_mean_reps(model: NetworkModel, clean_images) -> MeanReps:
-    """Elementwise average of tapped activations over the clean corpus."""
-    batch = _stack_batch(clean_images)
-    if batch.shape[0] < 1:
+def compute_mean_reps(model: NetworkModel, clean_images: np.ndarray) -> MeanReps:
+    """Elementwise average of tapped activations over a (N, H, W, C) uint8 clean batch."""
+    n = clean_images.shape[0]
+    if n < 1:
         raise ValueError("need at least one clean image")
     sums = None
-    n = batch.shape[0]
-    for lo in range(0, n, FORWARD_CHUNK):
-        _, taps = forward_batch(model, batch[lo : lo + FORWARD_CHUNK])
+    for _, (_, taps) in featnet._forward_chunks(model, clean_images):
         part = [t.astype(np.float64).sum(axis=0) for t in taps]
         sums = part if sums is None else [s + p for s, p in zip(sums, part)]
     return MeanReps(tuple(s / n for s in sums), n)
@@ -119,20 +111,19 @@ def canberra(a, b) -> float | np.ndarray:
     return float(out[0]) if a.ndim == 1 else out
 
 
-def embed_and_features(model: NetworkModel, mean_reps: MeanReps, images,
+def embed_and_features(model: NetworkModel, mean_reps: MeanReps, images: np.ndarray,
                        mask: FilterMask | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Embeddings (N, D) and per-layer Canberra features (N, n_taps) from one pass.
+    """Embeddings (N, D) and per-layer Canberra features (N, n_taps) of a
+    (N, H, W, C) uint8 batch, from one pass.
 
-    The batch is forwarded in chunks of FORWARD_CHUNK images, so each
-    embedding is bitwise the one a plain chunked forward pass gives.
+    The batch is forwarded in featnet's chunks, so each embedding is bitwise
+    the one a plain chunked forward pass gives.
     """
-    batch = _stack_batch(images)
-    if batch.shape[0] < 1:
+    if images.shape[0] < 1:
         raise ValueError("need at least one image")
     embs = []
-    feats = np.empty((batch.shape[0], len(mean_reps.means)))
-    for lo in range(0, batch.shape[0], FORWARD_CHUNK):
-        emb, taps = forward_batch(model, batch[lo : lo + FORWARD_CHUNK], mask)
+    feats = np.empty((images.shape[0], len(mean_reps.means)))
+    for lo, (emb, taps) in featnet._forward_chunks(model, images, mask):
         embs.append(emb)
         for i, (t, mu) in enumerate(zip(taps, mean_reps.means)):
             feats[lo : lo + t.shape[0], i] = canberra(t, mu)
@@ -140,13 +131,9 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps, images,
 
 
 def canberra_features_batch(model: NetworkModel, mean_reps: MeanReps,
-                            images, mask: FilterMask | None = None) -> np.ndarray:
+                            images: np.ndarray, mask: FilterMask | None = None) -> np.ndarray:
     """(N, n_taps) matrix of per-layer Canberra distances to the clean means."""
     return embed_and_features(model, mean_reps, images, mask)[1]
-
-
-def canberra_features(model: NetworkModel, mean_reps: MeanReps, img: Image) -> np.ndarray:
-    return canberra_features_batch(model, mean_reps, [img])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +231,9 @@ def train_detector(model: NetworkModel, mean_reps: MeanReps, clean, distorted,
     return DetectorModel(w, float(b), float(best_C), feat_mean, feat_std, mean_reps)
 
 
-def detect_scores(det: DetectorModel, model: NetworkModel, images) -> np.ndarray:
+def detect_scores(det: DetectorModel, model: NetworkModel, images: np.ndarray) -> np.ndarray:
+    """Detector scores of a (N, H, W, C) uint8 batch; > 0 means "distorted"."""
     return det.decision(canberra_features_batch(model, det.mean_reps, images))
-
-
-def detect(det: DetectorModel, model: NetworkModel, img: Image) -> tuple[float, str]:
-    """Score one image; verdict is 'distorted' iff score > 0."""
-    score = float(detect_scores(det, model, [img])[0])
-    return score, ("distorted" if score > 0 else "clean")
 
 
 # ---------------------------------------------------------------------------

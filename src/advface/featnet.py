@@ -12,19 +12,19 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .imagecore import FormatError, Image
+from .imagecore import FormatError
 from .seeds import rng_from
 
 _MAGIC = b"FNET1"
 _KIND_CODES = {"conv": 0, "relu": 1, "maxpool": 2, "flatten": 3, "dense": 4, "l2norm": 5}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
-# Images per forward_batch call wherever a batch is split; the same chunks
-# give the same bytes, so every caller that shares results must use this.
+# Images per forward_batch call where _forward_chunks splits a batch; the same
+# chunks give the same bytes, so callers that share results all split through it.
 FORWARD_CHUNK = 256
 # Images per reused im2col block in _conv2d; it bounds that buffer and moves no bit.
 _CONV_BLOCK = 8
@@ -136,17 +136,6 @@ def _out_shape(layer: LayerDef, shape: tuple) -> tuple:
             raise ValueError(f"dense expects input length {i}, got {shape}")
         return (o,)
     return shape  # relu / l2norm
-
-
-@dataclass(frozen=True)
-class LayerActivations:
-    """Flattened activation vector per tapped layer, for one image."""
-
-    vectors: tuple[np.ndarray, ...]
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(v) for v in self.vectors)
 
 
 def default_network(seed: int) -> NetworkModel:
@@ -359,11 +348,12 @@ def forward_batch(model: NetworkModel, images: np.ndarray,
     return x, taps
 
 
-def forward(model: NetworkModel, img: Image,
-            mask: FilterMask | None = None) -> tuple[np.ndarray, LayerActivations]:
-    """Forward one image; returns (embedding, tapped activations)."""
-    emb, taps = forward_batch(model, img.pixels[None], mask)
-    return emb[0], LayerActivations(tuple(t[0].astype(np.float64) for t in taps))
+def _forward_chunks(model: NetworkModel, images: np.ndarray, mask: FilterMask | None = None,
+                    chunk: int = FORWARD_CHUNK, want_conv_maps: bool = False):
+    """Yield (lo, forward_batch(...)) for each chunk images[lo : lo + chunk], in order."""
+    for lo in range(0, images.shape[0], chunk):
+        yield lo, forward_batch(model, images[lo : lo + chunk], mask,
+                                want_conv_maps=want_conv_maps)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

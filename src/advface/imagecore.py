@@ -199,11 +199,6 @@ def line_pixels(a: Point, b: Point) -> tuple[np.ndarray, np.ndarray]:
     return x0 + (2 * dx * j + dy) // (2 * dy), y0 + sy * j
 
 
-def raster_line(a: Point, b: Point) -> list[Point]:
-    """line_pixels(a, b) as a list of points."""
-    return [Point(x, y) for x, y in zip(*(v.tolist() for v in line_pixels(a, b)))]
-
-
 def polygon_mask(poly: Polygon, width: int, height: int) -> np.ndarray:
     """Boolean (H, W) mask of pixels inside poly (even-odd rule, boundary inclusive).
 
@@ -242,24 +237,9 @@ def polygon_mask(poly: Polygon, width: int, height: int) -> np.ndarray:
     return mask
 
 
-def fill_polygon(img: Image, poly: Polygon, value: int) -> Image:
-    """Set every pixel inside poly to value (all channels); others untouched."""
-    if not 0 <= value <= 255:
-        raise ValueError(f"fill value must be in [0, 255], got {value}")
-    mask = polygon_mask(poly, img.width, img.height)
-    px = img.pixels.copy()
-    px[mask] = value
-    return Image(px)
-
-
 # ---------------------------------------------------------------------------
 # Median filter
 # ---------------------------------------------------------------------------
-
-def median_filter(img: Image, k: int) -> Image:
-    """k x k median filter with edge-replicated padding, per channel."""
-    return Image(median_filter_array(img.pixels[None], k)[0])
-
 
 @functools.cache
 def _median_network(k: int) -> tuple[tuple[int, int], ...]:

@@ -16,12 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .imagecore import FormatError, Image, check_json, median_filter_array
-from .featnet import FilterMask, NetworkModel, forward_batch
+from .imagecore import FormatError, check_json, median_filter_array
+from .featnet import FilterMask, NetworkModel, _forward_chunks, forward_batch
 from .synthface import Dataset
 
 _AGG_TOL = 1e-6
 MEDIAN_WINDOW = 5  # side of the median filter a plan applies before the masked forward
+SENSITIVITY_CHUNK = 128  # pairs per forward pass in compute_sensitivity
+# pairs per float64 difference block: conv1's block is 2 MiB, not 67 MB for a chunk
+_DIFF_PAIRS = 8
 
 
 @dataclass(frozen=True)
@@ -90,22 +93,30 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one image pair")
-    dist = np.stack([p[0].pixels for p in pairs])
-    clean = np.stack([p[1].pixels for p in pairs])
     sums = [np.zeros(n) for n in model.conv_filter_counts()]
-    for lo in range(0, len(pairs), 128):
-        _, _, maps_d = forward_batch(model, dist[lo : lo + 128], want_conv_maps=True)
-        _, _, maps_c = forward_batch(model, clean[lo : lo + 128], want_conv_maps=True)
+    chunks = [_forward_chunks(model, np.stack([p[k].pixels for p in pairs]),
+                              chunk=SENSITIVITY_CHUNK, want_conv_maps=True) for k in (0, 1)]
+    for (_, (_, _, maps_d)), (_, (_, _, maps_c)) in zip(*chunks):
         for i, (md, mc) in enumerate(zip(maps_d, maps_c)):
-            # channels-last float64 difference: the (h, w) sums below then
-            # accumulate each filter's squares in row-major order, one add at a time
-            n, o, h, w = md.shape
-            diff = np.subtract(md.transpose(0, 2, 3, 1), mc.transpose(0, 2, 3, 1),
-                               out=np.empty((n, h, w, o)), dtype=np.float64)
-            # L2 norm of each filter's flattened response difference, per pair
-            norms = np.sqrt((diff ** 2).sum(axis=(1, 2)))
-            sums[i] += norms.sum(axis=0)
+            sums[i] += _pair_norms(md, mc).sum(axis=0)
+        # free these maps: zip runs the next two forwards before the names are rebound
+        del maps_d, maps_c, md, mc
     return SensitivityTable(tuple(sums), len(pairs))
+
+
+def _pair_norms(md: np.ndarray, mc: np.ndarray) -> np.ndarray:
+    """(N, O) L2 norm of each filter's flattened response difference, per pair."""
+    n, o, h, w = md.shape
+    norms = np.empty((n, o))
+    diff = np.empty((min(n, _DIFF_PAIRS), h, w, o))
+    for lo in range(0, n, _DIFF_PAIRS):
+        d = diff[: min(n - lo, _DIFF_PAIRS)]
+        # channels-last float64 difference: the (h, w) sum then accumulates
+        # each filter's squares in row-major order, one add at a time
+        np.subtract(md[lo : lo + len(d)].transpose(0, 2, 3, 1),
+                    mc[lo : lo + len(d)].transpose(0, 2, 3, 1), out=d, dtype=np.float64)
+        norms[lo : lo + len(d)] = np.sqrt(np.square(d, out=d).sum(axis=(1, 2)))
+    return norms
 
 
 def build_plan(table: SensitivityTable, eta: int, kappa: float,
@@ -129,17 +140,10 @@ def build_plan(table: SensitivityTable, eta: int, kappa: float,
 
 
 def mitigate_batch(model: NetworkModel, plan: MitigationPlan, images: np.ndarray) -> np.ndarray:
-    """Embeddings for a (N, H, W, C) batch under the plan."""
-    model.validate_mask(plan.mask)
+    """Embeddings of a (N, H, W, C) uint8 batch after median filtering and masked forward."""
     if plan.use_median_filter:
         images = median_filter_array(images, MEDIAN_WINDOW)
-    emb, _ = forward_batch(model, images, plan.mask)
-    return emb
-
-
-def mitigate(model: NetworkModel, plan: MitigationPlan, img: Image) -> np.ndarray:
-    """Embedding of one image after median filtering and masked forward."""
-    return mitigate_batch(model, plan, img.pixels[None])[0]
+    return forward_batch(model, images, plan.mask)[0]
 
 
 def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dataset,

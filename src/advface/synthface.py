@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imagecore import Image, Point, Polygon, read_image, write_image
+from .imagecore import FormatError, Image, Point, Polygon, check_json, read_image, write_image
 from .seeds import derive_seed, rng_from
 
 
@@ -45,6 +45,12 @@ class LandmarkSet:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LandmarkSet":
+        points = ("left_eye", "right_eye", "nose", "mouth_center")
+        polygons = ("forehead_polygon", "beard_polygon")
+        check_json(d, "landmarks", {**dict.fromkeys(points, (list, int)),
+                                    **dict.fromkeys(polygons, (list, (list, int)))}, {})
+        if any(len(p) != 2 for p in [d[k] for k in points] + [p for k in polygons for p in d[k]]):
+            raise FormatError("landmarks: every point must be an [x, y] pair")
         return cls(
             left_eye=Point(*d["left_eye"]),
             right_eye=Point(*d["right_eye"]),
@@ -295,11 +301,19 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
 
 
 def load_dataset(in_dir) -> Dataset:
+    """Read a dataset written by save_dataset; a malformed manifest raises FormatError."""
     root = Path(in_dir)
     doc = json.loads((root / "manifest.json").read_text())
+    check_json(doc, "manifest", {"seed": int, "images": list}, {})
     items = []
-    for e in doc["images"]:
+    for i, e in enumerate(doc["images"]):
+        what = f"manifest image {i}"
+        check_json(e, what, {"path": str, "subject_id": int, "sample_index": int,
+                             "landmarks": dict}, {})
+        try:  # a degenerate polygon or swapped eyes is a bad file, not a bad flag
+            lms = LandmarkSet.from_json_dict(e["landmarks"])
+        except ValueError as exc:
+            raise FormatError(f"{what}: {exc}") from None
         img = read_image(root / e["path"])
-        lms = LandmarkSet.from_json_dict(e["landmarks"])
         items.append(DatasetItem(img, lms, e["subject_id"], e["sample_index"]))
     return Dataset(tuple(items), doc["seed"])

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import distortions
 from .detector import embed_and_features
-from .featnet import FORWARD_CHUNK, NetworkModel, forward_batch
+from .featnet import NetworkModel, _forward_chunks, forward_batch
 from .mitigator import MEDIAN_WINDOW, MitigationPlan, mitigate_batch
 from .imagecore import median_filter_array
 from .synthface import Dataset, split_protocol
@@ -29,7 +29,6 @@ class ProtocolError(ValueError):
 class ScoreMatrix:
     scores: np.ndarray
     genuine_mask: np.ndarray
-    probe_ids: tuple[int, ...]
 
     def __post_init__(self):
         if self.scores.shape != self.genuine_mask.shape:
@@ -59,11 +58,7 @@ class RocCurve:
 
 
 def _embed_plain(model: NetworkModel, batch: np.ndarray) -> np.ndarray:
-    out = []
-    for lo in range(0, batch.shape[0], FORWARD_CHUNK):
-        emb, _ = forward_batch(model, batch[lo : lo + FORWARD_CHUNK])
-        out.append(emb)
-    return np.vstack(out)
+    return np.vstack([emb for _, (emb, _) in _forward_chunks(model, batch)])
 
 
 def _embed_and_flag(model: NetworkModel, batch: np.ndarray,
@@ -73,37 +68,18 @@ def _embed_and_flag(model: NetworkModel, batch: np.ndarray,
     return emb, det.decision(feats) > 0
 
 
-def pipeline_embeddings(model: NetworkModel, batch: np.ndarray,
-                        det, plan: MitigationPlan) -> np.ndarray:
-    """Two-stage embeddings: detect each image, mitigate the flagged ones."""
-    emb, flags = _embed_and_flag(model, batch, det)
-    if flags.any():
-        emb[flags] = mitigate_batch(model, plan, batch[flags])
-    return emb
-
-
 def _cosine_matrix(emb: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     unit = np.divide(emb, norms, out=np.zeros_like(emb), where=norms > 0)
     return unit @ unit.T
 
 
-def score_matrix(model: NetworkModel, images, plan: MitigationPlan | None = None,
-                 det=None) -> ScoreMatrix:
-    """All-vs-all cosine score matrix over (Image, subject_id) pairs."""
-    images = list(images)
-    ids = [sid for _, sid in images]
-    if len(images) < 2 or len(set(ids)) < 2:
+def score_matrix(emb: np.ndarray, ids) -> ScoreMatrix:
+    """All-vs-all cosine score matrix of (N, D) embeddings with one subject id per row."""
+    ids = np.asarray(ids)
+    if len(ids) < 2 or len(np.unique(ids)) < 2:
         raise ProtocolError("need at least 2 images spanning at least 2 subjects")
-    batch = np.stack([im.pixels for im, _ in images])
-    if det is not None and plan is not None:
-        emb = pipeline_embeddings(model, batch, det, plan)
-    else:
-        emb = _embed_plain(model, batch)
-    scores = _cosine_matrix(emb)
-    labels = np.array(ids)
-    genuine = labels[:, None] == labels[None, :]
-    return ScoreMatrix(scores, genuine, tuple(ids))
+    return ScoreMatrix(_cosine_matrix(emb), ids[:, None] == ids[None, :])
 
 
 def roc(sm: ScoreMatrix) -> RocCurve:
@@ -153,11 +129,8 @@ def _distorted_copy(ds: Dataset, spec: distortions.DistortionSpec,
 
 def _gar_from_embeddings(emb: np.ndarray, ids: np.ndarray,
                          far_target: float) -> tuple[float, int, int]:
-    scores = _cosine_matrix(emb)
-    genuine = ids[:, None] == ids[None, :]
-    sm = ScoreMatrix(scores, genuine, tuple(ids))
-    curve = roc(sm)
-    return (gar_at_far(curve, far_target),
+    sm = score_matrix(emb, ids)
+    return (gar_at_far(roc(sm), far_target),
             len(sm.genuine_scores()), len(sm.impostor_scores()))
 
 

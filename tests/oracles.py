@@ -175,6 +175,21 @@ def canberra_masked(a, b) -> np.ndarray:
     return out
 
 
+def mean_reps_loop(taps, chunk: int) -> list[np.ndarray]:
+    """Per-layer mean of (N, L) tap matrices. Each `chunk` of rows is summed
+    in float64 one row at a time, and the chunk totals are added in order."""
+    out = []
+    for t in taps:
+        total = None
+        for lo in range(0, t.shape[0], chunk):
+            part = np.zeros(t.shape[1])
+            for row in t[lo : lo + chunk]:
+                part += row.astype(np.float64)
+            total = part if total is None else total + part
+        out.append(total / t.shape[0])
+    return out
+
+
 def sensitivity_loop(maps_d, maps_c, chunk: int) -> list[np.ndarray]:
     """Per-filter sum over pairs of the L2 norm of the post-ReLU response
     difference. maps_d / maps_c hold one (N, O, H, W) array per conv layer.

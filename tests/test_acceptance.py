@@ -275,7 +275,7 @@ class TestFormulaOracles:
                 scores[r, c] = values[t % n]
                 mask[r, c] = (t % n) < len(gen)
                 t += 1
-        return verifybench.ScoreMatrix(scores, mask, tuple(range(s)))
+        return verifybench.ScoreMatrix(scores, mask)
 
 
 # ---------------------------------------------------------------------------

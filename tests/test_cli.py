@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from advface.cli import main
+from advface.detector import DetectorModel, load_mean_reps, save_detector
 from advface.imagecore import read_image
 
 
@@ -69,6 +70,19 @@ class TestSubcommands:
         path, score, verdict = out.split(",")
         float(score)
         assert verdict in ("clean", "distorted")
+
+    @pytest.mark.parametrize("b, tail", [(0.0, ",0.000000,clean"),
+                                         (1.0, ",1.000000,distorted")])
+    def test_detect_verdict_is_distorted_iff_score_positive(self, pipeline, tmp_path,
+                                                            capsys, b, tail):
+        reps = load_mean_reps(pipeline["extracted"] / "mean_reps.mrep")
+        n = len(reps.means)
+        det = DetectorModel(np.zeros(n), b, 1.0, np.zeros(n), np.ones(n), reps)
+        save_detector(det, tmp_path / "det.json", tmp_path / "reps.mrep")
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+        assert run("detect", "--net-seed", 1, "--detector", tmp_path / "det.json",
+                   "--image", img) == 0
+        assert capsys.readouterr().out == f"{img}{tail}\n"
 
     def test_mitigate_writes_embedding(self, pipeline, tmp_path):
         img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
@@ -224,6 +238,35 @@ class TestErrors:
                    "--out", tmp_path / "plan.json") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: sensitivity table") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("images"),
+        lambda m: m["images"][1].pop("landmarks"),
+        lambda m: m["images"][0]["landmarks"]["nose"].append(3),
+        lambda m: m["images"][2]["landmarks"]["beard_polygon"][1].pop(),
+        lambda m: m["images"][0]["landmarks"].update(forehead_polygon=[[0, 0], [1, 1], [2, 2]]),
+        lambda m: m["images"][3].update(subject_id="0"),
+    ], ids=["no-images", "no-landmarks", "point-arity", "vertex-arity",
+            "degenerate-polygon", "subject-str"])
+    def test_malformed_manifest_is_data_error(self, pipeline, tmp_path, capsys, edit):
+        manifest = json.loads((pipeline["data"] / "manifest.json").read_text())
+        edit(manifest)
+        self._assert_extract_data_error(pipeline, tmp_path, capsys, manifest)
+
+    def test_non_object_manifest_is_data_error(self, pipeline, tmp_path, capsys):
+        self._assert_extract_data_error(pipeline, tmp_path, capsys, [1, 2])
+
+    @staticmethod
+    def _assert_extract_data_error(pipeline, tmp_path, capsys, manifest):
+        data = tmp_path / "data"
+        data.mkdir()
+        for pgm in pipeline["data"].glob("*.pgm"):
+            (data / pgm.name).write_bytes(pgm.read_bytes())
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert run("extract", "--net-seed", 1, "--dataset", data, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest") and err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("edit", [

@@ -9,10 +9,8 @@ from advface.detector import (
     DetectorModel,
     MeanReps,
     canberra,
-    canberra_features,
     canberra_features_batch,
     compute_mean_reps,
-    detect,
     detect_scores,
     embed_and_features,
     hinge_objective,
@@ -24,14 +22,14 @@ from advface.detector import (
 )
 from advface import detector, featnet
 from advface.featnet import forward_batch
-from advface.imagecore import FormatError, Image
+from advface.imagecore import FormatError
 
-from oracles import canberra_loop, canberra_masked
+from oracles import canberra_loop, canberra_masked, mean_reps_loop
 
 
 @pytest.fixture(scope="module")
 def images(small_dataset):
-    return [it.image for it in small_dataset.items]
+    return small_dataset.pixel_batch()
 
 
 @pytest.fixture(scope="module")
@@ -42,15 +40,15 @@ def mean_reps(default_model, images):
 class TestMeanReps:
     def test_single_image_mean_is_its_activations(self, default_model, images):
         reps = compute_mean_reps(default_model, images[:1])
-        _, taps = forward_batch(default_model, images[0].pixels[None])
+        _, taps = forward_batch(default_model, images[:1])
         for mu, t in zip(reps.means, taps):
             assert np.allclose(mu, t[0].astype(np.float64), atol=1e-9)
         assert reps.n_train == 1
 
     def test_two_image_mean_matches_brute_force(self, default_model, images):
         reps = compute_mean_reps(default_model, images[:2])
-        _, t0 = forward_batch(default_model, images[0].pixels[None])
-        _, t1 = forward_batch(default_model, images[1].pixels[None])
+        _, t0 = forward_batch(default_model, images[0:1])
+        _, t1 = forward_batch(default_model, images[1:2])
         for mu, a, b in zip(reps.means, t0, t1):
             brute = (a[0].astype(np.float64) + b[0].astype(np.float64)) / 2
             # single-precision forward passes round differently in a batch of
@@ -65,7 +63,19 @@ class TestMeanReps:
 
     def test_empty_rejected(self, default_model):
         with pytest.raises(ValueError, match="at least one"):
-            compute_mean_reps(default_model, [])
+            compute_mean_reps(default_model, np.empty((0, 64, 64, 1), np.uint8))
+
+    def test_bitwise_equals_chunked_float64_sums(self, default_model):
+        # 300 images cross the 256-image forward chunk
+        batch = np.random.default_rng(12).integers(0, 256, size=(300, 64, 64, 1),
+                                                     dtype=np.uint8)
+        reps = compute_mean_reps(default_model, batch)
+        chunks = [forward_batch(default_model, batch[lo : lo + 256])[1] for lo in (0, 256)]
+        taps = [np.vstack(layer) for layer in zip(*chunks)]
+        assert reps.n_train == 300
+        for got, want in zip(reps.means, mean_reps_loop(taps, chunk=256)):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
 
     def test_n_train_validated(self):
         with pytest.raises(ValueError, match="n_train"):
@@ -164,8 +174,8 @@ class TestCanberra:
 
     def test_features_match_scalar_canberra(self, default_model, mean_reps, images):
         for i in range(3):
-            feats = canberra_features(default_model, mean_reps, images[i])
-            _, taps = forward_batch(default_model, images[i].pixels[None])
+            feats = canberra_features_batch(default_model, mean_reps, images[i : i + 1])[0]
+            _, taps = forward_batch(default_model, images[i : i + 1])
             for li, (t, mu) in enumerate(zip(taps, mean_reps.means)):
                 assert feats[li] == pytest.approx(
                     canberra_loop(t[0].astype(np.float64), mu), abs=1e-9)
@@ -174,7 +184,7 @@ class TestCanberra:
                                                       mean_reps, images):
         feats = canberra_features_batch(default_model, mean_reps, images[:3])
         for i in range(3):
-            single = canberra_features(default_model, mean_reps, images[i])
+            single = canberra_features_batch(default_model, mean_reps, images[i : i + 1])[0]
             # batched float32 forward passes round slightly differently
             assert np.allclose(feats[i], single, rtol=1e-5)
 
@@ -198,11 +208,6 @@ class TestCanberra:
         assert np.array_equal(emb, np.vstack(want_emb))
         assert np.array_equal(feats, np.vstack(want_feats))
         assert np.array_equal(feats, canberra_features_batch(default_model, mean_reps, batch))
-
-    def test_single_image_wrapper(self, default_model, mean_reps, images):
-        batch = canberra_features_batch(default_model, mean_reps, images[:1])
-        single = canberra_features(default_model, mean_reps, images[0])
-        assert np.array_equal(single, batch[0])
 
 
 def _toy_reps():
@@ -283,16 +288,17 @@ class TestDetect:
                              np.zeros(n), np.ones(n), mean_reps)
 
     def test_verdict_threshold_strict(self, default_model, mean_reps, images):
+        # "distorted" means score > 0, so a score of exactly 0 is clean
         det = self._fixed_detector(mean_reps, 0.0, 0.0)
-        score, verdict = detect(det, default_model, images[0])
-        assert score == 0.0
-        assert verdict == "clean"
+        scores = detect_scores(det, default_model, images[:1])
+        assert scores.tolist() == [0.0]
+        assert not (scores > 0).any()
 
     def test_positive_score_is_distorted(self, default_model, mean_reps, images):
         det = self._fixed_detector(mean_reps, 0.0, 1.0)
-        score, verdict = detect(det, default_model, images[0])
-        assert score == 1.0
-        assert verdict == "distorted"
+        scores = detect_scores(det, default_model, images[:1])
+        assert scores.tolist() == [1.0]
+        assert (scores > 0).all()
 
     def test_bias_shift_moves_score_linearly(self, default_model, mean_reps, images):
         d0 = self._fixed_detector(mean_reps, 1.0, 0.0)

@@ -15,7 +15,7 @@ from advface.distortions import (
     ero_band,
     per_image_spec,
 )
-from advface.imagecore import Image, Point, Polygon, polygon_mask
+from advface.imagecore import Image, Point, Polygon, line_pixels, polygon_mask
 from advface.seeds import rng_from
 from advface.synthface import LandmarkSet
 
@@ -93,8 +93,7 @@ class TestGrids:
             else:
                 a = Point(0, int(rng.integers(0, 64)))
                 b = Point(63, int(rng.integers(0, 64)))
-            from advface.imagecore import raster_line
-            expected |= {(p.x, p.y) for p in raster_line(a, b)}
+            expected |= set(zip(*(v.tolist() for v in line_pixels(a, b))))
         changed = {(x, y) for y, x in zip(*np.nonzero(out.pixels[:, :, 0] == 0))}
         assert changed == expected
         assert rec.affected_pixel_count == len(expected)

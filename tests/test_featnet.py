@@ -21,13 +21,12 @@ from advface.featnet import (
     NetworkModel,
     cosine_similarity,
     default_network,
-    forward,
     forward_batch,
     l2_normalize,
     load_weights,
     save_weights,
 )
-from advface.imagecore import FormatError, Image
+from advface.imagecore import FormatError
 from advface.mitigator import SensitivityTable, build_plan
 
 from oracles import naive_conv, naive_maxpool, tensordot_conv
@@ -108,13 +107,18 @@ class TestForward:
         with pytest.raises(ValueError, match="does not match model input"):
             forward_batch(default_model, np.zeros((1, 32, 32, 1), dtype=np.uint8))
 
-    def test_forward_single_image_wrapper(self, default_model):
+    def test_forward_chunks_are_slices_in_order(self, default_model):
         rng = np.random.default_rng(7)
-        px = rng.integers(0, 256, size=(64, 64, 1), dtype=np.uint8)
-        emb, acts = forward(default_model, Image(px))
-        emb_b, taps = forward_batch(default_model, px[None])
-        assert np.array_equal(emb, emb_b[0])
-        assert acts.lengths == default_model.tap_lengths()
+        batch = rng.integers(0, 256, size=(7, 64, 64, 1), dtype=np.uint8)
+        mask = FilterMask(frozenset({(0, 1)}))
+        chunks = list(featnet._forward_chunks(default_model, batch, mask, chunk=3,
+                                              want_conv_maps=True))
+        assert [lo for lo, _ in chunks] == [0, 3, 6]
+        for lo, got in chunks:
+            want = forward_batch(default_model, batch[lo : lo + 3], mask, want_conv_maps=True)
+            assert np.array_equal(got[0], want[0])
+            for g, w in zip(got[1] + got[2], want[1] + want[2]):
+                assert np.array_equal(g, w)
 
     def test_deterministic(self, default_model):
         rng = np.random.default_rng(8)

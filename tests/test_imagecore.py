@@ -8,16 +8,19 @@ from advface.imagecore import (
     Image,
     Point,
     Polygon,
-    fill_polygon,
-    median_filter,
+    line_pixels,
     median_filter_array,
     polygon_mask,
-    raster_line,
     read_image,
     write_image,
 )
 
 from oracles import bresenham_loop, dda_points, naive_median, point_in_polygon
+
+
+def line_points(a, b) -> list[tuple[int, int]]:
+    """line_pixels(a, b) as a list of (x, y) points."""
+    return list(zip(*(v.tolist() for v in line_pixels(a, b))))
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +151,15 @@ class TestCodec:
 
 class TestRasterLine:
     def test_vertical(self):
-        assert raster_line(Point(0, 0), Point(0, 3)) == [
-            Point(0, 0), Point(0, 1), Point(0, 2), Point(0, 3)]
+        assert line_points(Point(0, 0), Point(0, 3)) == [(0, 0), (0, 1), (0, 2), (0, 3)]
 
     def test_diagonal(self):
-        assert raster_line(Point(0, 0), Point(3, 3)) == [
-            Point(0, 0), Point(1, 1), Point(2, 2), Point(3, 3)]
+        assert line_points(Point(0, 0), Point(3, 3)) == [(0, 0), (1, 1), (2, 2), (3, 3)]
 
     def test_shallow_line_matches_dda_oracle(self):
-        pts = raster_line(Point(0, 0), Point(5, 2))
+        pts = line_points(Point(0, 0), Point(5, 2))
         assert len(pts) == 6
-        assert [(p.x, p.y) for p in pts] == dda_points((0, 0), (5, 2))
+        assert pts == dda_points((0, 0), (5, 2))
 
     @settings(max_examples=200)
     @given(
@@ -166,14 +167,14 @@ class TestRasterLine:
         x1=st.integers(0, 30), y1=st.integers(0, 30),
     )
     def test_symmetric_point_set_and_length(self, x0, y0, x1, y1):
-        fwd = raster_line(Point(x0, y0), Point(x1, y1))
-        bwd = raster_line(Point(x1, y1), Point(x0, y0))
+        fwd = line_points(Point(x0, y0), Point(x1, y1))
+        bwd = line_points(Point(x1, y1), Point(x0, y0))
         assert set(fwd) == set(bwd)
         assert len(fwd) == max(abs(x1 - x0), abs(y1 - y0)) + 1
-        assert fwd[0] == Point(x0, y0) and fwd[-1] == Point(x1, y1)
+        assert fwd[0] == (x0, y0) and fwd[-1] == (x1, y1)
         # 8-connectivity: consecutive points differ by at most 1 per axis
-        for a, b in zip(fwd, fwd[1:]):
-            assert max(abs(a.x - b.x), abs(a.y - b.y)) == 1
+        for (ax, ay), (bx, by) in zip(fwd, fwd[1:]):
+            assert max(abs(ax - bx), abs(ay - by)) == 1
 
     def test_closed_form_matches_loop_oracle_on_every_small_segment(self):
         coords = range(-6, 7)
@@ -181,7 +182,7 @@ class TestRasterLine:
             for y0 in coords:
                 for x1 in coords:
                     for y1 in coords:
-                        assert raster_line(Point(x0, y0), Point(x1, y1)) == \
+                        assert line_points(Point(x0, y0), Point(x1, y1)) == \
                             bresenham_loop((x0, y0), (x1, y1)), (x0, y0, x1, y1)
 
 
@@ -199,20 +200,13 @@ class TestPolygon:
             Polygon([(0, 0), (1, 1), (2, 2)])
 
     def test_rectangle_fill_zeroes_nine_pixels(self):
-        img = Image(np.full((5, 5), 200, dtype=np.uint8))
-        out = fill_polygon(img, Polygon([(1, 1), (3, 1), (3, 3), (1, 3)]), 0)
-        assert int((out.pixels == 0).sum()) == 9
-        assert (out.pixels[1:4, 1:4] == 0).all()
+        px = np.full((5, 5, 1), 200, dtype=np.uint8)
+        px[polygon_mask(Polygon([(1, 1), (3, 1), (3, 3), (1, 3)]), 5, 5)] = 0
+        assert int((px == 0).sum()) == 9
+        assert (px[1:4, 1:4] == 0).all()
 
     def test_polygon_covering_whole_image(self):
-        img = Image(np.full((6, 6), 77, dtype=np.uint8))
-        out = fill_polygon(img, Polygon([(-1, -1), (6, -1), (6, 6), (-1, 6)]), 3)
-        assert (out.pixels == 3).all()
-
-    def test_fill_value_validated(self):
-        img = Image(np.zeros((4, 4), dtype=np.uint8))
-        with pytest.raises(ValueError, match="fill value"):
-            fill_polygon(img, Polygon([(0, 0), (3, 0), (3, 3)]), 256)
+        assert polygon_mask(Polygon([(-1, -1), (6, -1), (6, 6), (-1, 6)]), 6, 6).all()
 
     def test_triangle_mask_matches_per_pixel_oracle(self):
         poly = Polygon([(1, 0), (7, 2), (3, 7)])
@@ -238,13 +232,11 @@ class TestPolygon:
         for y in range(size):
             for x in range(size):
                 assert mask[y, x] == point_in_polygon(poly.vertices, x, y)
-        img = Image(rng.integers(1, 256, size=(size, size, 1), dtype=np.uint8))
-        out = fill_polygon(img, poly, 0)
         xs = [v.x for v in poly.vertices]
         ys = [v.y for v in poly.vertices]
         outside_bbox = np.ones((size, size), dtype=bool)
         outside_bbox[max(min(ys), 0):max(ys) + 1, max(min(xs), 0):max(xs) + 1] = False
-        assert (out.pixels[outside_bbox] == img.pixels[outside_bbox]).all()
+        assert not mask[outside_bbox].any()
 
     @settings(max_examples=150)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -281,23 +273,23 @@ class TestPolygon:
 class TestMedianFilter:
     def test_even_window_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            median_filter(Image(np.zeros((3, 3), dtype=np.uint8)), 2)
+            median_filter_array(np.zeros((1, 3, 3, 1), dtype=np.uint8), 2)
 
     def test_k1_identity(self):
-        img = Image(np.arange(9, dtype=np.uint8).reshape(3, 3))
-        assert median_filter(img, 1) == img
+        px = np.arange(9, dtype=np.uint8).reshape(3, 3, 1)
+        assert np.array_equal(median_filter_array(px[None], 1)[0], px)
 
     def test_constant_unchanged(self):
-        img = Image(np.full((7, 7), 42, dtype=np.uint8))
+        px = np.full((7, 7, 1), 42, dtype=np.uint8)
         for k in (3, 5, 7):
-            assert median_filter(img, k) == img
+            assert np.array_equal(median_filter_array(px[None], k)[0], px)
 
     def test_salt_pixel_removed_and_matches_naive_oracle(self):
         px = np.zeros((5, 5, 1), dtype=np.uint8)
         px[2, 2, 0] = 255
-        out = median_filter(Image(px), 3)
-        assert out.pixels[2, 2, 0] == 0
-        assert np.array_equal(out.pixels, naive_median(px, 3))
+        out = median_filter_array(px[None], 3)[0]
+        assert out[2, 2, 0] == 0
+        assert np.array_equal(out, naive_median(px, 3))
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([3, 5]))
@@ -305,23 +297,23 @@ class TestMedianFilter:
         rng = np.random.default_rng(seed)
         h, w = int(rng.integers(3, 9)), int(rng.integers(3, 9))
         px = rng.integers(0, 256, size=(h, w, 1), dtype=np.uint8)
-        assert np.array_equal(median_filter(Image(px), k).pixels, naive_median(px, k))
+        assert np.array_equal(median_filter_array(px[None], k)[0], naive_median(px, k))
 
     @settings(max_examples=200)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_output_range_within_input_range(self, seed):
         rng = np.random.default_rng(seed)
         px = rng.integers(0, 256, size=(6, 6, 1), dtype=np.uint8)
-        out = median_filter(Image(px), 3)
-        assert out.pixels.min() >= px.min()
-        assert out.pixels.max() <= px.max()
+        out = median_filter_array(px[None], 3)[0]
+        assert out.min() >= px.min()
+        assert out.max() <= px.max()
 
     def test_batch_variant_matches_single_image_filter(self):
         rng = np.random.default_rng(3)
         batch = rng.integers(0, 256, size=(4, 8, 8, 1), dtype=np.uint8)
         out = median_filter_array(batch, 5)
         for i in range(4):
-            assert np.array_equal(out[i], median_filter(Image(batch[i]), 5).pixels)
+            assert np.array_equal(out[i], median_filter_array(batch[i : i + 1], 5)[0])
 
     def test_batch_k1_identity_and_even_rejected(self):
         batch = np.zeros((1, 3, 3, 1), dtype=np.uint8)

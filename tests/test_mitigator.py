@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from advface.detector import DetectorModel, compute_mean_reps
 from advface.distortions import DistortionSpec, apply_grids, apply_xmsb
 from advface.featnet import FilterMask, LayerDef, NetworkModel, default_network, forward_batch
-from advface.imagecore import Image, median_filter
+from advface.imagecore import Image, median_filter_array
 from advface.mitigator import (
     MitigationPlan,
     SensitivityTable,
@@ -16,7 +16,6 @@ from advface.mitigator import (
     compute_sensitivity,
     grid_search_plan,
     load_table,
-    mitigate,
     mitigate_batch,
     save_plan,
     save_table,
@@ -180,43 +179,42 @@ class TestBuildPlan:
 
 class TestMitigate:
     def test_empty_plan_without_median_is_plain_forward(self, default_model, small_dataset):
-        img = small_dataset.items[0].image
+        batch = small_dataset.pixel_batch()[:2]
         plan = MitigationPlan(1, 0.0, FilterMask(), use_median_filter=False)
-        emb = mitigate(default_model, plan, img)
-        plain, _ = forward_batch(default_model, img.pixels[None])
-        assert np.array_equal(emb, plain[0])
+        emb = mitigate_batch(default_model, plan, batch)
+        plain, _ = forward_batch(default_model, batch)
+        assert np.array_equal(emb, plain)
 
     def test_median_applied_before_masked_forward(self, default_model, small_dataset):
-        img = small_dataset.items[0].image
-        plan = MitigationPlan(1, 0.0, FilterMask(), use_median_filter=True)
-        emb = mitigate(default_model, plan, img)
-        expected, _ = forward_batch(default_model,
-                                    median_filter(img, 5).pixels[None])
-        assert np.array_equal(emb, expected[0])
+        batch = small_dataset.pixel_batch()[:2]
+        mask = FilterMask(frozenset({(0, 1)}))
+        emb = mitigate_batch(default_model, MitigationPlan(1, 0.1, mask), batch)
+        expected, _ = forward_batch(default_model, median_filter_array(batch, 5), mask)
+        assert np.array_equal(emb, expected)
 
     def test_embedding_unit_norm_or_zero(self, default_model, small_dataset):
-        img = small_dataset.items[0].image
         counts = default_model.conv_filter_counts()
         half = FilterMask(frozenset((li, j) for li, n in enumerate(counts)
                                     for j in range(n // 2)))
-        emb = mitigate(default_model, MitigationPlan(4, 0.5, half), img)
-        norm = np.linalg.norm(emb)
-        assert norm == pytest.approx(1.0, abs=1e-5) or norm == 0.0
+        emb = mitigate_batch(default_model, MitigationPlan(4, 0.5, half),
+                             small_dataset.pixel_batch()[:2])
+        for norm in np.linalg.norm(emb, axis=1):
+            assert norm == pytest.approx(1.0, abs=1e-5) or norm == 0.0
 
     def test_full_mask_gives_zero_embedding(self, default_model, small_dataset):
-        img = small_dataset.items[0].image
         counts = default_model.conv_filter_counts()
         full = FilterMask(frozenset((li, j) for li, n in enumerate(counts)
                                     for j in range(n)))
-        emb = mitigate(default_model, MitigationPlan(4, 1.0, full), img)
+        emb = mitigate_batch(default_model, MitigationPlan(4, 1.0, full),
+                             small_dataset.pixel_batch()[:2])
         assert (emb == 0).all()
 
     def test_batch_matches_single(self, default_model, small_dataset):
-        batch = np.stack([it.image.pixels for it in small_dataset.items[:3]])
+        batch = small_dataset.pixel_batch()[:3]
         plan = MitigationPlan(1, 0.1, FilterMask(frozenset({(0, 1)})))
         out = mitigate_batch(default_model, plan, batch)
         for i in range(3):
-            single = mitigate(default_model, plan, small_dataset.items[i].image)
+            single = mitigate_batch(default_model, plan, batch[i : i + 1])[0]
             # batched float32 forward passes round slightly differently
             assert np.allclose(out[i], single, atol=1e-5)
 
@@ -245,8 +243,7 @@ class TestPlanPersistence:
 class TestGridSearch:
     @staticmethod
     def _flag_all_detector(model, ds):
-        imgs = [it.image for it in ds.items]
-        reps = compute_mean_reps(model, imgs)
+        reps = compute_mean_reps(model, ds.pixel_batch())
         n = len(reps.means)
         # always-positive score: every image is flagged and mitigated
         return DetectorModel(np.zeros(n), 1.0, 1.0, np.zeros(n), np.ones(n), reps)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advface import detector, mitigator, verifybench
+from advface import detector, featnet, mitigator, verifybench
 from advface.detector import DetectorModel, compute_mean_reps, detect_scores
 from advface.distortions import DistortionSpec
-from advface.featnet import FilterMask
+from advface.featnet import FilterMask, forward_batch
 from advface.mitigator import MitigationPlan
 from advface.synthface import Dataset, DatasetItem, generate_dataset
 from advface.verifybench import (
@@ -41,11 +41,11 @@ def matrix_from_pairs(genuine_vals, impostor_vals):
         mask[i, j] = mask[j, i] = True
     for (i, j), v in zip(pairs[5:], impostor_vals):
         scores[i, j] = scores[j, i] = v
-    ids = tuple(range(5))
-    return ScoreMatrix(scores, mask, ids)
+    return ScoreMatrix(scores, mask)
 
 
 def random_score_matrix(rng):
+    """(ScoreMatrix, subject ids) with random symmetric scores."""
     n = int(rng.integers(3, 8))
     emb = rng.normal(size=(n, 4))
     scores = rng.normal(size=(n, n))
@@ -53,15 +53,17 @@ def random_score_matrix(rng):
     ids = rng.integers(0, max(2, n // 2), size=n)
     while len(np.unique(ids)) < 2:
         ids = rng.integers(0, max(2, n // 2), size=n)
-    mask = ids[:, None] == ids[None, :]
-    return ScoreMatrix(scores, mask, tuple(ids))
+    return ScoreMatrix(scores, ids[:, None] == ids[None, :]), ids
+
+
+def embed(model, ds):
+    return forward_batch(model, ds.pixel_batch())[0]
 
 
 class TestScoreMatrix:
     def test_counts_four_images_two_subjects(self, default_model):
         ds = generate_dataset(2, 2, 64, seed=1)
-        sm = score_matrix(default_model,
-                          [(it.image, it.subject_id) for it in ds.items])
+        sm = score_matrix(embed(default_model, ds), [it.subject_id for it in ds.items])
         assert sm.scores.shape == (4, 4)
         off_diag = sm.scores.shape[0] * (sm.scores.shape[0] - 1)
         assert off_diag == 12
@@ -70,28 +72,27 @@ class TestScoreMatrix:
 
     def test_single_subject_rejected(self, default_model):
         ds = generate_dataset(2, 2, 64, seed=1)
-        imgs = [(it.image, 0) for it in ds.items]
         with pytest.raises(ProtocolError, match="at least 2 subjects"):
-            score_matrix(default_model, imgs)
+            score_matrix(embed(default_model, ds), [0] * len(ds))
 
     def test_too_few_images_rejected(self, default_model):
         ds = generate_dataset(2, 2, 64, seed=1)
         with pytest.raises(ProtocolError):
-            score_matrix(default_model, [(ds.items[0].image, 0)])
+            score_matrix(embed(default_model, ds)[:1], [0])
 
     def test_duplicate_image_under_two_subjects_scores_one(self, default_model):
-        img = generate_dataset(2, 2, 64, seed=1).items[0].image
-        sm = score_matrix(default_model, [(img, 0), (img, 1)])
+        emb = embed(default_model, generate_dataset(2, 2, 64, seed=1))[:1]
+        sm = score_matrix(np.vstack([emb, emb]), [0, 1])
         assert sm.impostor_scores() == pytest.approx([1.0, 1.0])
 
     def test_symmetry(self, default_model, small_dataset):
-        sm = score_matrix(default_model,
-                          [(it.image, it.subject_id) for it in small_dataset.items])
+        sm = score_matrix(embed(default_model, small_dataset),
+                          [it.subject_id for it in small_dataset.items])
         assert np.abs(sm.scores - sm.scores.T).max() < 1e-9
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes disagree"):
-            ScoreMatrix(np.zeros((2, 2)), np.zeros((3, 3), dtype=bool), (0, 1))
+            ScoreMatrix(np.zeros((2, 2)), np.zeros((3, 3), dtype=bool))
 
 
 class TestRoc:
@@ -124,13 +125,13 @@ class TestRoc:
         scores = np.array([[1.0, 0.5], [0.5, 1.0]])
         mask = np.ones((2, 2), dtype=bool)
         with pytest.raises(ProtocolError, match="at least one genuine"):
-            roc(ScoreMatrix(scores, mask, (0, 0)))
+            roc(ScoreMatrix(scores, mask))
 
     @settings(max_examples=200)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_exhaustive_oracle_and_is_monotone(self, seed):
         rng = np.random.default_rng(seed)
-        sm = random_score_matrix(rng)
+        sm, _ = random_score_matrix(rng)
         curve = roc(sm)
         expected = roc_exhaustive(sm.genuine_scores(), sm.impostor_scores())
         assert len(curve.points) == len(expected)
@@ -162,7 +163,7 @@ class TestGarAtFar:
            t1=st.floats(0.01, 0.99), t2=st.floats(0.01, 0.99))
     def test_non_decreasing_in_target_and_matches_oracle(self, seed, t1, t2):
         rng = np.random.default_rng(seed)
-        sm = random_score_matrix(rng)
+        sm, _ = random_score_matrix(rng)
         curve = roc(sm)
         lo, hi = sorted((t1, t2))
         g_lo, g_hi = gar_at_far(curve, lo), gar_at_far(curve, hi)
@@ -176,12 +177,10 @@ class TestRelabeling:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_permuting_subject_labels_preserves_metrics(self, seed):
         rng = np.random.default_rng(seed)
-        sm = random_score_matrix(rng)
-        labels = np.array(sm.probe_ids)
+        sm, labels = random_score_matrix(rng)
         perm = {old: new for new, old in enumerate(rng.permutation(np.unique(labels)))}
         relabeled = np.array([perm[v] for v in labels])
-        sm2 = ScoreMatrix(sm.scores, relabeled[:, None] == relabeled[None, :],
-                          tuple(relabeled))
+        sm2 = ScoreMatrix(sm.scores, relabeled[:, None] == relabeled[None, :])
         assert gar_at_far(roc(sm), 0.1) == gar_at_far(roc(sm2), 0.1)
 
 
@@ -193,8 +192,7 @@ class TestProtocol:
         assert rows[0]["gar_at_far"] == rows[1]["gar_at_far"]
 
     def test_three_conditions_with_detector_and_plan(self, default_model, small_dataset):
-        reps = compute_mean_reps(default_model,
-                                 [it.image for it in small_dataset.items])
+        reps = compute_mean_reps(default_model, small_dataset.pixel_batch())
         n = len(reps.means)
         det = DetectorModel(np.zeros(n), 1.0, 1.0, np.zeros(n), np.ones(n), reps)
         plan = MitigationPlan(1, 0.0, FilterMask())
@@ -208,8 +206,7 @@ class TestProtocol:
 
     def test_each_condition_forwards_each_image_once(self, default_model, small_dataset,
                                                      monkeypatch):
-        reps = compute_mean_reps(default_model,
-                                 [it.image for it in small_dataset.items])
+        reps = compute_mean_reps(default_model, small_dataset.pixel_batch())
         n_taps = len(reps.means)
         spec = DistortionSpec("grids", seed=4)
         mixed, _, _ = verifybench._distorted_copy(small_dataset, spec, 0.5, 2)
@@ -223,13 +220,13 @@ class TestProtocol:
         plan = MitigationPlan(1, 0.25, FilterMask({(0, 0)}))
 
         counts = {"plain": 0, "masked": 0}
-        real = verifybench.forward_batch
+        real = featnet.forward_batch
 
         def counting(model, images, mask=None, **kw):
             counts["plain" if mask is None else "masked"] += images.shape[0]
             return real(model, images, mask, **kw)
 
-        for mod in (verifybench, detector, mitigator):
+        for mod in (featnet, verifybench, mitigator):
             monkeypatch.setattr(mod, "forward_batch", counting)
         run_protocol(small_dataset, default_model, spec, det=det, plan=plan,
                      fraction=0.5, seed=2)
