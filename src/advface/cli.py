@@ -2,12 +2,15 @@
 
 Every subcommand is deterministic: identical flags and seed give
 byte-identical outputs. A JSON config file can supply flag defaults
-(flags given on the command line win).
+(flags given on the command line win). Within one process, `main` reuses
+its parsers and each seeded network, so a caller that serves one image per
+call does not rebuild them every time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -17,10 +20,19 @@ from . import distortions, featnet, mitigator, synthface, verifybench
 from .imagecore import FormatError, read_image
 
 
+@functools.lru_cache(maxsize=8)
+def _seeded_network(seed: int) -> featnet.NetworkModel:
+    # cached here, not on default_network, so that stays a plain function;
+    # the model is shared between calls, which its read-only arrays allow
+    return featnet.default_network(seed)
+
+
 def _load_network(args) -> featnet.NetworkModel:
     if getattr(args, "weights", None):
         return featnet.load_weights(args.weights)
-    return featnet.default_network(args.net_seed)
+    if type(args.net_seed) is not int:
+        raise ValueError(f"--net-seed must be an integer, got {args.net_seed!r}")
+    return _seeded_network(args.net_seed)
 
 
 def _cmd_gen_data(args):
@@ -219,17 +231,27 @@ def _apply_config(parser: argparse.ArgumentParser, defaults: dict) -> None:
             action.required = False
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The (pre, full) parser pair, built once; parsing never changes them."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
+    return pre, build_parser()
+
+
+def main(argv=None) -> int:
+    pre, parser = _parsers()
     known, _ = pre.parse_known_args(argv)
-    parser = build_parser()
     if known.config:
         try:
             defaults = json.loads(Path(known.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 1
+        if not isinstance(defaults, dict):
+            print(f"usage error: config {known.config} is not a JSON object", file=sys.stderr)
+            return 1
+        parser = build_parser()  # _apply_config changes defaults: never the shared one
         _apply_config(parser, {k.replace("-", "_"): v for k, v in defaults.items()})
     args = parser.parse_args(argv)
     try:
@@ -237,7 +259,7 @@ def main(argv=None) -> int:
     except (FormatError, verifybench.ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     return 0

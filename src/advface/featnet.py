@@ -45,6 +45,14 @@ class LayerDef:
     window: int = 2
 
     def __post_init__(self):
+        # a read-only view: a network may be shared (the CLI caches seeded
+        # ones), so writing into it raises instead of changing later results
+        for name in ("weights", "bias"):
+            a = getattr(self, name)
+            if a is not None:
+                a = np.asarray(a).view()
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
         if self.kind not in _KIND_CODES:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.kind == "conv":
@@ -59,6 +67,10 @@ class LayerDef:
                 raise ValueError("dense layer needs (out, in) weights")
             if self.bias is None or self.bias.shape != (self.weights.shape[0],):
                 raise ValueError("dense bias shape mismatch")
+        elif self.kind == "maxpool" and (self.window < 1 or self.stride < 1):
+            raise ValueError("bad maxpool window/stride")
+        if self.weights is not None and self.weights.size == 0:
+            raise ValueError(f"{self.kind} layer has empty weights")
 
 
 @dataclass(frozen=True)
@@ -102,9 +114,13 @@ class NetworkModel:
         """Flattened activation length at each tap, from shape arithmetic."""
         w, h, c = self.input_spec
         shape = (c, h, w)
+        if min(shape) < 1:
+            raise ValueError(f"empty input shape {self.input_spec}")
         lengths = []
         for idx, layer in enumerate(self.layers):
             shape = _out_shape(layer, shape)
+            if min(shape) < 1:
+                raise ValueError(f"layer {idx} ({layer.kind}) has an empty output {shape}")
             if idx in self.tap_points:
                 lengths.append(int(np.prod(shape)))
         return tuple(lengths)
@@ -117,6 +133,8 @@ class NetworkModel:
 
 
 def _out_shape(layer: LayerDef, shape: tuple) -> tuple:
+    if layer.kind in ("conv", "maxpool") and len(shape) != 3:
+        raise ValueError(f"{layer.kind} needs a (C, H, W) input, got {shape}")
     if layer.kind == "conv":
         c, h, w = shape
         o, ci, k, _ = layer.weights.shape
@@ -413,6 +431,12 @@ class _Reader:
 
 
 def load_weights(path) -> NetworkModel:
+    """Read an FNET1 file, checking that the network it holds can run.
+
+    Beyond the byte layout, this rejects trailing bytes, non-finite weights
+    or biases, a bad stride, pad or window, and layer shapes that do not
+    chain (checked through `tap_lengths`), all as FormatError.
+    """
     with open(path, "rb") as fh:
         rd = _Reader(fh.read())
     if rd.take(5, "magic") != _MAGIC:
@@ -424,29 +448,41 @@ def load_weights(path) -> NetworkModel:
     n_taps = rd.u32("tap count")
     taps = tuple(rd.u32("tap index") for _ in range(n_taps))
     layers = []
-    for li in range(n_layers):
-        code = rd.take(1, f"layer {li} kind")[0]
-        if code not in _CODE_KINDS:
-            raise FormatError(f"unknown layer kind code {code} at layer {li}")
-        kind = _CODE_KINDS[code]
-        if kind == "conv":
-            o, ci, k, stride, pad = (rd.u32(f"layer {li} dims") for _ in range(5))
-            wbytes = rd.take(o * ci * k * k * 4, f"layer {li} weights")
-            bbytes = rd.take(o * 4, f"layer {li} bias")
-            w = np.frombuffer(wbytes, "<f4").reshape(o, ci, k, k).copy()
-            b = np.frombuffer(bbytes, "<f4").copy()
-            layers.append(LayerDef("conv", w, b, stride=stride, pad=pad))
-        elif kind == "maxpool":
-            window = rd.u32(f"layer {li} window")
-            stride = rd.u32(f"layer {li} stride")
-            layers.append(LayerDef("maxpool", window=window, stride=stride))
-        elif kind == "dense":
-            o = rd.u32(f"layer {li} out")
-            i = rd.u32(f"layer {li} in")
-            wbytes = rd.take(o * i * 4, f"layer {li} weights")
-            bbytes = rd.take(o * 4, f"layer {li} bias")
-            layers.append(LayerDef("dense", np.frombuffer(wbytes, "<f4").reshape(o, i).copy(),
-                                   np.frombuffer(bbytes, "<f4").copy()))
-        else:
-            layers.append(LayerDef(kind))
-    return NetworkModel(tuple(layers), taps, (w_in, h_in, c_in))
+    try:
+        for li in range(n_layers):
+            code = rd.take(1, f"layer {li} kind")[0]
+            if code not in _CODE_KINDS:
+                raise FormatError(f"unknown layer kind code {code} at layer {li}")
+            kind = _CODE_KINDS[code]
+            if kind == "conv":
+                o, ci, k, stride, pad = (rd.u32(f"layer {li} dims") for _ in range(5))
+                w = np.frombuffer(rd.take(o * ci * k * k * 4, f"layer {li} weights"), "<f4")
+                b = np.frombuffer(rd.take(o * 4, f"layer {li} bias"), "<f4")
+                layer = LayerDef("conv", w.reshape(o, ci, k, k).copy(), b.copy(),
+                                 stride=stride, pad=pad)
+            elif kind == "maxpool":
+                window = rd.u32(f"layer {li} window")
+                stride = rd.u32(f"layer {li} stride")
+                layer = LayerDef("maxpool", window=window, stride=stride)
+            elif kind == "dense":
+                o = rd.u32(f"layer {li} out")
+                i = rd.u32(f"layer {li} in")
+                w = np.frombuffer(rd.take(o * i * 4, f"layer {li} weights"), "<f4")
+                b = np.frombuffer(rd.take(o * 4, f"layer {li} bias"), "<f4")
+                layer = LayerDef("dense", w.reshape(o, i).copy(), b.copy())
+            else:
+                layer = LayerDef(kind)
+            if layer.weights is not None and not (np.isfinite(layer.weights).all()
+                                                  and np.isfinite(layer.bias).all()):
+                raise FormatError(f"weight file has non-finite weights or bias in layer {li}")
+            layers.append(layer)
+        if rd.pos != len(rd.buf):
+            raise FormatError(f"weight file has {len(rd.buf) - rd.pos} trailing bytes "
+                              "after the last layer")
+        model = NetworkModel(tuple(layers), taps, (w_in, h_in, c_in))
+        model.tap_lengths()
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(f"weight file: {exc}") from None
+    return model

@@ -1,3 +1,4 @@
+import struct
 import sys
 from pathlib import Path
 
@@ -51,3 +52,23 @@ def random_landmarks(rng: np.random.Generator, size: int):
         forehead_polygon=forehead,
         beard_polygon=beard,
     )
+
+
+def fnet_bytes(conv_w=None, conv_in=1, window=2, pool_stride=2, dense_in=8,
+               dense_b=None, tail=b""):
+    """FNET1 bytes of a 4x4x1 net: conv(2 filters, 3x3, pad 1), relu, maxpool,
+    flatten, dense(3), tapped after the relu and the dense layer. The defaults
+    give a valid file; each argument changes one field as written."""
+    conv_w = np.ones((2, conv_in, 3, 3), "<f4") if conv_w is None else conv_w
+    dense_b = np.zeros(3, "<f4") if dense_b is None else dense_b
+    return b"".join([
+        b"FNET1", struct.pack("<IIIIIII", 5, 4, 4, 1, 2, 1, 4),
+        struct.pack("<BIIIII", 0, 2, conv_in, 3, 1, 1),
+        np.asarray(conv_w, "<f4").tobytes(), np.zeros(2, "<f4").tobytes(),
+        struct.pack("<B", 1),
+        struct.pack("<BII", 2, window, pool_stride),
+        struct.pack("<B", 3),
+        struct.pack("<BII", 4, 3, dense_in), np.ones((3, dense_in), "<f4").tobytes(),
+        np.asarray(dense_b, "<f4").tobytes(),
+        tail,
+    ])

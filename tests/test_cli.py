@@ -1,11 +1,17 @@
+import argparse
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from advface import cli
 from advface.cli import main
 from advface.detector import DetectorModel, load_mean_reps, save_detector
 from advface.imagecore import read_image
+
+from conftest import fnet_bytes
 
 
 def run(*argv):
@@ -140,6 +146,74 @@ class TestDeterminism:
             assert fa.read_bytes() == (tmp_path / "b" / fa.name).read_bytes()
 
 
+class TestProcessCache:
+    def test_seeded_network_is_one_object_per_seed(self):
+        def load(seed):
+            return cli._load_network(argparse.Namespace(weights=None, net_seed=seed))
+
+        a = load(5)
+        assert load(5) is a
+        b = load(6)
+        assert b is not a and load(6) is b
+        assert not np.array_equal(a.layers[0].weights, b.layers[0].weights)
+
+    def test_weights_file_is_read_on_every_call(self, pipeline):
+        args = argparse.Namespace(weights=pipeline["extracted"] / "network.fnet", net_seed=0)
+        assert cli._load_network(args) is not cli._load_network(args)
+
+    def test_repeated_detect_and_mitigate_print_the_same_bytes(self, pipeline, tmp_path,
+                                                               capsys):
+        cli._seeded_network.cache_clear()  # the first call below builds the network
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+        outs = []
+        for i in range(3):
+            assert run("detect", "--net-seed", 1, "--detector", pipeline["detector"],
+                       "--image", img) == 0
+            emb = tmp_path / f"emb{i}.json"
+            assert run("mitigate", "--net-seed", 1, "--plan", pipeline["plan"],
+                       "--image", img, "--out", emb) == 0
+            outs.append((capsys.readouterr().out.replace(str(emb), "EMB"), emb.read_bytes()))
+        assert cli._seeded_network.cache_info().misses == 1
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def test_concurrent_mitigate_calls_share_parsers_and_network(self, pipeline, tmp_path):
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+
+        def mitigate(out):
+            return run("mitigate", "--net-seed", 2, "--plan", pipeline["plan"],
+                       "--image", img, "--out", out)
+
+        cli._seeded_network.cache_clear()
+        codes = {}
+        threads = [threading.Thread(target=lambda i=i: codes.update(
+                       {i: mitigate(tmp_path / f"emb{i}.json")})) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert codes == {i: 0 for i in range(8)}
+        cli._seeded_network.cache_clear()
+        assert mitigate(tmp_path / "serial.json") == 0
+        want = (tmp_path / "serial.json").read_bytes()
+        assert all((tmp_path / f"emb{i}.json").read_bytes() == want for i in range(8))
+
+    def test_non_integer_net_seed_from_config_is_usage_error(self, pipeline, tmp_path,
+                                                             capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"net_seed": 1.0}))
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+        assert run("--config", cfg, "detect", "--detector", pipeline["detector"],
+                   "--image", img) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: --net-seed must be an integer, got 1.0\n"
+
+
 class TestConfig:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -150,11 +224,86 @@ class TestConfig:
         assert run("--config", cfg, "gen-data", "--out", tmp_path / "override") == 0
         assert len(list((tmp_path / "override").glob("*.pgm"))) == 4
 
+    @pytest.mark.parametrize("config_first", [True, False], ids=["config-first", "plain-first"])
+    def test_config_run_leaves_plain_runs_alone(self, tmp_path, capsys, config_first):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"subjects": 2, "samples": 2, "size": 48, "seed": 4,
+                                   "out": str(tmp_path / "cfg_out")}))
+        plain = ["gen-data", "--subjects", 2, "--samples", 2, "--out", tmp_path / "plain"]
+
+        def config_run():
+            assert run("--config", cfg, "gen-data") == 0
+
+        def plain_runs():
+            # a required flag is still required, and defaults are the parser's own
+            with pytest.raises(SystemExit) as exc:
+                run("gen-data", "--out", tmp_path / "missing")
+            assert exc.value.code == 2
+            assert "--subjects" in capsys.readouterr().err
+            assert run(*plain) == 0
+
+        for step in ([config_run, plain_runs] if config_first else [plain_runs, config_run]):
+            step()
+        assert run("gen-data", "--subjects", 2, "--samples", 2, "--size", 64, "--seed", 0,
+                   "--out", tmp_path / "explicit_plain") == 0
+        assert run("gen-data", "--subjects", 2, "--samples", 2, "--size", 48, "--seed", 4,
+                   "--out", tmp_path / "explicit_cfg") == 0
+        for got, want in (("plain", "explicit_plain"), ("cfg_out", "explicit_cfg")):
+            names = sorted(f.name for f in (tmp_path / want).iterdir())
+            assert sorted(f.name for f in (tmp_path / got).iterdir()) == names
+            for name in names:
+                assert (tmp_path / got / name).read_bytes() == \
+                    (tmp_path / want / name).read_bytes()
+
+    @pytest.mark.parametrize("doc", [[], [1, 2], "gen-data", 3, None])
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run("--config", cfg, "build-plan", "--table", tmp_path / "t.json",
+                   "--eta", 1, "--kappa", 0.25, "--out", tmp_path / "plan.json") == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: config {cfg} is not a JSON object\n"
+
 
 class TestErrors:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run("distort", "--spec", tmp_path / "nope.json",
                    "--in", tmp_path, "--out", tmp_path / "o") == 1
+
+    def test_image_that_is_a_directory_is_usage_error(self, pipeline, tmp_path, capsys):
+        assert run("detect", "--net-seed", 1, "--detector", pipeline["detector"],
+                   "--image", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: [Errno") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_report_path_that_is_a_directory_is_usage_error(self, pipeline, tmp_path,
+                                                             capsys):
+        assert run("evaluate", "--net-seed", 1, "--dataset", pipeline["data"],
+                   "--distortion", pipeline["spec"], "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: [Errno") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fields", [
+        dict(conv_w=np.full((2, 1, 3, 3), np.nan)),
+        dict(pool_stride=0),
+        dict(window=0),
+        dict(tail=b"\x00"),
+        dict(conv_in=2),
+        dict(dense_in=9),
+    ], ids=["nan-weight", "pool-stride-0", "pool-window-0", "trailing-bytes",
+            "channel-mismatch", "dense-length"])
+    def test_weight_file_that_cannot_run_is_data_error(self, pipeline, tmp_path, capsys,
+                                                       fields):
+        weights = tmp_path / "bad.fnet"
+        weights.write_bytes(fnet_bytes(**fields))
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+        assert run("detect", "--weights", weights, "--detector", pipeline["detector"],
+                   "--image", img) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: weight file") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_bad_image_format_is_data_error(self, pipeline, tmp_path):
         bad = tmp_path / "bad.pgm"

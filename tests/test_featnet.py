@@ -1,3 +1,4 @@
+import inspect
 import multiprocessing
 import os
 import subprocess
@@ -29,6 +30,7 @@ from advface.featnet import (
 from advface.imagecore import FormatError
 from advface.mitigator import SensitivityTable, build_plan
 
+from conftest import fnet_bytes
 from oracles import naive_conv, naive_maxpool, tensordot_conv
 
 
@@ -53,6 +55,11 @@ class TestDefaultNetwork:
 
     def test_tap_lengths(self):
         assert default_network(0).tap_lengths() == (32768, 16384, 8192, 2048, 64)
+
+    def test_is_a_plain_function(self):
+        # the benchmark tracer wraps only plain functions; a cache decorator
+        # here would silently take network builds out of its featnet.build group
+        assert inspect.isfunction(featnet.default_network)
 
     def test_tap_lengths_match_actual_forward(self, default_model):
         rng = np.random.default_rng(1)
@@ -480,6 +487,47 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="dense bias"):
             LayerDef("dense", np.zeros((3, 2), np.float32), np.zeros(2, np.float32))
 
+    @pytest.mark.parametrize("window, stride", [(0, 2), (2, 0), (0, 0)])
+    def test_maxpool_window_and_stride_checked(self, window, stride):
+        with pytest.raises(ValueError, match="maxpool window/stride"):
+            LayerDef("maxpool", window=window, stride=stride)
+
+    def test_empty_weights_rejected(self):
+        with pytest.raises(ValueError, match="empty weights"):
+            LayerDef("dense", np.zeros((0, 2), np.float32), np.zeros(0, np.float32))
+
+    def test_conv_after_flatten_rejected(self):
+        conv = LayerDef("conv", np.ones((1, 1, 1, 1), np.float32), np.zeros(1, np.float32))
+        model = NetworkModel((LayerDef("flatten"), conv), (1,), (4, 4, 1))
+        with pytest.raises(ValueError, match="needs a"):
+            model.tap_lengths()
+
+
+class TestReadOnlyWeights:
+    @pytest.mark.parametrize("source", ["default_network", "load_weights"])
+    def test_writing_into_weights_or_bias_raises(self, tmp_path, source):
+        model = default_network(3)
+        if source == "load_weights":
+            save_weights(model, tmp_path / "net.fnet")
+            model = load_weights(tmp_path / "net.fnet")
+        layers = [l for l in model.layers if l.weights is not None]
+        assert len(layers) == 5
+        for layer in layers:
+            with pytest.raises(ValueError, match="read-only"):
+                layer.weights[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                layer.bias += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                layer.weights.reshape(-1)[:3] = 0.0
+
+    def test_callers_array_is_not_frozen(self):
+        w, b = np.ones((2, 1, 3, 3), np.float32), np.zeros(2, np.float32)
+        layer = LayerDef("conv", w, b)
+        w[0] = 5.0
+        b[1] = 2.0
+        assert w.flags.writeable and b.flags.writeable
+        assert layer.weights[0, 0, 0, 0] == 5.0 and layer.bias[1] == 2.0
+
 
 class TestWeightFile:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -516,6 +564,32 @@ class TestWeightFile:
         save_weights(model, path)
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(FormatError, match="truncated weight file"):
+            load_weights(path)
+
+    def test_valid_fnet_bytes_load_and_run(self, tmp_path):
+        path = tmp_path / "net.fnet"
+        path.write_bytes(fnet_bytes())
+        model = load_weights(path)
+        assert model.tap_lengths() == (32, 3)
+        emb, _ = forward_batch(model, np.full((1, 4, 4, 1), 255, np.uint8))
+        assert np.isfinite(emb).all()
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(conv_w=np.where(np.arange(18) == 4, np.nan, 1.0).reshape(2, 1, 3, 3)),
+         "non-finite weights or bias in layer 0"),
+        (dict(dense_b=[0.0, np.inf, 0.0]), "non-finite weights or bias in layer 4"),
+        (dict(pool_stride=0), "bad maxpool window/stride"),
+        (dict(window=0), "bad maxpool window/stride"),
+        (dict(window=5), "layer 2 \\(maxpool\\) has an empty output"),
+        (dict(tail=b"\x00\x00"), "2 trailing bytes after the last layer"),
+        (dict(conv_in=2), "conv expects 2 input channels, got 1"),
+        (dict(dense_in=9), "dense expects input length 9"),
+    ], ids=["nan-conv-weight", "inf-dense-bias", "pool-stride-0", "pool-window-0",
+            "pool-window-too-large", "trailing-bytes", "channel-mismatch", "dense-length"])
+    def test_file_that_cannot_run_is_format_error(self, tmp_path, fields, message):
+        path = tmp_path / "bad.fnet"
+        path.write_bytes(fnet_bytes(**fields))
+        with pytest.raises(FormatError, match=message):
             load_weights(path)
 
     def test_unknown_kind_code(self, tmp_path):
