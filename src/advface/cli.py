@@ -127,11 +127,12 @@ def _cmd_evaluate(args):
     spec = distortions.DistortionSpec.from_json_file(args.distortion)
     det = det_mod.load_detector(args.detector) if args.detector else None
     plan = mitigator.MitigationPlan.from_json_file(args.plan) if args.plan else None
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    open(out, "a").close()  # an unwritable --out fails here, before any forward pass
     rows = verifybench.run_protocol(ds, model, spec, det=det, plan=plan,
                                     fraction=args.fraction, seed=args.seed,
                                     far_target=args.far)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     verifybench.write_report(rows, out)
     for r in rows:
         print(f"{r['condition']}: GAR@{r['far_target']:g}FAR = {r['gar_at_far']:.6f}")

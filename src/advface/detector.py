@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imagecore import FormatError, check_json
+from .imagecore import FormatError, _Reader, check_json
 from . import featnet
 from .featnet import FilterMask, NetworkModel
 from .seeds import rng_from
@@ -39,6 +39,8 @@ class MeanReps:
     def __post_init__(self):
         if self.n_train < 1:
             raise ValueError("n_train must be >= 1")
+        if not all(np.isfinite(mu).all() for mu in self.means):
+            raise ValueError("means must be finite")
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,10 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps, images: np.ndar
     """
     if images.shape[0] < 1:
         raise ValueError("need at least one image")
+    if len(mean_reps.means) != model.n_taps:
+        # zipping taps with means would silently drop the unmatched ones
+        raise FormatError(f"mean reps hold {len(mean_reps.means)} taps, "
+                          f"the network has {model.n_taps}")
     embs = []
     feats = np.empty((images.shape[0], len(mean_reps.means)))
     for lo, (emb, taps) in featnet._forward_chunks(model, images, mask):
@@ -250,26 +256,23 @@ def save_mean_reps(reps: MeanReps, path) -> None:
 
 
 def load_mean_reps(path) -> MeanReps:
+    """Read an MREP1 file; truncation, trailing bytes, a non-finite mean and
+    n_train < 1 are FormatError."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:5] != _MREP_MAGIC:
+        rd = _Reader(fh.read(), "mean file")
+    if rd.take(5, "magic") != _MREP_MAGIC:
         raise FormatError('bad magic, expected "MREP1"')
-    pos = 5
+    n_layers = rd.u32("layer count")
+    n_train = rd.u32("training image count")
+    means = []
+    for i in range(n_layers):
+        length = rd.u32(f"layer {i} length")
+        means.append(np.frombuffer(rd.take(8 * length, f"layer {i} means"), "<f8").copy())
+    rd.finish("the last layer")
     try:
-        n_layers, n_train = struct.unpack_from("<II", buf, pos)
-        pos += 8
-        means = []
-        for i in range(n_layers):
-            (length,) = struct.unpack_from("<I", buf, pos)
-            pos += 4
-            end = pos + 8 * length
-            if end > len(buf):
-                raise FormatError(f"truncated mean file at layer {i}")
-            means.append(np.frombuffer(buf[pos:end], "<f8").copy())
-            pos = end
-    except struct.error as exc:
-        raise FormatError(f"truncated mean file header: {exc}") from None
-    return MeanReps(tuple(means), n_train)
+        return MeanReps(tuple(means), n_train)
+    except ValueError as exc:
+        raise FormatError(f"mean file: {exc}") from None
 
 
 def save_detector(det: DetectorModel, path, mean_reps_path) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagecore import FormatError
+from .imagecore import FormatError, _Reader
 from .seeds import rng_from
 
 _MAGIC = b"FNET1"
@@ -374,17 +374,6 @@ def _forward_chunks(model: NetworkModel, images: np.ndarray, mask: FilterMask | 
                                 want_conv_maps=want_conv_maps)
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 # ---------------------------------------------------------------------------
 # Weight file (FNET1)
 # ---------------------------------------------------------------------------
@@ -413,23 +402,6 @@ def save_weights(model: NetworkModel, path) -> None:
                 fh.write(layer.bias.astype("<f4").tobytes())
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise FormatError(f"truncated weight file while reading {what} "
-                              f"at byte {self.pos}")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-
 def load_weights(path) -> NetworkModel:
     """Read an FNET1 file, checking that the network it holds can run.
 
@@ -438,7 +410,7 @@ def load_weights(path) -> NetworkModel:
     chain (checked through `tap_lengths`), all as FormatError.
     """
     with open(path, "rb") as fh:
-        rd = _Reader(fh.read())
+        rd = _Reader(fh.read(), "weight file")
     if rd.take(5, "magic") != _MAGIC:
         raise FormatError('bad magic, expected "FNET1"')
     n_layers = rd.u32("layer count")
@@ -476,9 +448,7 @@ def load_weights(path) -> NetworkModel:
                                                   and np.isfinite(layer.bias).all()):
                 raise FormatError(f"weight file has non-finite weights or bias in layer {li}")
             layers.append(layer)
-        if rd.pos != len(rd.buf):
-            raise FormatError(f"weight file has {len(rd.buf) - rd.pos} trailing bytes "
-                              "after the last layer")
+        rd.finish("the last layer")
         model = NetworkModel(tuple(layers), taps, (w_in, h_in, c_in))
         model.tap_lengths()
     except FormatError:

@@ -1,12 +1,14 @@
-"""Core image types, netpbm I/O, rasterization primitives, and median filtering.
+"""Core image types, netpbm I/O, rasterization primitives, median filtering,
+and the byte reader of the binary weight and mean files.
 
 Images are 8-bit rasters stored as (H, W, C) uint8 arrays with C in {1, 3}.
-The only file formats are binary PGM (P5) and PPM (P6) with maxval 255.
+The only image formats are binary PGM (P5) and PPM (P6) with maxval 255.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -15,6 +17,32 @@ import numpy as np
 
 class FormatError(ValueError):
     """Malformed or unsupported file content."""
+
+
+class _Reader:
+    """Cursor over the bytes of a binary file (FNET1, MREP1); running short or
+    leaving bytes over is a FormatError naming the file kind."""
+
+    def __init__(self, buf: bytes, kind: str):
+        self.buf = buf
+        self.pos = 0
+        self.kind = kind  # e.g. "weight file"
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.pos + n > len(self.buf):
+            raise FormatError(f"truncated {self.kind} while reading {what} "
+                              f"at byte {self.pos}")
+        out = self.buf[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.take(4, what))[0]
+
+    def finish(self, after: str) -> None:
+        if self.pos != len(self.buf):
+            raise FormatError(f"{self.kind} has {len(self.buf) - self.pos} trailing bytes "
+                              f"after {after}")
 
 
 def _json_is(value, kind) -> bool:

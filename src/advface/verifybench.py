@@ -3,12 +3,14 @@
 All-vs-all matching: every image is compared with every other, self-matches
 excluded. The protocol evaluates three conditions — original, distorted
 (a fraction of images corrupted, no defense), and corrected (the corrupted
-set run through detect-then-mitigate).
+set run through detect-then-mitigate). The corrected condition has one
+implementation, `PipelineEval`, which the mitigation plan search shares.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,7 @@ import numpy as np
 from . import distortions
 from .detector import embed_and_features
 from .featnet import NetworkModel, _forward_chunks, forward_batch
-from .mitigator import MEDIAN_WINDOW, MitigationPlan, mitigate_batch
+from .mitigator import MEDIAN_WINDOW, MitigationPlan
 from .imagecore import median_filter_array
 from .synthface import Dataset, split_protocol
 
@@ -59,13 +61,6 @@ class RocCurve:
 
 def _embed_plain(model: NetworkModel, batch: np.ndarray) -> np.ndarray:
     return np.vstack([emb for _, (emb, _) in _forward_chunks(model, batch)])
-
-
-def _embed_and_flag(model: NetworkModel, batch: np.ndarray,
-                    det) -> tuple[np.ndarray, np.ndarray]:
-    """Plain embeddings and detector flags of a batch, from one forward pass."""
-    emb, feats = embed_and_features(model, det.mean_reps, batch)
-    return emb, det.decision(feats) > 0
 
 
 def _cosine_matrix(emb: np.ndarray) -> np.ndarray:
@@ -113,18 +108,16 @@ def gar_at_far(curve: RocCurve, far_target: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _distorted_copy(ds: Dataset, spec: distortions.DistortionSpec,
-                    fraction: float, seed: int):
-    """(pixel batch, subject ids, distorted-index set) for the protocol split."""
+                    fraction: float, seed: int) -> np.ndarray:
+    """Pixel batch of ds with the protocol split's images distorted."""
     _, to_distort = split_protocol(ds, fraction, seed)
-    distorted = set(to_distort)
     batch = ds.pixel_batch()
-    for i in sorted(distorted):
+    for i in to_distort:
         item = ds.items[i]
         out, _ = distortions.apply(distortions.per_image_spec(spec, i),
                                    item.image, item.landmarks)
         batch[i] = out.pixels
-    ids = np.array([it.subject_id for it in ds.items])
-    return batch, ids, distorted
+    return batch
 
 
 def _gar_from_embeddings(emb: np.ndarray, ids: np.ndarray,
@@ -138,41 +131,29 @@ def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionS
                  det=None, plan: MitigationPlan | None = None,
                  fraction: float = 0.5, seed: int = 0,
                  far_target: float = 0.01) -> list[dict]:
-    """Original / distorted / corrected GAR@FAR rows for one distortion."""
-    clean_batch = ds.pixel_batch()
+    """Original / distorted / corrected GAR@FAR rows for one distortion.
+
+    With a detector and a plan, the distorted and corrected conditions come
+    from the same PipelineEval the plan search scores its candidates on.
+    """
     ids = np.array([it.subject_id for it in ds.items])
     if len(np.unique(ids)) < 2:
         raise ProtocolError("dataset must span at least 2 subjects")
-
+    conditions = {"original": _embed_plain(model, ds.pixel_batch())}
+    if det is not None and plan is not None:
+        prep = prepare_pipeline_eval(model, ds, spec, det, fraction, seed)
+        conditions["distorted"] = prep.emb_plain
+        conditions["corrected"] = _corrected_embeddings(model, prep, plan)
+    else:
+        conditions["distorted"] = _embed_plain(model, _distorted_copy(ds, spec, fraction, seed))
     rows = []
-
-    def row(condition, gar, n_gen, n_imp):
+    for condition, emb in conditions.items():
+        gar, n_gen, n_imp = _gar_from_embeddings(emb, ids, far_target)
         rows.append({
             "condition": condition, "distortion": spec.kind, "gar_at_far": gar,
             "far_target": far_target, "n_genuine": n_gen, "n_impostor": n_imp,
             "seed": seed,
         })
-
-    gar, n_gen, n_imp = _gar_from_embeddings(_embed_plain(model, clean_batch),
-                                             ids, far_target)
-    row("original", gar, n_gen, n_imp)
-
-    # with a defence, the distorted condition's forward pass also scores the
-    # detector, so each image is forwarded once per condition
-    mixed, _, _ = _distorted_copy(ds, spec, fraction, seed)
-    defended = det is not None and plan is not None
-    if defended:
-        emb, flags = _embed_and_flag(model, mixed, det)
-    else:
-        emb = _embed_plain(model, mixed)
-    gar, n_gen, n_imp = _gar_from_embeddings(emb, ids, far_target)
-    row("distorted", gar, n_gen, n_imp)
-
-    if defended:
-        if flags.any():
-            emb[flags] = mitigate_batch(model, plan, mixed[flags])
-        gar, n_gen, n_imp = _gar_from_embeddings(emb, ids, far_target)
-        row("corrected", gar, n_gen, n_imp)
     return rows
 
 
@@ -189,7 +170,7 @@ def write_report(rows, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Split evaluation used by the mitigation grid search
+# Split evaluation: the protocol's corrected condition and the plan search
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -199,28 +180,41 @@ class PipelineEval:
     ids: np.ndarray              # subject id per image
     emb_plain: np.ndarray        # undefended embeddings
     flags: np.ndarray            # detector verdict per image, True = distorted
-    flagged_raw: np.ndarray      # pixels of the flagged images
-    flagged_median: np.ndarray   # the same, median filtered as a plan does it
+    flagged: np.ndarray          # pixels of the flagged images
+
+    @functools.cached_property
+    def flagged_median(self) -> np.ndarray:
+        """The flagged pixels median filtered as a plan does it; computed on first use."""
+        return median_filter_array(self.flagged, MEDIAN_WINDOW)
 
 
 def prepare_pipeline_eval(model: NetworkModel, ds: Dataset,
                           spec: distortions.DistortionSpec, det,
                           fraction: float = 0.5, seed: int = 0) -> PipelineEval:
-    """Plan-independent state for repeated corrected-GAR evaluations."""
-    mixed, ids, _ = _distorted_copy(ds, spec, fraction, seed)
-    emb_plain, flags = _embed_and_flag(model, mixed, det)
-    flagged_raw = mixed[flags]
-    return PipelineEval(ids, emb_plain, flags, flagged_raw,
-                        median_filter_array(flagged_raw, MEDIAN_WINDOW))
+    """Plan-independent state for repeated corrected-GAR evaluations.
+
+    The distorted set is forwarded once, for its embeddings and the
+    detector's features together.
+    """
+    mixed = _distorted_copy(ds, spec, fraction, seed)
+    emb_plain, feats = embed_and_features(model, det.mean_reps, mixed)
+    flags = det.decision(feats) > 0
+    ids = np.array([it.subject_id for it in ds.items])
+    return PipelineEval(ids, emb_plain, flags, mixed[flags])
+
+
+def _corrected_embeddings(model: NetworkModel, prep: PipelineEval,
+                          plan: MitigationPlan) -> np.ndarray:
+    """Embeddings with each flagged image replaced by its mitigated embedding."""
+    emb = prep.emb_plain.copy()
+    if prep.flags.any():
+        batch = prep.flagged_median if plan.use_median_filter else prep.flagged
+        emb[prep.flags] = forward_batch(model, batch, plan.mask)[0]
+    return emb
 
 
 def finish_pipeline_eval(model: NetworkModel, prep: PipelineEval, plan: MitigationPlan,
                          far_target: float) -> float:
     """Corrected-condition GAR@FAR for one candidate plan."""
-    emb = prep.emb_plain.copy()
-    if prep.flags.any():
-        batch = prep.flagged_median if plan.use_median_filter else prep.flagged_raw
-        masked, _ = forward_batch(model, batch, plan.mask)
-        emb[prep.flags] = masked
-    gar, _, _ = _gar_from_embeddings(emb, prep.ids, far_target)
-    return gar
+    return _gar_from_embeddings(_corrected_embeddings(model, prep, plan),
+                                prep.ids, far_target)[0]

@@ -1,14 +1,16 @@
 import argparse
 import json
+import struct
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from advface import cli
+from advface import cli, featnet
 from advface.cli import main
-from advface.detector import DetectorModel, load_mean_reps, save_detector
+from advface.detector import (DetectorModel, MeanReps, load_mean_reps, save_detector,
+                              save_mean_reps)
 from advface.imagecore import read_image
 
 from conftest import fnet_bytes
@@ -278,12 +280,21 @@ class TestErrors:
         assert "Traceback" not in err
 
     def test_report_path_that_is_a_directory_is_usage_error(self, pipeline, tmp_path,
-                                                             capsys):
+                                                             capsys, monkeypatch):
+        forwarded = []
+        real = featnet.forward_batch
+
+        def counting(model, images, *args, **kw):
+            forwarded.append(images.shape[0])
+            return real(model, images, *args, **kw)
+
+        monkeypatch.setattr(featnet, "forward_batch", counting)
         assert run("evaluate", "--net-seed", 1, "--dataset", pipeline["data"],
                    "--distortion", pipeline["spec"], "--out", tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: [Errno") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert forwarded == []  # the bad --out is found before the protocol runs
 
     @pytest.mark.parametrize("fields", [
         dict(conv_w=np.full((2, 1, 3, 3), np.nan)),
@@ -444,11 +455,38 @@ class TestErrors:
         self._assert_detect_data_error(pipeline, tmp_path, capsys, [1, 2])
 
     @staticmethod
-    def _assert_detect_data_error(pipeline, tmp_path, capsys, doc):
+    def _assert_detect_data_error(pipeline, tmp_path, capsys, doc, expected=None):
         path = tmp_path / "detector.json"
         path.write_text(json.dumps(doc))
         img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
         assert run("detect", "--net-seed", 1, "--detector", path, "--image", img) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: detector") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert err.startswith("error: detector") if expected is None else err == expected
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: b + b"\x00", "mean file has 1 trailing bytes after the last layer"),
+        (lambda b: b[:17] + struct.pack("<d", float("nan")) + b[25:],
+         "mean file: means must be finite"),
+        (lambda b: b[:9] + struct.pack("<I", 0) + b[13:], "mean file: n_train must be >= 1"),
+    ], ids=["trailing-bytes", "nan-mean", "n_train-0"])
+    def test_malformed_mean_reps_is_data_error(self, pipeline, tmp_path, capsys, edit,
+                                              message):
+        doc = json.loads(pipeline["detector"].read_text())
+        reps = pipeline["detector"].parent / doc["mean_reps_path"]
+        (tmp_path / "reps.mrep").write_bytes(edit(reps.read_bytes()))
+        doc["mean_reps_path"] = "reps.mrep"
+        self._assert_detect_data_error(pipeline, tmp_path, capsys, doc, f"error: {message}\n")
+
+    @pytest.mark.parametrize("n_taps", [4, 0])
+    def test_mean_reps_short_of_the_network_taps_is_data_error(self, pipeline, tmp_path,
+                                                               capsys, n_taps):
+        # detector and mean reps agree with each other, but not with the network
+        doc = json.loads(pipeline["detector"].read_text())
+        reps = load_mean_reps(pipeline["detector"].parent / doc["mean_reps_path"])
+        save_mean_reps(MeanReps(reps.means[:n_taps], reps.n_train), tmp_path / "reps.mrep")
+        doc.update({k: doc[k][:n_taps] for k in ("w", "feat_mean", "feat_std")},
+                   n_layers=n_taps, mean_reps_path="reps.mrep")
+        self._assert_detect_data_error(pipeline, tmp_path, capsys, doc,
+                                       f"error: mean reps hold {n_taps} taps, "
+                                       "the network has 5\n")

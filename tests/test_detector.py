@@ -81,6 +81,11 @@ class TestMeanReps:
         with pytest.raises(ValueError, match="n_train"):
             MeanReps((np.zeros(3),), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_means_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="means must be finite"):
+            MeanReps((np.zeros(3), np.array([0.0, bad])), 1)
+
 
 class TestCanberra:
     def test_identical_vectors_zero(self):
@@ -187,6 +192,14 @@ class TestCanberra:
             single = canberra_features_batch(default_model, mean_reps, images[i : i + 1])[0]
             # batched float32 forward passes round slightly differently
             assert np.allclose(feats[i], single, rtol=1e-5)
+
+    @pytest.mark.parametrize("n_means", [0, 4, 6])
+    def test_tap_count_must_match_the_network(self, default_model, mean_reps, images,
+                                              n_means):
+        means = (mean_reps.means * 2)[:n_means]
+        with pytest.raises(FormatError, match=f"mean reps hold {n_means} taps, "
+                                              "the network has 5"):
+            embed_and_features(default_model, MeanReps(means, 1), images[:1])
 
     def test_shared_pass_across_chunk_is_bitwise(self, default_model, mean_reps):
         # 300 images cross the 256-image forward chunk

@@ -20,7 +20,6 @@ from advface.featnet import (
     FilterMask,
     LayerDef,
     NetworkModel,
-    cosine_similarity,
     default_network,
     forward_batch,
     l2_normalize,
@@ -603,23 +602,6 @@ class TestWeightFile:
 
 
 class TestCosine:
-    def test_self_similarity(self):
-        v = np.array([1.0, 2.0, -3.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
-
-    def test_hand_example(self):
-        assert cosine_similarity([1, 2], [2, 1]) == pytest.approx(0.8)
-
-    def test_zero_vector_defined_as_zero(self):
-        assert cosine_similarity([0, 0], [1, 2]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            cosine_similarity([1, 2], [1, 2, 3])
-
     def test_l2_normalize_zero_rows_pass_through(self):
         x = np.array([[0.0, 0.0], [3.0, 4.0]])
         out = l2_normalize(x)

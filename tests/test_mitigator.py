@@ -284,6 +284,26 @@ class TestGridSearch:
 
         assert mean_gar(plan) >= mean_gar(baseline)
 
+    @pytest.mark.parametrize("etas, kappas", [([1], [0.1]), ([1, 2, 3], [0.0, 0.1, 0.5])],
+                             ids=["1x1", "3x3"])
+    def test_median_runs_once_per_spec_whatever_the_grid(self, default_model, small_dataset,
+                                                         monkeypatch, etas, kappas):
+        from advface import mitigator, verifybench
+
+        table = table_from([[1.0] * n for n in default_model.conv_filter_counts()])
+        det = self._flag_all_detector(default_model, small_dataset)
+        specs = [DistortionSpec("grids", seed=1), DistortionSpec("xmsb", seed=1)]
+        calls = []
+
+        def counting(batch, size):
+            calls.append(batch.shape[0])
+            return median_filter_array(batch, size)
+
+        for mod in (verifybench, mitigator):
+            monkeypatch.setattr(mod, "median_filter_array", counting)
+        grid_search_plan(default_model, table, small_dataset, specs, det, etas, kappas)
+        assert calls == [len(small_dataset)] * len(specs)
+
     def test_empty_grid_rejected(self, default_model, small_dataset):
         table = table_from([[1.0] * n for n in default_model.conv_filter_counts()])
         det = self._flag_all_detector(default_model, small_dataset)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from advface.featnet import cosine_similarity, forward_batch
+from advface.featnet import forward_batch
 from advface.imagecore import Point, Polygon
 from advface.synthface import (
     Dataset,
@@ -14,6 +14,7 @@ from advface.synthface import (
     save_dataset,
     split_protocol,
 )
+from advface.verifybench import score_matrix
 
 
 class TestGeneration:
@@ -76,11 +77,11 @@ class TestGeneration:
         batch = np.stack([it.image.pixels for it in ds.items])
         emb, _ = forward_batch(default_model, batch)
         ids = [it.subject_id for it in ds.items]
+        scores = score_matrix(emb, ids).scores
         within, across = [], []
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
-                s = cosine_similarity(emb[i], emb[j])
-                (within if ids[i] == ids[j] else across).append(s)
+                (within if ids[i] == ids[j] else across).append(scores[i, j])
         diff = np.mean(within) - np.mean(across)
         pooled = np.sqrt((np.var(within) + np.var(across)) / 2)
         assert diff / pooled >= 0.5

@@ -94,6 +94,18 @@ class TestScoreMatrix:
         with pytest.raises(ValueError, match="shapes disagree"):
             ScoreMatrix(np.zeros((2, 2)), np.zeros((3, 3), dtype=bool))
 
+    def test_cosine_hand_examples(self):
+        sm = score_matrix(np.array([[1.0, 2.0, -3.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                    [1.0, 2.0, 0.0], [2.0, 1.0, 0.0]]), [0, 1, 1, 2, 2])
+        assert np.diag(sm.scores) == pytest.approx(np.ones(5))
+        assert sm.scores[1, 2] == pytest.approx(0.0)  # orthogonal rows
+        assert sm.scores[3, 4] == pytest.approx(0.8)
+
+    def test_zero_row_scores_zero_against_every_row(self):
+        emb = np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]])
+        scores = score_matrix(emb, [0, 1, 1]).scores
+        assert (scores[0] == 0.0).all() and (scores[:, 0] == 0.0).all()
+
 
 class TestRoc:
     def test_perfect_separation(self):
@@ -209,7 +221,7 @@ class TestProtocol:
         reps = compute_mean_reps(default_model, small_dataset.pixel_batch())
         n_taps = len(reps.means)
         spec = DistortionSpec("grids", seed=4)
-        mixed, _, _ = verifybench._distorted_copy(small_dataset, spec, 0.5, 2)
+        mixed = verifybench._distorted_copy(small_dataset, spec, 0.5, 2)
         feats = detector.canberra_features_batch(default_model, reps, mixed)
         # flags the images whose first-layer feature is above the median
         det = DetectorModel(np.eye(n_taps)[0], 0.0, 1.0,
@@ -231,6 +243,55 @@ class TestProtocol:
         run_protocol(small_dataset, default_model, spec, det=det, plan=plan,
                      fraction=0.5, seed=2)
         assert counts == {"plain": 2 * len(mixed), "masked": flagged}
+
+    @staticmethod
+    def _half_flagging_detector(model, ds, spec):
+        """Detector flagging the distorted-set images whose first-layer feature
+        is above the median, with its flag count on that set."""
+        reps = compute_mean_reps(model, ds.pixel_batch())
+        n_taps = len(reps.means)
+        mixed = verifybench._distorted_copy(ds, spec, 0.5, 2)
+        feats = detector.canberra_features_batch(model, reps, mixed)
+        det = DetectorModel(np.eye(n_taps)[0], 0.0, 1.0,
+                            np.r_[np.median(feats[:, 0]), np.zeros(n_taps - 1)],
+                            np.ones(n_taps), reps)
+        return det, int((det.decision(feats) > 0).sum())
+
+    @pytest.mark.parametrize("use_median", [True, False], ids=["median", "no-median"])
+    def test_corrected_row_is_the_plan_search_score(self, default_model, small_dataset,
+                                                    use_median):
+        spec = DistortionSpec("grids", seed=4)
+        det, flagged = self._half_flagging_detector(default_model, small_dataset, spec)
+        assert 0 < flagged < len(small_dataset)
+        plan = MitigationPlan(1, 0.25, FilterMask({(0, 0), (1, 3)}), use_median)
+        rows = run_protocol(small_dataset, default_model, spec, det=det, plan=plan,
+                            fraction=0.5, seed=2, far_target=0.05)
+        prep = verifybench.prepare_pipeline_eval(default_model, small_dataset, spec, det,
+                                                 fraction=0.5, seed=2)
+        assert rows[2]["condition"] == "corrected"
+        assert rows[2]["gar_at_far"] == verifybench.finish_pipeline_eval(
+            default_model, prep, plan, 0.05)
+        distorted, _, _ = verifybench._gar_from_embeddings(
+            prep.emb_plain, prep.ids, 0.05)
+        assert rows[1]["gar_at_far"] == distorted
+
+    @pytest.mark.parametrize("use_median", [True, False], ids=["median", "no-median"])
+    def test_median_runs_only_for_a_median_plan(self, default_model, small_dataset,
+                                                monkeypatch, use_median):
+        spec = DistortionSpec("grids", seed=4)
+        det, flagged = self._half_flagging_detector(default_model, small_dataset, spec)
+        calls = []
+        real = verifybench.median_filter_array
+
+        def counting(batch, size):
+            calls.append(batch.shape[0])
+            return real(batch, size)
+
+        for mod in (verifybench, mitigator):
+            monkeypatch.setattr(mod, "median_filter_array", counting)
+        run_protocol(small_dataset, default_model, spec, det=det,
+                     plan=MitigationPlan(1, 0.0, FilterMask(), use_median), fraction=0.5, seed=2)
+        assert calls == ([flagged] if use_median else [])
 
     def test_deterministic(self, default_model, small_dataset):
         args = (small_dataset, default_model, DistortionSpec("grids", seed=9))
