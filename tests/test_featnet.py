@@ -28,6 +28,7 @@ from advface.featnet import (
 )
 from advface.imagecore import FormatError
 from advface.mitigator import SensitivityTable, build_plan
+from advface.verifybench import score_matrix
 
 from conftest import fnet_bytes
 from oracles import naive_conv, naive_maxpool, tensordot_conv
@@ -602,6 +603,18 @@ class TestWeightFile:
 
 
 class TestCosine:
+    def test_self_similarity(self):
+        sm = score_matrix(np.array([[1.0, 2.0, -3.0], [0.5, -1.0, 4.0]]), [0, 1])
+        assert np.diag(sm.scores) == pytest.approx(np.ones(2))
+
+    def test_orthogonal(self):
+        sm = score_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), [0, 1])
+        assert sm.scores[0, 1] == pytest.approx(0.0)
+
+    def test_hand_example(self):
+        sm = score_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]), [0, 1])
+        assert sm.scores[0, 1] == pytest.approx(0.8)
+
     def test_l2_normalize_zero_rows_pass_through(self):
         x = np.array([[0.0, 0.0], [3.0, 4.0]])
         out = l2_normalize(x)
