@@ -50,12 +50,12 @@ def _cmd_distort(args):
     items = []
     records = []
     for i, item in enumerate(ds.items):
-        img, rec = distortions.apply(distortions.per_image_spec(spec, i),
-                                     item.image, item.landmarks)
+        spec_i = distortions.per_image_spec(spec, i)
+        img, affected = distortions.apply(spec_i, item.image, item.landmarks)
         items.append(synthface.DatasetItem(img, item.landmarks,
                                            item.subject_id, item.sample_index))
-        records.append({"index": i, "spec": rec.spec.to_json_dict(),
-                        "affected_pixel_count": rec.affected_pixel_count})
+        records.append({"index": i, "spec": spec_i.to_json_dict(),
+                        "affected_pixel_count": affected})
     synthface.save_dataset(synthface.Dataset(tuple(items), ds.seed), out)
     (out / "records.json").write_text(json.dumps(records, indent=2))
     print(f"distorted {len(items)} images into {out}")

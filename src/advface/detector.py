@@ -18,7 +18,7 @@ import numpy as np
 
 from .imagecore import FormatError, _Reader, check_json
 from . import featnet
-from .featnet import FilterMask, NetworkModel
+from .featnet import NetworkModel
 from .seeds import rng_from
 
 _MREP_MAGIC = b"MREP1"
@@ -73,14 +73,13 @@ def compute_mean_reps(model: NetworkModel, clean_images: np.ndarray) -> MeanReps
     return MeanReps(tuple(s / n for s in sums), n)
 
 
-def canberra(a, b) -> float | np.ndarray:
-    """Canberra distance over the last axis, with 0/0 terms counted as 0.
+def canberra(rows: np.ndarray, b) -> np.ndarray:
+    """Canberra distance of each row of an (N, L) matrix to the length-L
+    vector `b`, with 0/0 terms counted as 0; returns an (N,) float64 array.
 
-    `a` is one vector, or an (N, L) matrix whose rows are each compared with
-    the length-L vector `b`; returns a float, or an (N,) float64 array. Rows
-    are reduced in float64 blocks of about _CANBERRA_BLOCK_ELEMS entries (at
-    least one row), run across the process's CPUs; each row is still summed
-    whole, so blocking moves no bit.
+    Rows are reduced in float64 blocks of about _CANBERRA_BLOCK_ELEMS entries
+    (at least one row), run across the process's CPUs; each row is still
+    summed whole, so blocking moves no bit.
 
     The zeros of |b| in the denominator are raised to the smallest positive
     float64, 2**-1074, so the divide needs no mask: where t == b == 0 the term
@@ -89,11 +88,10 @@ def canberra(a, b) -> float | np.ndarray:
     or integer entry; a float64 entry below it, against a zero of b, gives a
     term just under 1.
     """
-    a = np.asarray(a)
+    rows = np.asarray(rows)
     b = np.asarray(b, dtype=np.float64).ravel()
-    rows = a.reshape(1, -1) if a.ndim == 1 else a
     if rows.ndim != 2 or rows.shape[1] != b.shape[0]:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+        raise ValueError(f"length mismatch: {rows.shape} vs {b.shape}")
     den_b = np.abs(b)
     den_b[den_b == 0] = np.nextafter(0.0, 1.0)
     out = np.empty(rows.shape[0])
@@ -110,16 +108,17 @@ def canberra(a, b) -> float | np.ndarray:
 
     featnet._parallel_blocks(rows.shape[0], step,
                              lambda: (np.empty(shape), np.empty(shape)), block)
-    return float(out[0]) if a.ndim == 1 else out
+    return out
 
 
-def embed_and_features(model: NetworkModel, mean_reps: MeanReps, images: np.ndarray,
-                       mask: FilterMask | None = None) -> tuple[np.ndarray, np.ndarray]:
+def embed_and_features(model: NetworkModel, mean_reps: MeanReps,
+                       images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Embeddings (N, D) and per-layer Canberra features (N, n_taps) of a
     (N, H, W, C) uint8 batch, from one pass.
 
     The batch is forwarded in featnet's chunks, so each embedding is bitwise
-    the one a plain chunked forward pass gives.
+    the one a plain chunked forward pass gives. Mean reps whose tap count or
+    tap lengths differ from the network's are a FormatError.
     """
     if images.shape[0] < 1:
         raise ValueError("need at least one image")
@@ -129,17 +128,20 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps, images: np.ndar
                           f"the network has {model.n_taps}")
     embs = []
     feats = np.empty((images.shape[0], len(mean_reps.means)))
-    for lo, (emb, taps) in featnet._forward_chunks(model, images, mask):
+    for lo, (emb, taps) in featnet._forward_chunks(model, images):
         embs.append(emb)
         for i, (t, mu) in enumerate(zip(taps, mean_reps.means)):
+            if len(mu) != t.shape[1]:
+                raise FormatError(f"mean reps tap {i} holds {len(mu)} values, "
+                                  f"the network's tap {i} has {t.shape[1]}")
             feats[lo : lo + t.shape[0], i] = canberra(t, mu)
     return np.vstack(embs), feats
 
 
 def canberra_features_batch(model: NetworkModel, mean_reps: MeanReps,
-                            images: np.ndarray, mask: FilterMask | None = None) -> np.ndarray:
+                            images: np.ndarray) -> np.ndarray:
     """(N, n_taps) matrix of per-layer Canberra distances to the clean means."""
-    return embed_and_features(model, mean_reps, images, mask)[1]
+    return embed_and_features(model, mean_reps, images)[1]
 
 
 # ---------------------------------------------------------------------------

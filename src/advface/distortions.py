@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagecore import Image, Point, check_json, line_pixels, polygon_mask
+from .imagecore import FormatError, Image, Point, check_json, line_pixels, polygon_mask
 from .seeds import derive_seed, rng_from
 from .synthface import LandmarkSet
 
@@ -38,8 +38,8 @@ class DistortionSpec:
             raise ValueError(f"unknown distortion kind {self.kind!r}")
         if self.rho_grids < 0:
             raise ValueError("rho_grids must be >= 0")
-        if any(not 0 <= p <= 1 for p in self.phi):
-            raise ValueError("phi fractions must be in [0, 1]")
+        if len(self.phi) != 3 or any(not 0 <= p <= 1 for p in self.phi):
+            raise ValueError("phi must be three fractions in [0, 1]")
         if self.psi <= 0:
             raise ValueError("psi must be positive")
 
@@ -57,13 +57,16 @@ class DistortionSpec:
     def from_json_dict(cls, d: dict) -> "DistortionSpec":
         check_json(d, "distortion spec", {"kind": str},
                    {"rho_grids": int, "phi": (list, float), "psi": float, "seed": int})
-        return cls(
-            kind=d["kind"],
-            rho_grids=d.get("rho_grids", DEFAULT_RHO_GRIDS),
-            phi=tuple(d.get("phi", DEFAULT_PHI)),
-            psi=d.get("psi", DEFAULT_PSI),
-            seed=d.get("seed", 0),
-        )
+        try:
+            return cls(
+                kind=d["kind"],
+                rho_grids=d.get("rho_grids", DEFAULT_RHO_GRIDS),
+                phi=tuple(d.get("phi", DEFAULT_PHI)),
+                psi=d.get("psi", DEFAULT_PSI),
+                seed=d.get("seed", 0),
+            )
+        except ValueError as exc:
+            raise FormatError(f"distortion spec: {exc}") from None
 
     @classmethod
     def from_json_file(cls, path) -> "DistortionSpec":
@@ -71,20 +74,14 @@ class DistortionSpec:
             return cls.from_json_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class DistortionRecord:
-    spec: DistortionSpec
-    affected_pixel_count: int
-
-
-def _zero_mask(img: Image, mask: np.ndarray, spec: DistortionSpec) -> tuple[Image, DistortionRecord]:
-    """Zero the (H, W) mask's pixels on all channels; the record counts them."""
+def _zero_mask(img: Image, mask: np.ndarray) -> tuple[Image, int]:
+    """Zero the (H, W) mask's pixels on all channels; also returns their count."""
     px = img.pixels.copy()
     px[mask] = 0
-    return Image(px), DistortionRecord(spec, int(mask.sum()))
+    return Image(px), int(mask.sum())
 
 
-def apply_grids(img: Image, rho_grids: int, seed: int) -> tuple[Image, DistortionRecord]:
+def apply_grids(img: Image, rho_grids: int, seed: int) -> tuple[Image, int]:
     """Draw rho_grids one-pixel-wide black lines between opposite boundaries.
 
     Anchors alternate top (y=0) / left (x=0); the opposite endpoint has the
@@ -105,14 +102,13 @@ def apply_grids(img: Image, rho_grids: int, seed: int) -> tuple[Image, Distortio
             b = Point(w - 1, int(rng.integers(0, h)))
         xs, ys = line_pixels(a, b)
         changed[ys, xs] = True
-    spec = DistortionSpec("grids", rho_grids=rho_grids, seed=seed)
-    return _zero_mask(img, changed, spec)
+    return _zero_mask(img, changed)
 
 
 _BIT_MASKS = (128, 64, 32)
 
 
-def apply_xmsb(img: Image, phi, seed: int) -> tuple[Image, DistortionRecord]:
+def apply_xmsb(img: Image, phi, seed: int) -> tuple[Image, int]:
     """Flip the i-th most significant bit on floor(phi_i * W * H) pixels, i in 1..3.
 
     The three pixel sets are drawn independently without replacement within
@@ -136,8 +132,7 @@ def apply_xmsb(img: Image, phi, seed: int) -> tuple[Image, DistortionRecord]:
         idx = rng.permutation(n)[:count]
         flat[idx] ^= mask
         touched[idx] = True
-    spec = DistortionSpec("xmsb", phi=phi, seed=seed)
-    return Image(px), DistortionRecord(spec, int(touched.sum()))
+    return Image(px), int(touched.sum())
 
 
 def ero_band(landmarks: LandmarkSet, psi: float, height: int) -> tuple[int, int]:
@@ -154,31 +149,30 @@ def ero_band(landmarks: LandmarkSet, psi: float, height: int) -> tuple[int, int]
     return lo, hi
 
 
-def apply_ero(img: Image, landmarks: LandmarkSet, psi: float) -> tuple[Image, DistortionRecord]:
+def apply_ero(img: Image, landmarks: LandmarkSet, psi: float) -> tuple[Image, int]:
     """Zero a horizontal band around the eye line; band half-width = d_eye / psi."""
     lo, hi = ero_band(landmarks, psi, img.height)
     px = img.pixels.copy()
     px[lo:hi + 1, :, :] = 0
-    spec = DistortionSpec("ero", psi=psi)
-    affected = (hi - lo + 1) * img.width if hi >= lo else 0
-    return Image(px), DistortionRecord(spec, affected)
+    return Image(px), max(0, hi - lo + 1) * img.width
 
 
-def apply_fhbo(img: Image, landmarks: LandmarkSet) -> tuple[Image, DistortionRecord]:
+def apply_fhbo(img: Image, landmarks: LandmarkSet) -> tuple[Image, int]:
     """Zero the forehead-and-brow mask polygon."""
     mask = polygon_mask(landmarks.forehead_polygon, img.width, img.height)
-    return _zero_mask(img, mask, DistortionSpec("fhbo"))
+    return _zero_mask(img, mask)
 
 
-def apply_beard(img: Image, landmarks: LandmarkSet) -> tuple[Image, DistortionRecord]:
+def apply_beard(img: Image, landmarks: LandmarkSet) -> tuple[Image, int]:
     """Zero the lower-face (beard) mask polygon."""
     mask = polygon_mask(landmarks.beard_polygon, img.width, img.height)
-    return _zero_mask(img, mask, DistortionSpec("beard"))
+    return _zero_mask(img, mask)
 
 
 def apply(spec: DistortionSpec, img: Image,
-          landmarks: LandmarkSet | None = None) -> tuple[Image, DistortionRecord]:
-    """Dispatch to the kind-specific distortion; dimensions are preserved."""
+          landmarks: LandmarkSet | None = None) -> tuple[Image, int]:
+    """Dispatch to the kind-specific distortion: (distorted image, affected
+    pixel count); dimensions are preserved."""
     if spec.kind in ("ero", "fhbo", "beard") and landmarks is None:
         raise ValueError(f"{spec.kind} requires landmarks")
     if spec.kind == "grids":

@@ -314,30 +314,25 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
     return np.where(norms > 0, x / np.where(norms > 0, norms, 1.0), x)
 
 
-def forward_batch(model: NetworkModel, images: np.ndarray,
-                  mask: FilterMask | None = None,
-                  want_conv_maps: bool = False):
+def forward_batch(model: NetworkModel, images: np.ndarray, mask: FilterMask | None = None):
     """Run the network on a (N, H, W, C) uint8 batch.
 
-    Returns (embeddings (N, D), taps: list of (N, lambda_i) float arrays[,
-    conv_maps: list of post-ReLU (N, O, H', W') arrays per conv layer]).
-    Masked filters contribute exactly zero output channels.
+    Returns (embeddings (N, D), taps: list of (N, lambda_i) float arrays, one
+    per tap point). Masked filters contribute exactly zero output channels.
     """
     w_in, h_in, c_in = model.input_spec
     if images.ndim != 4 or images.shape[1:] != (h_in, w_in, c_in):
         raise ValueError(
             f"input batch shape {images.shape} does not match model input "
             f"{(h_in, w_in, c_in)}")
-    if mask is not None:
-        model.validate_mask(mask)
     disabled_by_conv: dict[int, list[int]] = {}
     if mask is not None:
+        model.validate_mask(mask)
         for li, fj in mask.disabled:
             disabled_by_conv.setdefault(li, []).append(fj)
 
     x = np.moveaxis(images, 3, 1).astype(np.float32) / 255.0  # (N, C, H, W)
     taps: list[np.ndarray] = []
-    conv_maps: list[np.ndarray] = []
     conv_ord = -1
     fresh = False  # x is the previous layer's conv output and no tap holds it
     for idx, layer in enumerate(model.layers):
@@ -348,8 +343,6 @@ def forward_batch(model: NetworkModel, images: np.ndarray,
                 x[:, disabled_by_conv[conv_ord], :, :] = 0.0
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0, out=x if fresh else None)
-            if want_conv_maps:
-                conv_maps.append(x)
         elif layer.kind == "maxpool":
             x = _maxpool(x, layer)
         elif layer.kind == "flatten":
@@ -361,17 +354,13 @@ def forward_batch(model: NetworkModel, images: np.ndarray,
         if idx in model.tap_points:
             taps.append(x.reshape(x.shape[0], -1))
         fresh = layer.kind == "conv" and idx not in model.tap_points
-    if want_conv_maps:
-        return x, taps, conv_maps
     return x, taps
 
 
-def _forward_chunks(model: NetworkModel, images: np.ndarray, mask: FilterMask | None = None,
-                    chunk: int = FORWARD_CHUNK, want_conv_maps: bool = False):
-    """Yield (lo, forward_batch(...)) for each chunk images[lo : lo + chunk], in order."""
+def _forward_chunks(model: NetworkModel, images: np.ndarray, chunk: int = FORWARD_CHUNK):
+    """Yield (lo, forward_batch(model, images[lo : lo + chunk])) for each chunk, in order."""
     for lo in range(0, images.shape[0], chunk):
-        yield lo, forward_batch(model, images[lo : lo + chunk], mask,
-                                want_conv_maps=want_conv_maps)
+        yield lo, forward_batch(model, images[lo : lo + chunk])
 
 
 # ---------------------------------------------------------------------------

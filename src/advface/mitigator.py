@@ -1,6 +1,6 @@
 """Mitigation of detected distortions via selective dropout.
 
-Per-filter sensitivity scores accumulate the L2 norm of the post-ReLU
+Per-filter sensitivity scores accumulate the L2 norm of each conv filter's
 response difference between distorted/clean image pairs. A mitigation plan
 disables the most sensitive filter fraction in the most affected layers and
 median-filters the input before the masked forward pass. Plan parameters are
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -89,33 +89,41 @@ class MitigationPlan:
 
 
 def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
-    """Accumulate per-filter L2 response differences over (distorted, clean) pairs."""
+    """Accumulate per-filter L2 response differences over (distorted, clean) pairs.
+
+    A conv's response is the ReLU right after it, or the conv itself when no
+    ReLU follows; the forward pass taps exactly those layers.
+    """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one image pair")
+    kinds = [layer.kind for layer in model.layers] + [None]
+    responses = replace(model, tap_points=tuple(
+        i + 1 if kinds[i + 1] == "relu" else i for i in model.conv_ordinals))
     sums = [np.zeros(n) for n in model.conv_filter_counts()]
-    chunks = [_forward_chunks(model, np.stack([p[k].pixels for p in pairs]),
-                              chunk=SENSITIVITY_CHUNK, want_conv_maps=True) for k in (0, 1)]
-    for (_, (_, _, maps_d)), (_, (_, _, maps_c)) in zip(*chunks):
-        for i, (md, mc) in enumerate(zip(maps_d, maps_c)):
-            sums[i] += _pair_norms(md, mc).sum(axis=0)
-        # free these maps: zip runs the next two forwards before the names are rebound
-        del maps_d, maps_c, md, mc
+    chunks = [_forward_chunks(responses, np.stack([p[k].pixels for p in pairs]),
+                              chunk=SENSITIVITY_CHUNK) for k in (0, 1)]
+    for (_, (_, taps_d)), (_, (_, taps_c)) in zip(*chunks):
+        for s, td, tc in zip(sums, taps_d, taps_c):
+            s += _pair_norms(td, tc, len(s)).sum(axis=0)
+        # free these taps: zip runs the next two forwards before the names are rebound
+        del taps_d, taps_c, td, tc
     return SensitivityTable(tuple(sums), len(pairs))
 
 
-def _pair_norms(md: np.ndarray, mc: np.ndarray) -> np.ndarray:
-    """(N, O) L2 norm of each filter's flattened response difference, per pair."""
-    n, o, h, w = md.shape
+def _pair_norms(td: np.ndarray, tc: np.ndarray, o: int) -> np.ndarray:
+    """(N, O) L2 norm of each filter's response difference, per pair, from
+    flat (N, O*H'*W') taps."""
+    n = td.shape[0]
+    # channels-last views: the position sum then accumulates each filter's
+    # squares in row-major (h, w) order, one add at a time
+    md, mc = (t.reshape(n, o, -1).transpose(0, 2, 1) for t in (td, tc))
     norms = np.empty((n, o))
-    diff = np.empty((min(n, _DIFF_PAIRS), h, w, o))
+    diff = np.empty((min(n, _DIFF_PAIRS), md.shape[1], o))
     for lo in range(0, n, _DIFF_PAIRS):
         d = diff[: min(n - lo, _DIFF_PAIRS)]
-        # channels-last float64 difference: the (h, w) sum then accumulates
-        # each filter's squares in row-major order, one add at a time
-        np.subtract(md[lo : lo + len(d)].transpose(0, 2, 3, 1),
-                    mc[lo : lo + len(d)].transpose(0, 2, 3, 1), out=d, dtype=np.float64)
-        norms[lo : lo + len(d)] = np.sqrt(np.square(d, out=d).sum(axis=(1, 2)))
+        np.subtract(md[lo : lo + len(d)], mc[lo : lo + len(d)], out=d, dtype=np.float64)
+        norms[lo : lo + len(d)] = np.sqrt(np.square(d, out=d).sum(axis=1))
     return norms
 
 

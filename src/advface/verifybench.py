@@ -134,13 +134,17 @@ def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionS
     """Original / distorted / corrected GAR@FAR rows for one distortion.
 
     With a detector and a plan, the distorted and corrected conditions come
-    from the same PipelineEval the plan search scores its candidates on.
+    from the same PipelineEval the plan search scores its candidates on;
+    only one of the two is a ValueError.
     """
+    if (det is None) != (plan is None):
+        raise ValueError("the corrected condition needs both a detector and a plan, "
+                         f"got only the {'plan' if det is None else 'detector'}")
     ids = np.array([it.subject_id for it in ds.items])
     if len(np.unique(ids)) < 2:
         raise ProtocolError("dataset must span at least 2 subjects")
     conditions = {"original": _embed_plain(model, ds.pixel_batch())}
-    if det is not None and plan is not None:
+    if det is not None:
         prep = prepare_pipeline_eval(model, ds, spec, det, fraction, seed)
         conditions["distorted"] = prep.emb_plain
         conditions["corrected"] = _corrected_embeddings(model, prep, plan)

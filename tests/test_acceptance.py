@@ -144,7 +144,7 @@ class TestFormulaOracles:
             n = int(rng.integers(1, 40))
             a = rng.normal(size=n) * rng.choice([0, 1], size=n)
             b = rng.normal(size=n) * rng.choice([0, 1], size=n)
-            assert det_mod.canberra(a, b) == pytest.approx(
+            assert det_mod.canberra(a[None], b)[0] == pytest.approx(
                 canberra_loop(a, b), abs=1e-6)
 
         # bit-flip noise: reconstruct the seeded pixel draws and apply the

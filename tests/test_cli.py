@@ -7,13 +7,17 @@ import threading
 import numpy as np
 import pytest
 
-from advface import cli, featnet
+from advface import cli, distortions, featnet
 from advface.cli import main
 from advface.detector import (DetectorModel, MeanReps, load_mean_reps, save_detector,
                               save_mean_reps)
+from advface.featnet import LayerDef, NetworkModel
 from advface.imagecore import read_image
+from advface.mitigator import load_table
+from advface.synthface import load_dataset
 
 from conftest import fnet_bytes
+from oracles import sensitivity_loop
 
 
 def run(*argv):
@@ -65,6 +69,30 @@ class TestSubcommands:
         records = json.loads((pipeline["distorted"] / "records.json").read_text())
         assert len(records) == 4
         assert all(r["spec"]["kind"] == "xmsb" for r in records)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "ero", "psi": 5, "seed": 7},
+        {"kind": "beard", "seed": 2},
+        {"kind": "xmsb", "phi": [0, 0.05, 0.1], "seed": 3},
+        {"kind": "grids", "rho_grids": 3, "seed": 4},
+    ], ids=["ero", "beard", "xmsb-int-phi", "grids"])
+    def test_records_name_the_applied_spec(self, pipeline, tmp_path, doc):
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        assert run("distort", "--spec", tmp_path / "spec.json", "--in", pipeline["data"],
+                   "--out", tmp_path / "out") == 0
+        records = json.loads((tmp_path / "out" / "records.json").read_text())
+        spec = distortions.DistortionSpec.from_json_dict(doc)
+        items = load_dataset(pipeline["data"]).items
+        assert [r["index"] for r in records] == list(range(len(items)))
+        for i, (r, item) in enumerate(zip(records, items)):
+            applied = distortions.per_image_spec(spec, i)
+            assert r["spec"] == applied.to_json_dict()
+            if doc["kind"] in ("ero", "beard"):
+                assert r["spec"]["seed"] == doc["seed"]  # the file's seed, not 0
+            assert r["affected_pixel_count"] == distortions.apply(
+                applied, item.image, item.landmarks)[1]
+        if doc["kind"] == "xmsb":
+            assert records[0]["spec"]["phi"] == [0, 0.05, 0.1]  # written as given
 
     def test_extract_outputs(self, pipeline):
         assert (pipeline["extracted"] / "network.fnet").exists()
@@ -137,6 +165,58 @@ class TestSubcommands:
         assert run("detect", "--net-seed", 1, "--detector", pipeline["detector"],
                    "--image", img) == 0
         assert capsys.readouterr().out == out_weights
+
+
+def _conv(rng, o, c):
+    return LayerDef("conv", rng.standard_normal((o, c, 3, 3)).astype(np.float32),
+                    (0.1 * rng.standard_normal(o)).astype(np.float32), pad=1)
+
+
+def _relu_pool_relu(rng):
+    """conv -> relu -> maxpool -> relu: more ReLUs than convs. Returns the
+    layers and, per conv, the layer count up to its response and that shape."""
+    return ((_conv(rng, 4, 1), LayerDef("relu"), LayerDef("maxpool", stride=2),
+             LayerDef("relu")),
+            [(2, (4, 64, 64))])
+
+
+def _pool_between_convs(rng):
+    """conv -> maxpool -> conv -> relu: the first conv has no ReLU of its own."""
+    return ((_conv(rng, 4, 1), LayerDef("maxpool", stride=2), _conv(rng, 4, 4),
+             LayerDef("relu")),
+            [(1, (4, 64, 64)), (4, (4, 32, 32))])
+
+
+class TestSensitivityResponses:
+    """`advface sensitivity` scores each conv on its own response: the ReLU
+    right after it, or the conv output when no ReLU follows."""
+
+    @pytest.mark.parametrize("build", [_relu_pool_relu, _pool_between_convs],
+                             ids=["relu-pool-relu", "pool-between-convs"])
+    def test_each_row_is_its_convs_response(self, pipeline, tmp_path, build):
+        rng = np.random.default_rng(9)
+        body, responses = build(rng)
+        head = (LayerDef("flatten"),
+                LayerDef("dense", rng.standard_normal((8, 4 * 32 * 32)).astype(np.float32),
+                         np.zeros(8, np.float32)),
+                LayerDef("l2norm"))
+        layers = body + head
+        featnet.save_weights(NetworkModel(layers, (3, 5), (64, 64, 1)), tmp_path / "net.fnet")
+        assert run("sensitivity", "--weights", tmp_path / "net.fnet",
+                   "--clean", pipeline["data"], "--distorted", pipeline["distorted"],
+                   "--out", tmp_path / "table.json") == 0
+        table = load_table(tmp_path / "table.json")
+
+        # each response from a network cut right after it, tapped at its last layer
+        batches = [load_dataset(pipeline[k]).pixel_batch() for k in ("distorted", "data")]
+        maps_d, maps_c = ([featnet.forward_batch(
+            NetworkModel(layers[:end], (end - 1,), (64, 64, 1)), b)[1][0].reshape(len(b), *shape)
+                           for end, shape in responses] for b in batches)
+        want = sensitivity_loop(maps_d, maps_c, chunk=128)
+        assert all(row.any() for row in want)
+        assert len(table.eps) == len(want)
+        for got, exp in zip(table.eps, want):
+            assert np.array_equal(got, exp)
 
 
 class TestDeterminism:
@@ -322,11 +402,13 @@ class TestErrors:
         assert run("detect", "--net-seed", 1, "--detector", pipeline["detector"],
                    "--image", bad) == 2
 
-    def test_invalid_spec_kind_is_usage_error(self, pipeline, tmp_path):
+    def test_invalid_spec_kind_is_data_error(self, pipeline, tmp_path, capsys):
         spec = tmp_path / "bad.json"
         spec.write_text('{"kind": "sharpen"}')
         assert run("distort", "--spec", spec, "--in", pipeline["data"],
-                   "--out", tmp_path / "o") == 1
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == \
+            "error: distortion spec: unknown distortion kind 'sharpen'\n"
 
     def test_bad_parameter_is_usage_error(self, tmp_path):
         assert run("gen-data", "--subjects", 1, "--samples", 2, "--size", 64,
@@ -490,3 +572,53 @@ class TestErrors:
         self._assert_detect_data_error(pipeline, tmp_path, capsys, doc,
                                        f"error: mean reps hold {n_taps} taps, "
                                        "the network has 5\n")
+
+    def test_mean_length_differing_from_its_tap_is_data_error(self, pipeline, tmp_path,
+                                                              capsys):
+        doc = json.loads(pipeline["detector"].read_text())
+        reps = load_mean_reps(pipeline["detector"].parent / doc["mean_reps_path"])
+        save_mean_reps(MeanReps((reps.means[0][:100], *reps.means[1:]), reps.n_train),
+                       tmp_path / "reps.mrep")
+        doc["mean_reps_path"] = "reps.mrep"
+        self._assert_detect_data_error(pipeline, tmp_path, capsys, doc,
+                                       "error: mean reps tap 0 holds 100 values, "
+                                       "the network's tap 0 has 32768\n")
+
+    @staticmethod
+    def _count_forwards(monkeypatch) -> list:
+        forwarded = []
+        real = featnet.forward_batch
+
+        def counting(model, images, *args, **kw):
+            forwarded.append(images.shape[0])
+            return real(model, images, *args, **kw)
+
+        monkeypatch.setattr(featnet, "forward_batch", counting)
+        return forwarded
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "xmsb", "phi": [0.1]}, "phi must be three fractions in [0, 1]"),
+        ({"kind": "foo"}, "unknown distortion kind 'foo'"),
+        ({"kind": "ero", "psi": -1}, "psi must be positive"),
+    ], ids=["phi-one-entry", "unknown-kind", "negative-psi"])
+    def test_invalid_spec_fails_on_load(self, pipeline, tmp_path, capsys, monkeypatch,
+                                        doc, message):
+        forwarded = self._count_forwards(monkeypatch)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert run("evaluate", "--net-seed", 1, "--dataset", pipeline["data"],
+                   "--distortion", spec, "--out", tmp_path / "r.csv") == 2
+        assert capsys.readouterr().err == f"error: distortion spec: {message}\n"
+        assert forwarded == []
+
+    @pytest.mark.parametrize("given", ["detector", "plan"])
+    def test_defence_with_half_its_inputs_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                         monkeypatch, given):
+        forwarded = self._count_forwards(monkeypatch)
+        assert run("evaluate", "--net-seed", 1, "--dataset", pipeline["data"],
+                   "--distortion", pipeline["spec"], f"--{given}", pipeline[given],
+                   "--out", tmp_path / "r.csv") == 1
+        assert capsys.readouterr().err == (
+            "usage error: the corrected condition needs both a detector and a plan, "
+            f"got only the {given}\n")
+        assert forwarded == []

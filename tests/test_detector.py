@@ -90,18 +90,20 @@ class TestMeanReps:
 class TestCanberra:
     def test_identical_vectors_zero(self):
         v = np.array([1.0, -2.0, 3.5])
-        assert canberra(v, v) == 0.0
+        assert canberra(v[None], v)[0] == 0.0
 
     def test_hand_example(self):
-        assert canberra([1, 2, 3], [2, 2, 4]) == pytest.approx(1 / 3 + 0 + 1 / 7)
+        assert canberra([[1, 2, 3]], [2, 2, 4])[0] == pytest.approx(1 / 3 + 0 + 1 / 7)
 
     def test_both_zero_terms_contribute_zero(self):
-        assert canberra([0, 1], [0, 1]) == 0.0
-        assert canberra([0, 0], [0, 0]) == 0.0
+        assert canberra([[0, 1]], [0, 1])[0] == 0.0
+        assert canberra([[0, 0]], [0, 0])[0] == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            canberra([1, 2], [1, 2, 3])
+            canberra([[1, 2]], [1, 2, 3])
+        with pytest.raises(ValueError, match="length mismatch"):
+            canberra([1, 2], [1, 2])  # one vector is not an (N, L) matrix
 
     @settings(max_examples=200)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -110,8 +112,8 @@ class TestCanberra:
         n = int(rng.integers(1, 30))
         a = rng.normal(size=n) * rng.choice([0, 1], size=n)
         b = rng.normal(size=n) * rng.choice([0, 1], size=n)
-        d = canberra(a, b)
-        assert d == pytest.approx(canberra(b, a))
+        d = canberra(a[None], b)[0]
+        assert d == pytest.approx(canberra(b[None], a)[0])
         assert 0.0 <= d <= n
         assert d == pytest.approx(canberra_loop(a, b), abs=1e-9)
 
@@ -127,7 +129,7 @@ class TestCanberra:
         denom = np.abs(t) + np.abs(b)
         terms = np.divide(np.abs(t - b), denom, out=np.zeros_like(t), where=denom > 0)
         assert np.array_equal(got, terms.sum(axis=1))
-        assert canberra(a[0], b) == got[0]
+        assert canberra(a[:1], b)[0] == got[0]
         if length < 8:  # NumPy sums fewer than 8 terms one at a time, like the loop
             assert got.tolist() == [canberra_loop(row.astype(np.float64), b) for row in a]
 
@@ -200,6 +202,15 @@ class TestCanberra:
         with pytest.raises(FormatError, match=f"mean reps hold {n_means} taps, "
                                               "the network has 5"):
             embed_and_features(default_model, MeanReps(means, 1), images[:1])
+
+    @pytest.mark.parametrize("tap", [0, 3, 4])
+    def test_each_mean_length_must_match_its_tap(self, default_model, mean_reps, images, tap):
+        means = list(mean_reps.means)
+        means[tap] = means[tap][:-1]
+        want = default_model.tap_lengths()[tap]
+        with pytest.raises(FormatError, match=f"^mean reps tap {tap} holds {want - 1} values, "
+                                              f"the network's tap {tap} has {want}$"):
+            embed_and_features(default_model, MeanReps(tuple(means), 1), images[:1])
 
     def test_shared_pass_across_chunk_is_bitwise(self, default_model, mean_reps):
         # 300 images cross the 256-image forward chunk

@@ -117,14 +117,13 @@ class TestForward:
     def test_forward_chunks_are_slices_in_order(self, default_model):
         rng = np.random.default_rng(7)
         batch = rng.integers(0, 256, size=(7, 64, 64, 1), dtype=np.uint8)
-        mask = FilterMask(frozenset({(0, 1)}))
-        chunks = list(featnet._forward_chunks(default_model, batch, mask, chunk=3,
-                                              want_conv_maps=True))
+        chunks = list(featnet._forward_chunks(default_model, batch, chunk=3))
         assert [lo for lo, _ in chunks] == [0, 3, 6]
         for lo, got in chunks:
-            want = forward_batch(default_model, batch[lo : lo + 3], mask, want_conv_maps=True)
+            want = forward_batch(default_model, batch[lo : lo + 3])
             assert np.array_equal(got[0], want[0])
-            for g, w in zip(got[1] + got[2], want[1] + want[2]):
+            assert len(got[1]) == len(want[1]) == 5
+            for g, w in zip(got[1], want[1]):
                 assert np.array_equal(g, w)
 
     def test_deterministic(self, default_model):
@@ -166,13 +165,13 @@ class TestConvKernel:
     def test_default_net_bitwise_equals_tensordot_kernel(self, net43, batch300, plan_mask,
                                                          monkeypatch, n, masked):
         mask = plan_mask if masked else None
-        got = forward_batch(net43, batch300[:n], mask, want_conv_maps=True)
+        got = forward_batch(net43, batch300[:n], mask)
         monkeypatch.setattr(featnet, "_conv2d", lambda x, layer: tensordot_conv(
             x, layer.weights, layer.bias, layer.stride, layer.pad))
-        want = forward_batch(net43, batch300[:n], mask, want_conv_maps=True)
+        want = forward_batch(net43, batch300[:n], mask)
         assert np.array_equal(got[0], want[0])
-        assert len(got[1]) == len(want[1]) == 5 and len(got[2]) == len(want[2]) == 4
-        for g, w in zip(got[1] + got[2], want[1] + want[2]):
+        assert len(got[1]) == len(want[1]) == 5  # four post-ReLU conv maps, then dense
+        for g, w in zip(got[1], want[1]):
             assert g.dtype == w.dtype == np.float32
             assert np.array_equal(g, w)
 
@@ -203,10 +202,13 @@ class TestConvKernel:
             assert np.all(np.abs(got[i] - want) <= bound[:, None, None])
 
     def test_output_is_contiguous_nchw(self, net43, batch300):
-        _, _, maps = forward_batch(net43, batch300[:3], want_conv_maps=True)
-        assert [m.shape for m in maps] == [(3, 8, 64, 64), (3, 16, 32, 32),
-                                            (3, 32, 16, 16), (3, 32, 8, 8)]
-        assert all(m.flags.c_contiguous for m in maps)
+        _, taps = forward_batch(net43, batch300[:3])
+        shapes = [(8, 64, 64), (16, 32, 32), (32, 16, 16), (32, 8, 8)]
+        assert [t.shape for t in taps[:4]] == [(3, o * h * w) for o, h, w in shapes]
+        assert all(t.flags.c_contiguous for t in taps[:4])
+        # each flat tap is a view of its (N, O, H', W') map, filter-major
+        assert [t.base.shape for t in taps[:4]] == [(3, *s) for s in shapes]
+        assert all(t.base.flags.c_contiguous for t in taps[:4])
 
     def test_tapped_conv_output_is_not_overwritten_by_relu(self):
         rng = np.random.default_rng(12)
@@ -220,15 +222,16 @@ class TestConvKernel:
 
 
 class TestBatchInvariance:
-    """Conv taps and conv maps of an image do not depend on its batch."""
+    """Conv taps of an image (pre- and post-ReLU) do not depend on its batch."""
 
     @staticmethod
     def _assert_rows_match_single(model, batch, rows):
-        _, taps, maps = forward_batch(model, batch, want_conv_maps=True)
+        _, taps = forward_batch(model, batch)
         n_conv = _n_conv_taps(model)
+        assert n_conv > 0
         for i in rows:
-            _, taps1, maps1 = forward_batch(model, batch[i : i + 1], want_conv_maps=True)
-            for a, b in zip(taps[:n_conv] + maps, taps1[:n_conv] + maps1):
+            _, taps1 = forward_batch(model, batch[i : i + 1])
+            for a, b in zip(taps[:n_conv], taps1[:n_conv]):
                 assert np.array_equal(a[i], b[0])
 
     def test_default_net_across_block_and_chunk(self, net43):
@@ -276,8 +279,8 @@ class TestBatchInvariance:
             "import hashlib, numpy as np\n"
             "from advface.featnet import default_network, forward_batch\n"
             "b = np.random.default_rng(3).integers(0, 256, (300, 64, 64, 1), np.uint8)\n"
-            "e, t, m = forward_batch(default_network(43), b, want_conv_maps=True)\n"
-            "print(hashlib.sha256(b''.join(a.tobytes() for a in [e, *t, *m])).hexdigest())\n")
+            "e, t = forward_batch(default_network(43), b)\n"
+            "print(hashlib.sha256(b''.join(a.tobytes() for a in [e, *t])).hexdigest())\n")
         src = str(Path(advface.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):
@@ -299,10 +302,10 @@ _AFFINITY_SCRIPT = (
     "from advface import detector, featnet\n"
     "net = featnet.default_network(43)\n"
     "b = np.random.default_rng(3).integers(0, 256, (300, 64, 64, 1), np.uint8)\n"
-    "e, t, m = featnet.forward_batch(net, b, want_conv_maps=True)\n"
+    "e, t = featnet.forward_batch(net, b)\n"
     "_, f = detector.embed_and_features(net, detector.compute_mean_reps(net, b[:64]), b)\n"
     "print(featnet._WORKERS,\n"
-    "      hashlib.sha256(b''.join(a.tobytes() for a in [e, *t, *m, f])).hexdigest())\n")
+    "      hashlib.sha256(b''.join(a.tobytes() for a in [e, *t, f])).hexdigest())\n")
 
 
 def _parallel_blocks_in_child():
@@ -320,9 +323,9 @@ class TestWorkers:
         outs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(featnet, "_WORKERS", workers)
-            emb, taps, maps = forward_batch(net43, batch300[:n], mask, want_conv_maps=True)
-            outs.append([emb, *taps, *maps])
-        assert len(outs[0]) == 1 + 5 + 4
+            emb, taps = forward_batch(net43, batch300[:n], mask)
+            outs.append([emb, *taps])
+        assert len(outs[0]) == 1 + 5
         for other in outs[1:]:
             for g, w in zip(other, outs[0]):
                 assert g.dtype == w.dtype and np.array_equal(g, w)

@@ -25,6 +25,13 @@ from advface.synthface import generate_dataset
 from oracles import naive_conv, sensitivity_loop
 
 
+def _conv_maps(model, batch):
+    """The default net's first four taps as (N, O, H', W') post-ReLU conv maps."""
+    _, taps = forward_batch(model, batch)
+    return [t.reshape(len(batch), o, s, s)
+            for t, o, s in zip(taps[:4], model.conv_filter_counts(), (64, 32, 16, 8))]
+
+
 def table_from(rows, n_dis=1):
     return SensitivityTable(tuple(np.asarray(r, dtype=np.float64) for r in rows), n_dis)
 
@@ -71,10 +78,9 @@ class TestSensitivity:
             pairs.append((dist, it.image))
         assert len(pairs) == 160
         table = compute_sensitivity(model, pairs)
-        _, _, maps_d = forward_batch(model, np.stack([d.pixels for d, _ in pairs]),
-                                     want_conv_maps=True)
-        _, _, maps_c = forward_batch(model, np.stack([c.pixels for _, c in pairs]),
-                                     want_conv_maps=True)
+        # the default net taps each conv's ReLU first: those four taps are the responses
+        maps_d, maps_c = (_conv_maps(model, np.stack([p[k].pixels for p in pairs]))
+                          for k in (0, 1))
         want = sensitivity_loop(maps_d, maps_c, chunk=128)
         for got, exp in zip(table.eps, want):
             assert got.dtype == np.float64
