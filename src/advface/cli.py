@@ -35,6 +35,15 @@ def _load_network(args) -> featnet.NetworkModel:
     return _seeded_network(args.net_seed)
 
 
+def _load_plan(path, model: featnet.NetworkModel) -> mitigator.MitigationPlan:
+    plan = mitigator.MitigationPlan.from_json_file(path)
+    try:  # a filter the network lacks is found here, before any forward pass
+        model.validate_mask(plan.mask)
+    except ValueError as exc:
+        raise FormatError(f"mitigation plan: {exc}") from None
+    return plan
+
+
 def _cmd_gen_data(args):
     ds = synthface.generate_dataset(args.subjects, args.samples, args.size, args.seed)
     out = Path(args.out)
@@ -115,7 +124,7 @@ def _cmd_build_plan(args):
 
 def _cmd_mitigate(args):
     model = _load_network(args)
-    plan = mitigator.MitigationPlan.from_json_file(args.plan)
+    plan = _load_plan(args.plan, model)
     emb = mitigator.mitigate_batch(model, plan, read_image(args.image).pixels[None])[0]
     Path(args.out).write_text(json.dumps([float(v) for v in emb]))
     print(f"embedding ({len(emb)}-d) -> {args.out}")
@@ -126,7 +135,7 @@ def _cmd_evaluate(args):
     ds = synthface.load_dataset(args.dataset)
     spec = distortions.DistortionSpec.from_json_file(args.distortion)
     det = det_mod.load_detector(args.detector) if args.detector else None
-    plan = mitigator.MitigationPlan.from_json_file(args.plan) if args.plan else None
+    plan = _load_plan(args.plan, model) if args.plan else None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     open(out, "a").close()  # an unwritable --out fails here, before any forward pass
@@ -260,7 +269,7 @@ def main(argv=None) -> int:
     except (FormatError, verifybench.ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # JSONDecodeError is a ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -27,6 +27,7 @@ _STD_FLOOR = 1e-8
 _CANBERRA_BLOCK_ELEMS = 1 << 16
 
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
+_EPOCHS = 300  # subgradient steps per hinge fit, at most
 
 
 @dataclass(frozen=True)
@@ -148,36 +149,33 @@ def canberra_features_batch(model: NetworkModel, mean_reps: MeanReps,
 # Linear soft-margin classifier (L2-regularized hinge, monotone full-batch descent)
 # ---------------------------------------------------------------------------
 
-def hinge_objective(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, C: float) -> float:
+def hinge_objective(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
+                    C: float) -> tuple[float, np.ndarray]:
+    """The objective at (w, b) and the margins 1 - y * (x @ w + b) it sums."""
     margins = 1.0 - y * (x @ w + b)
-    return 0.5 * float(w @ w) + C * float(np.maximum(margins, 0.0).sum())
+    return 0.5 * float(w @ w) + C * float(np.maximum(margins, 0.0).sum()), margins
 
 
-def _fit_hinge(x: np.ndarray, y: np.ndarray, C: float,
-               epochs: int = 300) -> tuple[np.ndarray, float]:
+def _fit_hinge(x: np.ndarray, y: np.ndarray, C: float) -> tuple[np.ndarray, float]:
     """Full-batch subgradient descent with backtracking; objective never increases."""
     n, d = x.shape
-    w = np.zeros(d)
-    b = 0.0
+    yx = y[:, None] * x
+    w, b = np.zeros(d), 0.0
     step = 1.0 / (C * n + 1.0)
-    f = hinge_objective(w, b, x, y, C)
-    for _ in range(epochs):
-        margins = 1.0 - y * (x @ w + b)
-        active = margins > 0
-        gw = w - C * (y[active, None] * x[active]).sum(axis=0)
+    f, margins = hinge_objective(w, b, x, y, C)
+    for _ in range(_EPOCHS):
+        active = margins > 0  # margins of the current (w, b)
+        gw = w - C * yx[active].sum(axis=0)
         gb = -C * float(y[active].sum())
-        accepted = False
         for _ in range(60):
-            w_new = w - step * gw
-            b_new = b - step * gb
-            f_new = hinge_objective(w_new, b_new, x, y, C)
+            w_new, b_new = w - step * gw, b - step * gb
+            f_new, m_new = hinge_objective(w_new, b_new, x, y, C)
             if f_new <= f:
-                w, b, f = w_new, b_new, f_new
+                w, b, f, margins = w_new, b_new, f_new, m_new
                 step *= 1.3
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:  # no step size in 60 halvings lowers the objective
             break
     return w, b
 
@@ -195,15 +193,16 @@ def train_detector(model: NetworkModel, mean_reps: MeanReps, clean, distorted,
     """Fit the clean/distorted classifier with 5-fold cross-validated C.
 
     `features` optionally supplies precomputed (clean, distorted) Canberra
-    feature matrices to skip the forward passes.
+    feature matrices to skip the forward passes. The smallest C with the best
+    mean accuracy over the usable folds wins.
     """
-    if features is not None:
-        fc, fd = features
-    else:
-        if len(clean) == 0 or len(distorted) == 0:
-            raise ValueError("both classes must be non-empty")
-        fc = canberra_features_batch(model, mean_reps, clean)
-        fd = canberra_features_batch(model, mean_reps, distorted)
+    C_grid = sorted(C_grid)
+    if not C_grid or not all(np.isfinite(C) and C > 0 for C in C_grid):
+        raise ValueError(f"C grid must be non-empty, every C finite and above 0, got {C_grid}")
+    if features is None and (len(clean) == 0 or len(distorted) == 0):
+        raise ValueError("both classes must be non-empty")
+    fc, fd = features if features is not None else [
+        canberra_features_batch(model, mean_reps, imgs) for imgs in (clean, distorted)]
     if fc.shape[0] == 0 or fd.shape[0] == 0:
         raise ValueError("both classes must be non-empty")
     for name, f in (("clean", fc), ("distorted", fd)):
@@ -218,23 +217,19 @@ def train_detector(model: NetworkModel, mean_reps: MeanReps, clean, distorted,
     feat_std = np.maximum(x.std(axis=0), _STD_FLOOR)
     xn = (x - feat_mean) / feat_std
 
-    C_grid = list(C_grid)
-    if not C_grid:
-        raise ValueError("C grid must be non-empty")
     folds = _fold_assignments(len(y), 5, seed)
-    best_C, best_acc = None, -1.0
-    for C in sorted(C_grid):
+    splits = [(xn[tr], y[tr], xn[te], y[te])
+              for tr, te in ((folds != f, folds == f) for f in range(5))
+              if te.any() and len(np.unique(y[tr])) > 1]
+
+    def cv_accuracy(C: float) -> float:
         accs = []
-        for f in range(5):
-            tr, te = folds != f, folds == f
-            if te.sum() == 0 or len(np.unique(y[tr])) < 2:
-                continue
-            w, b = _fit_hinge(xn[tr], y[tr], C)
-            pred = np.where(xn[te] @ w + b > 0, 1.0, -1.0)
-            accs.append(float((pred == y[te]).mean()))
-        acc = float(np.mean(accs)) if accs else 0.0
-        if acc > best_acc:  # grid iterated ascending, so ties keep the smaller C
-            best_acc, best_C = acc, C
+        for x_tr, y_tr, x_te, y_te in splits:
+            w, b = _fit_hinge(x_tr, y_tr, C)
+            accs.append(float(((x_te @ w + b > 0) == (y_te > 0)).mean()))
+        return float(np.mean(accs)) if accs else 0.0
+
+    best_C = max(C_grid, key=cv_accuracy)  # the first maximum
     w, b = _fit_hinge(xn, y, best_C)
     return DetectorModel(w, float(b), float(best_C), feat_mean, feat_std, mean_reps)
 
@@ -306,9 +301,9 @@ def load_detector(path) -> DetectorModel:
         raise FormatError("detector: lengths of w, feat_mean, feat_std, n_layers and the "
                           f"mean reps' taps disagree: {lengths}")
     w, feat_mean, feat_std = (np.array(doc[k]) for k in ("w", "feat_mean", "feat_std"))
-    finite = np.isfinite(np.concatenate([w, feat_mean, feat_std, [doc["b"]]])).all()
-    if not finite or (feat_std <= 0).any():
+    finite = np.isfinite(np.concatenate([w, feat_mean, feat_std, [doc["b"], doc["C"]]])).all()
+    if not finite or (feat_std <= 0).any() or doc["C"] <= 0:
         # a zero std or a non-finite weight would score every image -inf or nan
-        raise FormatError("detector: w, b, feat_mean and feat_std must be finite "
-                          "and feat_std positive")
+        raise FormatError("detector: w, b, C, feat_mean and feat_std must be finite, "
+                          "C and feat_std positive")
     return DetectorModel(w, doc["b"], doc["C"], feat_mean, feat_std, reps)

@@ -70,6 +70,10 @@ class MitigationPlan:
     mask: FilterMask
     use_median_filter: bool = True
 
+    def __post_init__(self):
+        if self.eta < 1 or not 0 <= self.kappa <= 1:
+            raise ValueError(f"need eta >= 1 and kappa in [0, 1], got {self.eta}, {self.kappa}")
+
     def to_json_dict(self) -> dict:
         return {"eta": self.eta, "kappa": self.kappa, "mask": self.mask.to_json_list(),
                 "use_median_filter": self.use_median_filter}
@@ -80,8 +84,11 @@ class MitigationPlan:
                    {"use_median_filter": bool})
         if any(len(pair) != 2 for pair in d["mask"]):
             raise FormatError("mitigation plan: mask entries must be [layer, filter] pairs")
-        return cls(d["eta"], d["kappa"], FilterMask(frozenset(map(tuple, d["mask"]))),
-                   d.get("use_median_filter", True))
+        try:
+            return cls(d["eta"], d["kappa"], FilterMask(frozenset(map(tuple, d["mask"]))),
+                       d.get("use_median_filter", True))
+        except ValueError as exc:
+            raise FormatError(f"mitigation plan: {exc}") from None
 
     @classmethod
     def from_json_file(cls, path) -> "MitigationPlan":
@@ -133,18 +140,15 @@ def build_plan(table: SensitivityTable, eta: int, kappa: float,
     n_layers = len(table.eps)
     if not 1 <= eta <= n_layers:
         raise ValueError(f"eta must be in [1, {n_layers}]")
-    if not 0 <= kappa <= 1:
-        raise ValueError("kappa must be in [0, 1]")
+    plan = MitigationPlan(eta, kappa, FilterMask(), use_median_filter)  # checks kappa
     agg = table.layer_agg
     layer_order = sorted(range(n_layers), key=lambda i: (-agg[i], i))
     disabled = set()
-    if kappa > 0:
-        for li in layer_order[:eta]:
-            row = table.eps[li]
-            take = math.ceil(kappa * len(row))
-            order = sorted(range(len(row)), key=lambda j: (-row[j], j))
-            disabled.update((li, j) for j in order[:take])
-    return MitigationPlan(eta, kappa, FilterMask(frozenset(disabled)), use_median_filter)
+    for li in layer_order[:eta]:
+        row = table.eps[li]
+        order = sorted(range(len(row)), key=lambda j: (-row[j], j))
+        disabled.update((li, j) for j in order[:math.ceil(kappa * len(row))])
+    return replace(plan, mask=FilterMask(frozenset(disabled)))
 
 
 def mitigate_batch(model: NetworkModel, plan: MitigationPlan, images: np.ndarray) -> np.ndarray:
@@ -161,7 +165,8 @@ def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dat
 
     Each candidate plan is scored by running the detect-then-mitigate pipeline
     on a 50%-distorted copy of train_ds and computing GAR at far_target,
-    averaged across distortions. Ties prefer smaller kappa, then smaller eta.
+    averaged across distortions; `det` maps each kind to its detector. The
+    first maximum wins, so ties prefer smaller kappa, then smaller eta.
     """
     from . import verifybench  # local import: verifybench depends on this module
 
@@ -170,30 +175,18 @@ def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dat
     specs = list(distortion_specs)
     if not eta_grid or not kappa_grid or not specs:
         raise ValueError("grids and distortion list must be non-empty")
-    subjects = {it.subject_id for it in train_ds.items}
-    if len(subjects) < 2:
+    if len({it.subject_id for it in train_ds.items}) < 2:
         raise ValueError("training dataset must span at least 2 subjects")
 
-    # per-spec precomputation independent of the candidate plan;
-    # det may be one detector or a mapping from distortion kind to detector
-    prepared = [
-        verifybench.prepare_pipeline_eval(
-            model, train_ds, spec,
-            det[spec.kind] if isinstance(det, dict) else det,
-            fraction=0.5, seed=seed)
-        for spec in specs
-    ]
-    best = None
-    best_gar = -1.0
-    for kappa in kappa_grid:
-        for eta in eta_grid:
-            plan = build_plan(table, eta, kappa)
-            gars = [verifybench.finish_pipeline_eval(model, prep, plan, far_target)
-                    for prep in prepared]
-            mean_gar = float(np.mean(gars))
-            if mean_gar > best_gar:
-                best_gar, best = mean_gar, plan
-    return best
+    prepared = [verifybench.prepare_pipeline_eval(model, train_ds, spec, det[spec.kind],
+                                                  fraction=0.5, seed=seed) for spec in specs]
+
+    def mean_gar(plan: MitigationPlan) -> float:
+        return float(np.mean([verifybench.finish_pipeline_eval(model, prep, plan, far_target)
+                              for prep in prepared]))
+
+    return max((build_plan(table, eta, kappa) for kappa in kappa_grid for eta in eta_grid),
+               key=mean_gar)
 
 
 def save_table(table: SensitivityTable, path) -> None:

@@ -107,7 +107,6 @@ class Dataset:
 
 
 _BACKGROUND = 110.0
-_EYE_INTENSITY = 25.0
 
 
 def _draw_subject(seed: int, subject_id: int, size: int) -> SubjectParams:

@@ -135,8 +135,11 @@ def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionS
 
     With a detector and a plan, the distorted and corrected conditions come
     from the same PipelineEval the plan search scores its candidates on;
-    only one of the two is a ValueError.
+    only one of the two, or a far_target or fraction out of range, is a
+    ValueError raised before any forward pass.
     """
+    if not 0 < far_target < 1 or not 0 <= fraction <= 1:
+        raise ValueError("far_target must be in (0, 1) and fraction in [0, 1]")
     if (det is None) != (plan is None):
         raise ValueError("the corrected condition needs both a detector and a plan, "
                          f"got only the {'plan' if det is None else 'detector'}")

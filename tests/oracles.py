@@ -215,6 +215,75 @@ def sensitivity_loop(maps_d, maps_c, chunk: int) -> list[np.ndarray]:
     return out
 
 
+def _hinge_objective_loop(w, b, x, y, C) -> float:
+    margins = 1.0 - y * (x @ w + b)
+    return 0.5 * float(w @ w) + C * float(np.maximum(margins, 0.0).sum())
+
+
+def _fit_hinge_loop(x, y, C, epochs: int = 300):
+    """Subgradient descent with backtracking that recomputes the margins at
+    the top of every epoch and slices the active rows of x each time."""
+    n, d = x.shape
+    w = np.zeros(d)
+    b = 0.0
+    step = 1.0 / (C * n + 1.0)
+    f = _hinge_objective_loop(w, b, x, y, C)
+    for _ in range(epochs):
+        margins = 1.0 - y * (x @ w + b)
+        active = margins > 0
+        gw = w - C * (y[active, None] * x[active]).sum(axis=0)
+        gb = -C * float(y[active].sum())
+        accepted = False
+        for _ in range(60):
+            w_new = w - step * gw
+            b_new = b - step * gb
+            f_new = _hinge_objective_loop(w_new, b_new, x, y, C)
+            if f_new <= f:
+                w, b, f = w_new, b_new, f_new
+                step *= 1.3
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    return w, b
+
+
+def train_detector_loop(fc, fd, C_grid, seed: int):
+    """The detector's 5-fold C search and final fit as best-so-far loops:
+    every fold is re-sliced for every C, and a strictly better mean accuracy
+    replaces the best C, so ties keep the smaller C. Returns (w, b, C, accs)
+    with accs the (C, mean accuracy) of every grid entry, ascending."""
+    from advface.seeds import rng_from
+
+    x = np.vstack([fc, fd])
+    y = np.concatenate([-np.ones(fc.shape[0]), np.ones(fd.shape[0])])
+    feat_mean = x.mean(axis=0)
+    feat_std = np.maximum(x.std(axis=0), 1e-8)
+    xn = (x - feat_mean) / feat_std
+
+    perm = rng_from(seed, 0xF01D).permutation(len(y))
+    folds = np.empty(len(y), dtype=int)
+    folds[perm] = np.arange(len(y)) % 5
+    best_C, best_acc = None, -1.0
+    history = []
+    for C in sorted(C_grid):
+        accs = []
+        for f in range(5):
+            tr, te = folds != f, folds == f
+            if te.sum() == 0 or len(np.unique(y[tr])) < 2:
+                continue
+            w, b = _fit_hinge_loop(xn[tr], y[tr], C)
+            pred = np.where(xn[te] @ w + b > 0, 1.0, -1.0)
+            accs.append(float((pred == y[te]).mean()))
+        acc = float(np.mean(accs)) if accs else 0.0
+        history.append((C, acc))
+        if acc > best_acc:
+            best_acc, best_C = acc, C
+    w, b = _fit_hinge_loop(xn, y, best_C)
+    return w, float(b), float(best_C), history
+
+
 def flip_bit_arithmetic(value: int, bit_mask: int) -> int:
     """XOR with a single-bit mask, expressed via add/subtract only."""
     if (value // bit_mask) % 2 == 1:

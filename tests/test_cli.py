@@ -622,3 +622,116 @@ class TestErrors:
             "usage error: the corrected condition needs both a detector and a plan, "
             f"got only the {given}\n")
         assert forwarded == []
+
+
+class TestOutOfRangeInputs:
+    """Bad C values, protocol parameters and plan values end in one line,
+    and those found on load end before any forward pass."""
+
+    @staticmethod
+    def _count_forwards(monkeypatch) -> list:
+        from advface import mitigator, verifybench
+
+        forwarded = []
+        real = featnet.forward_batch
+
+        def counting(model, images, *args, **kw):
+            forwarded.append(images.shape[0])
+            return real(model, images, *args, **kw)
+
+        for mod in (featnet, mitigator, verifybench):
+            monkeypatch.setattr(mod, "forward_batch", counting)
+        return forwarded
+
+    @staticmethod
+    def _one_line(capsys, start: str) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("c", ["-1", "0", "nan", "inf"])
+    def test_c_grid_is_usage_error(self, pipeline, tmp_path, capsys, monkeypatch, c):
+        forwarded = self._count_forwards(monkeypatch)
+        assert run("train-detector", "--net-seed", 1,
+                   "--mean-reps", pipeline["extracted"] / "mean_reps.mrep",
+                   "--clean", pipeline["data"], "--distorted", pipeline["distorted"],
+                   "--c-grid", "1", c, "--out", tmp_path / "det") == 1
+        assert str(float(c)) in self._one_line(capsys, "usage error: C grid")
+        assert forwarded == []
+        assert not (tmp_path / "det").exists()
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
+    def test_detector_c_is_data_error(self, pipeline, tmp_path, capsys, c):
+        doc = json.loads(pipeline["detector"].read_text())
+        doc["mean_reps_path"] = str((pipeline["detector"].parent / doc["mean_reps_path"])
+                                    .resolve())
+        doc["C"] = c
+        (tmp_path / "detector.json").write_text(json.dumps(doc))
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+        assert run("detect", "--net-seed", 1, "--detector", tmp_path / "detector.json",
+                   "--image", img) == 2
+        self._one_line(capsys, "error: detector: w, b, C, feat_mean and feat_std")
+
+    @pytest.mark.parametrize("flag, value", [("--fraction", 2), ("--fraction", -0.5),
+                                             ("--far", 0), ("--far", 1.5)])
+    @pytest.mark.parametrize("defended", [False, True], ids=["plain", "defended"])
+    def test_protocol_parameter_fails_before_forwarding(self, pipeline, tmp_path, capsys,
+                                                        monkeypatch, flag, value, defended):
+        forwarded = self._count_forwards(monkeypatch)
+        defence = ["--detector", pipeline["detector"], "--plan", pipeline["plan"]]
+        assert run("evaluate", "--net-seed", 1, "--dataset", pipeline["data"],
+                   "--distortion", pipeline["spec"], *(defence if defended else []),
+                   flag, value, "--out", tmp_path / "r.csv") == 1
+        assert capsys.readouterr().err == \
+            "usage error: far_target must be in (0, 1) and fraction in [0, 1]\n"
+        assert forwarded == []
+
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        from advface import synthface
+
+        message = ("Unable to allocate 149. GiB for an array with shape "
+                   "(2, 100000, 100000) and data type float64")
+
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(synthface, "generate_dataset", too_large)
+        assert run("gen-data", "--subjects", 2, "--samples", 2, "--size", 100000,
+                   "--out", tmp_path / "d") == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"eta": -5, "kappa": 7.5, "mask": []},
+        {"eta": 0, "kappa": 0.1, "mask": []},
+        {"eta": 1, "kappa": -0.1, "mask": []},
+        {"eta": 1, "kappa": 1.5, "mask": []},
+        {"eta": 1, "kappa": float("nan"), "mask": []},
+    ], ids=["eta-5-kappa-7.5", "eta-0", "kappa-negative", "kappa-1.5", "kappa-nan"])
+    def test_plan_value_out_of_range_is_data_error(self, pipeline, tmp_path, capsys,
+                                                   monkeypatch, doc):
+        forwarded = self._count_forwards(monkeypatch)
+        (tmp_path / "plan.json").write_text(json.dumps(doc))
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+        assert run("mitigate", "--net-seed", 1, "--plan", tmp_path / "plan.json",
+                   "--image", img, "--out", tmp_path / "emb.json") == 2
+        self._one_line(capsys, "error: mitigation plan: need eta >= 1 and kappa in [0, 1]")
+        assert forwarded == []
+
+    @pytest.mark.parametrize("mask, entry", [([[7, 0]], "(7, 0)"), ([[0, 99]], "(0, 99)"),
+                                             ([[0, 1], [-1, 0]], "(-1, 0)")])
+    @pytest.mark.parametrize("command", ["mitigate", "evaluate"])
+    def test_plan_mask_the_network_lacks_is_data_error(self, pipeline, tmp_path, capsys,
+                                                       monkeypatch, mask, entry, command):
+        forwarded = self._count_forwards(monkeypatch)
+        (tmp_path / "plan.json").write_text(json.dumps({"eta": 1, "kappa": 0.25,
+                                                        "mask": mask}))
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+        args = {"mitigate": ["--image", img, "--out", tmp_path / "emb.json"],
+                "evaluate": ["--dataset", pipeline["data"], "--distortion", pipeline["spec"],
+                             "--detector", pipeline["detector"], "--out", tmp_path / "r.csv"]}
+        assert run(command, "--net-seed", 1, "--plan", tmp_path / "plan.json",
+                   *args[command]) == 2
+        assert capsys.readouterr().err == \
+            f"error: mitigation plan: mask entry {entry} references no conv filter\n"
+        assert forwarded == []

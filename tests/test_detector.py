@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advface.detector import (
+    DEFAULT_C_GRID,
     DetectorModel,
     MeanReps,
     canberra,
@@ -24,7 +26,7 @@ from advface import detector, featnet
 from advface.featnet import forward_batch
 from advface.imagecore import FormatError
 
-from oracles import canberra_loop, canberra_masked, mean_reps_loop
+from oracles import canberra_loop, canberra_masked, mean_reps_loop, train_detector_loop
 
 
 @pytest.fixture(scope="module")
@@ -277,8 +279,8 @@ class TestTraining:
         x = np.vstack([fc, fd])
         xn = (x - det.feat_mean) / det.feat_std
         y = np.concatenate([-np.ones(40), np.ones(40)])
-        assert hinge_objective(det.w, det.b, xn, y, det.C) <= \
-            hinge_objective(np.zeros(2), 0.0, xn, y, det.C) + 1e-9
+        assert hinge_objective(det.w, det.b, xn, y, det.C)[0] <= \
+            hinge_objective(np.zeros(2), 0.0, xn, y, det.C)[0] + 1e-9
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -297,11 +299,93 @@ class TestTraining:
             train_detector(None, _toy_reps(), None, None, C_grid=(),
                            features=(np.ones((3, 1)), np.zeros((3, 1))), seed=0)
 
+    @pytest.mark.parametrize("grid", [(-1.0,), (0.0,), (float("nan"),), (float("inf"),),
+                                      (1.0, -1.0)], ids=["-1", "0", "nan", "inf", "one-bad"])
+    def test_c_not_finite_and_positive_rejected_before_features(self, monkeypatch, grid):
+        def no_features(*args, **kwargs):
+            raise AssertionError("features computed before the C grid was checked")
+
+        monkeypatch.setattr(detector, "canberra_features_batch", no_features)
+        images = np.zeros((2, 64, 64, 1), np.uint8)
+        with pytest.raises(ValueError, match="every C finite and above 0"):
+            train_detector(None, _toy_reps(), images, images, C_grid=grid)
+
     def test_feat_std_floored(self):
         fc = np.zeros((5, 1))
         fd = np.zeros((5, 1))
         det = train_detector(None, _toy_reps(), None, None, features=(fc, fd), seed=0)
         assert (det.feat_std >= 1e-8).all()
+
+
+def _oracle_cases() -> list:
+    """(clean features, distorted features, C grid, seed) for the loop oracle."""
+    rng = np.random.default_rng(11)
+    cases = []
+    # overlapping classes, 7 to 600 rows per class
+    for n_c, n_d, d in [(7, 7, 1), (9, 13, 2), (20, 20, 3), (25, 40, 5), (60, 45, 5),
+                        (120, 120, 4), (300, 250, 5), (600, 600, 5)]:
+        shift = rng.uniform(0.2, 1.5)
+        cases.append((rng.normal(0, 1, (n_c, d)), rng.normal(shift, 1, (n_d, d)),
+                      DEFAULT_C_GRID, int(rng.integers(100))))
+    # 1 to 4 rows per class: empty test folds and one-class training folds,
+    # against an unsorted grid holding 1.0 twice
+    for n_c, n_d in [(1, 1), (1, 2), (2, 1), (1, 4), (2, 2), (3, 1), (4, 3), (2, 4), (4, 4)]:
+        cases.append((rng.normal(0, 1, (n_c, 3)), rng.normal(1, 1, (n_d, 3)),
+                      (1.0, 0.1, 10.0, 1.0, 0.01), n_c * 10 + n_d))
+    # classes far apart: every C cross-validates at 100%
+    for n, d in [(10, 1), (30, 2), (50, 4)]:
+        cases.append((rng.normal(0, 0.1, (n, d)), rng.normal(10, 0.1, (n, d)),
+                      (100.0, 1.0, 0.01), n))
+    # one constant feature, whose std is floored
+    fc, fd = rng.normal(0, 1, (15, 2)), rng.normal(0.5, 1, (15, 2))
+    fc[:, 1] = fd[:, 1] = 3.0
+    cases.append((fc, fd, DEFAULT_C_GRID, 3))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@functools.cache
+def _oracle(case: int) -> tuple:
+    fc, fd, grid, seed = ORACLE_CASES[case]
+    return train_detector_loop(fc, fd, grid, seed)
+
+
+def _fold_kinds(fc, fd, seed) -> set:
+    y = np.concatenate([-np.ones(len(fc)), np.ones(len(fd))])
+    folds = detector._fold_assignments(len(y), 5, seed)
+    return {"empty" if not (folds == f).any()
+            else "one-class" if len(np.unique(y[folds != f])) < 2 else "usable"
+            for f in range(5)}
+
+
+class TestTrainingOracle:
+    """train_detector against the best-so-far loops of tests/oracles.py."""
+
+    @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+    def test_bitwise_equals_best_so_far_loop(self, case):
+        fc, fd, grid, seed = ORACLE_CASES[case]
+        det = train_detector(None, _toy_reps(), None, None, C_grid=grid, seed=seed,
+                             features=(fc, fd))
+        w, b, C, _ = _oracle(case)
+        assert det.w.tobytes() == w.tobytes()
+        assert np.float64(det.b).tobytes() == np.float64(b).tobytes()
+        assert det.C == C
+
+    def test_cases_cover_degenerate_folds_duplicates_and_ties(self):
+        kinds = set().union(*(_fold_kinds(fc, fd, seed) for fc, fd, _, seed in ORACLE_CASES))
+        assert kinds == {"empty", "one-class", "usable"}
+        assert any(len(set(grid)) < len(grid) for _, _, grid, _ in ORACLE_CASES)
+        tied = 0
+        for case in range(len(ORACLE_CASES)):
+            _, _, C, history = _oracle(case)
+            best = max(acc for _, acc in history)
+            winners = sorted({c for c, acc in history if acc == best})
+            if len(winners) > 1:
+                tied += 1
+                assert C == winners[0]
+        assert tied >= 3
 
 
 class TestDetect:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from advface.detector import DetectorModel, compute_mean_reps
 from advface.distortions import DistortionSpec, apply_grids, apply_xmsb
 from advface.featnet import FilterMask, LayerDef, NetworkModel, default_network, forward_batch
-from advface.imagecore import Image, median_filter_array
+from advface.imagecore import FormatError, Image, median_filter_array
 from advface.mitigator import (
     MitigationPlan,
     SensitivityTable,
@@ -169,6 +169,10 @@ class TestBuildPlan:
         with pytest.raises(ValueError, match="kappa"):
             build_plan(table_from([[1.0]]), eta=1, kappa=1.2)
 
+    def test_infinite_kappa_is_a_value_error(self):
+        with pytest.raises(ValueError, match="kappa"):
+            build_plan(table_from([[1.0]]), eta=1, kappa=float("inf"))
+
     @settings(max_examples=200)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_plan_monotone_in_kappa(self, seed):
@@ -246,6 +250,18 @@ class TestPlanPersistence:
                        "use_median_filter": True}
 
 
+class TestPlanRange:
+    @pytest.mark.parametrize("eta, kappa", [(0, 0.1), (-5, 7.5), (1, -0.1), (1, 1.5),
+                                            (1, float("nan"))])
+    def test_out_of_range_plan_rejected(self, eta, kappa):
+        with pytest.raises(ValueError, match=r"need eta >= 1 and kappa in \[0, 1\]"):
+            MitigationPlan(eta, kappa, FilterMask())
+
+    def test_out_of_range_plan_file_is_format_error(self):
+        with pytest.raises(FormatError, match="mitigation plan: need eta >= 1"):
+            MitigationPlan.from_json_dict({"eta": -5, "kappa": 7.5, "mask": []})
+
+
 class TestGridSearch:
     @staticmethod
     def _flag_all_detector(model, ds):
@@ -260,7 +276,7 @@ class TestGridSearch:
             default_model, [(imgs[0], imgs[1]), (imgs[2], imgs[3])])
         det = self._flag_all_detector(default_model, small_dataset)
         spec = DistortionSpec("grids", seed=1)
-        plan = grid_search_plan(default_model, table, small_dataset, [spec], det,
+        plan = grid_search_plan(default_model, table, small_dataset, [spec], {spec.kind: det},
                                 eta_grid=[2], kappa_grid=[0.25], seed=0)
         assert plan == build_plan(table, 2, 0.25)
 
@@ -275,7 +291,8 @@ class TestGridSearch:
         specs = [DistortionSpec("grids", seed=1), DistortionSpec("xmsb", seed=1)]
         # with kappa=0 in the grid, the argmax contract guarantees the chosen
         # plan is at least as good as the least-intervention baseline
-        plan = grid_search_plan(default_model, table, small_dataset, specs, det,
+        plan = grid_search_plan(default_model, table, small_dataset, specs,
+                                {s.kind: det for s in specs},
                                 eta_grid=[1, 2], kappa_grid=[0.0, 0.1, 0.5], seed=3)
         assert (plan.eta, plan.kappa) in {(e, k) for e in (1, 2)
                                           for k in (0.0, 0.1, 0.5)}
@@ -307,12 +324,28 @@ class TestGridSearch:
 
         for mod in (verifybench, mitigator):
             monkeypatch.setattr(mod, "median_filter_array", counting)
-        grid_search_plan(default_model, table, small_dataset, specs, det, etas, kappas)
+        grid_search_plan(default_model, table, small_dataset, specs,
+                         {s.kind: det for s in specs}, etas, kappas)
         assert calls == [len(small_dataset)] * len(specs)
+
+    def test_equal_scores_pick_the_smallest_kappa_then_eta(self, default_model,
+                                                           small_dataset):
+        reps = compute_mean_reps(default_model, small_dataset.pixel_batch())
+        n = len(reps.means)
+        # an always-negative score flags nothing, so every plan leaves the
+        # undefended embeddings and all nine candidates score the same GAR
+        det = DetectorModel(np.zeros(n), -1.0, 1.0, np.zeros(n), np.ones(n), reps)
+        table = table_from([np.arange(c, dtype=float) * (i + 1)
+                            for i, c in enumerate(default_model.conv_filter_counts())])
+        specs = [DistortionSpec("grids", seed=1), DistortionSpec("xmsb", seed=1)]
+        plan = grid_search_plan(default_model, table, small_dataset, specs,
+                                {s.kind: det for s in specs},
+                                eta_grid=[3, 1, 2], kappa_grid=[0.5, 0.1, 0.25], seed=0)
+        assert plan == build_plan(table, 1, 0.1)
 
     def test_empty_grid_rejected(self, default_model, small_dataset):
         table = table_from([[1.0] * n for n in default_model.conv_filter_counts()])
         det = self._flag_all_detector(default_model, small_dataset)
         with pytest.raises(ValueError, match="non-empty"):
             grid_search_plan(default_model, table, small_dataset,
-                             [DistortionSpec("grids")], det, [], [0.1])
+                             [DistortionSpec("grids")], {"grids": det}, [], [0.1])
