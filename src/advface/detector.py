@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imagecore import FormatError, _Reader, check_json
+from .imagecore import FormatError, _Reader, check_json, load_json
 from . import featnet
 from .featnet import NetworkModel
 from .seeds import rng_from
@@ -69,7 +69,7 @@ def compute_mean_reps(model: NetworkModel, clean_images: np.ndarray) -> MeanReps
         raise ValueError("need at least one clean image")
     sums = None
     for _, (_, taps) in featnet._forward_chunks(model, clean_images):
-        part = [t.astype(np.float64).sum(axis=0) for t in taps]
+        part = [t.sum(axis=0, dtype=np.float64) for t in taps]
         sums = part if sums is None else [s + p for s, p in zip(sums, part)]
     return MeanReps(tuple(s / n for s in sums), n)
 
@@ -290,7 +290,7 @@ def save_detector(det: DetectorModel, path, mean_reps_path) -> None:
 
 def load_detector(path) -> DetectorModel:
     """Read a detector JSON; its mean reps path is relative to the JSON's directory."""
-    doc = json.loads(Path(path).read_text())
+    doc = load_json(path, "detector")
     check_json(doc, "detector", {"w": (list, float), "b": float, "C": float,
                                  "feat_mean": (list, float), "feat_std": (list, float),
                                  "n_layers": int, "mean_reps_path": str}, {})

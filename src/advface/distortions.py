@@ -9,12 +9,12 @@ and seeded; identical inputs give identical output bytes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imagecore import FormatError, Image, Point, check_json, line_pixels, polygon_mask
+from .imagecore import (FormatError, Image, Point, check_json, line_pixels, load_json,
+                        polygon_mask)
 from .seeds import derive_seed, rng_from
 from .synthface import LandmarkSet
 
@@ -70,8 +70,7 @@ class DistortionSpec:
 
     @classmethod
     def from_json_file(cls, path) -> "DistortionSpec":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(load_json(path, "distortion spec"))
 
 
 def _zero_mask(img: Image, mask: np.ndarray) -> tuple[Image, int]:

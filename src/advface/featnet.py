@@ -357,10 +357,13 @@ def forward_batch(model: NetworkModel, images: np.ndarray, mask: FilterMask | No
     return x, taps
 
 
-def _forward_chunks(model: NetworkModel, images: np.ndarray, chunk: int = FORWARD_CHUNK):
-    """Yield (lo, forward_batch(model, images[lo : lo + chunk])) for each chunk, in order."""
-    for lo in range(0, images.shape[0], chunk):
-        yield lo, forward_batch(model, images[lo : lo + chunk])
+def _forward_chunks(model: NetworkModel, images: np.ndarray):
+    """Yield (lo, forward_batch(model, images[lo : lo + FORWARD_CHUNK])) in order. Each
+    chunk's taps list is emptied before the next chunk is forwarded, freeing its taps."""
+    for lo in range(0, images.shape[0], FORWARD_CHUNK):
+        emb, taps = forward_batch(model, images[lo : lo + FORWARD_CHUNK])
+        yield lo, (emb, taps)
+        taps.clear()
 
 
 # ---------------------------------------------------------------------------

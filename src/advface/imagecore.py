@@ -8,8 +8,10 @@ The only image formats are binary PGM (P5) and PPM (P6) with maxval 255.
 from __future__ import annotations
 
 import functools
+import json
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -50,19 +52,36 @@ def _json_is(value, kind) -> bool:
         return isinstance(value, list) and all(_json_is(v, kind[1]) for v in value)
     if isinstance(value, bool):
         return kind is bool
+    if kind is int:
+        return isinstance(value, int) and -2**63 <= value < 2**63
+    if kind is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:  # beyond float64's range
+            return False
     return isinstance(value, (int, float) if kind is float else kind)
 
 
 def check_json(d, what: str, required: dict, optional: dict) -> None:
     """Raise FormatError unless JSON object d has every required key and each key
-    present holds its kind: bool, int, float (any number), str or (list, item kind)."""
+    present holds its kind: bool, int (fits int64), float (any number float64
+    holds), str or (list, item kind)."""
     if not isinstance(d, dict):
         raise FormatError(f"{what}: expected a JSON object, got {type(d).__name__}")
     for key, kind in {**required, **optional}.items():
         if key not in d and key in required:
             raise FormatError(f"{what}: missing key {key!r}")
         if key in d and not _json_is(d[key], kind):
-            raise FormatError(f"{what}: key {key!r} has the wrong type: {d[key]!r}")
+            raise FormatError(f"{what}: key {key!r} has the wrong type or is out of range: "
+                              f"{d[key]!r}")
+
+
+def load_json(path, what: str):
+    """Parse the JSON file at path; text that is not JSON is a FormatError naming `what`."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # not UTF-8, not JSON, or an int too long to parse
+        raise FormatError(f"{what}: {path} is not JSON: {exc}") from None
 
 
 class Point(NamedTuple):

@@ -16,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .imagecore import FormatError, check_json, median_filter_array
-from .featnet import FilterMask, NetworkModel, _forward_chunks, forward_batch
+from .imagecore import FormatError, check_json, load_json, median_filter_array
+from .featnet import FORWARD_CHUNK, FilterMask, NetworkModel, _forward_chunks, forward_batch
 from .synthface import Dataset
 
 _AGG_TOL = 1e-6
 MEDIAN_WINDOW = 5  # side of the median filter a plan applies before the masked forward
-SENSITIVITY_CHUNK = 128  # pairs per forward pass in compute_sensitivity
 # pairs per float64 difference block: conv1's block is 2 MiB, not 67 MB for a chunk
 _DIFF_PAIRS = 8
 
@@ -92,39 +91,39 @@ class MitigationPlan:
 
     @classmethod
     def from_json_file(cls, path) -> "MitigationPlan":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return cls.from_json_dict(load_json(path, "mitigation plan"))
 
 
 def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
     """Accumulate per-filter L2 response differences over (distorted, clean) pairs.
 
     A conv's response is the ReLU right after it, or the conv itself when no
-    ReLU follows; the forward pass taps exactly those layers.
+    ReLU follows; the forward pass taps exactly those layers and stops at the
+    last. Each chunk holds up to FORWARD_CHUNK // 2 distorted images, then their pairs.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one image pair")
     kinds = [layer.kind for layer in model.layers] + [None]
-    responses = replace(model, tap_points=tuple(
-        i + 1 if kinds[i + 1] == "relu" else i for i in model.conv_ordinals))
+    taps = tuple(i + 1 if kinds[i + 1] == "relu" else i for i in model.conv_ordinals)
+    responses = NetworkModel(model.layers[: max(taps, default=-1) + 1], taps, model.input_spec)
+    half = FORWARD_CHUNK // 2
+    images = np.stack([p[k].pixels for lo in range(0, len(pairs), half)
+                       for k in (0, 1) for p in pairs[lo : lo + half]])
     sums = [np.zeros(n) for n in model.conv_filter_counts()]
-    chunks = [_forward_chunks(responses, np.stack([p[k].pixels for p in pairs]),
-                              chunk=SENSITIVITY_CHUNK) for k in (0, 1)]
-    for (_, (_, taps_d)), (_, (_, taps_c)) in zip(*chunks):
-        for s, td, tc in zip(sums, taps_d, taps_c):
-            s += _pair_norms(td, tc, len(s)).sum(axis=0)
-        # free these taps: zip runs the next two forwards before the names are rebound
-        del taps_d, taps_c, td, tc
+    for _, (_, maps) in _forward_chunks(responses, images):
+        for s, t in zip(sums, maps):
+            s += _pair_norms(t, len(s)).sum(axis=0)
     return SensitivityTable(tuple(sums), len(pairs))
 
 
-def _pair_norms(td: np.ndarray, tc: np.ndarray, o: int) -> np.ndarray:
-    """(N, O) L2 norm of each filter's response difference, per pair, from
-    flat (N, O*H'*W') taps."""
-    n = td.shape[0]
+def _pair_norms(t: np.ndarray, o: int) -> np.ndarray:
+    """(N, O) L2 norm of each filter's response difference, per pair, from a
+    flat (2N, O*H'*W') tap: N distorted responses, then their N clean pairs."""
+    n = t.shape[0] // 2
     # channels-last views: the position sum then accumulates each filter's
     # squares in row-major (h, w) order, one add at a time
-    md, mc = (t.reshape(n, o, -1).transpose(0, 2, 1) for t in (td, tc))
+    md, mc = (h.reshape(n, o, -1).transpose(0, 2, 1) for h in (t[:n], t[n:]))
     norms = np.empty((n, o))
     diff = np.empty((min(n, _DIFF_PAIRS), md.shape[1], o))
     for lo in range(0, n, _DIFF_PAIRS):
@@ -166,7 +165,8 @@ def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dat
     Each candidate plan is scored by running the detect-then-mitigate pipeline
     on a 50%-distorted copy of train_ds and computing GAR at far_target,
     averaged across distortions; `det` maps each kind to its detector. The
-    first maximum wins, so ties prefer smaller kappa, then smaller eta.
+    first maximum wins, so ties prefer smaller kappa, then smaller eta. The
+    grids and far_target are checked before any forward pass.
     """
     from . import verifybench  # local import: verifybench depends on this module
 
@@ -177,6 +177,9 @@ def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dat
         raise ValueError("grids and distortion list must be non-empty")
     if len({it.subject_id for it in train_ds.items}) < 2:
         raise ValueError("training dataset must span at least 2 subjects")
+    if not 0 < far_target < 1:
+        raise ValueError("far_target must be in (0, 1)")
+    plans = [build_plan(table, eta, kappa) for kappa in kappa_grid for eta in eta_grid]
 
     prepared = [verifybench.prepare_pipeline_eval(model, train_ds, spec, det[spec.kind],
                                                   fraction=0.5, seed=seed) for spec in specs]
@@ -185,8 +188,7 @@ def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dat
         return float(np.mean([verifybench.finish_pipeline_eval(model, prep, plan, far_target)
                               for prep in prepared]))
 
-    return max((build_plan(table, eta, kappa) for kappa in kappa_grid for eta in eta_grid),
-               key=mean_gar)
+    return max(plans, key=mean_gar)
 
 
 def save_table(table: SensitivityTable, path) -> None:
@@ -194,7 +196,7 @@ def save_table(table: SensitivityTable, path) -> None:
 
 
 def load_table(path) -> SensitivityTable:
-    return SensitivityTable.from_json_dict(json.loads(Path(path).read_text()))
+    return SensitivityTable.from_json_dict(load_json(path, "sensitivity table"))
 
 
 def save_plan(plan: MitigationPlan, path) -> None:

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .imagecore import FormatError, Image, Point, Polygon, check_json, read_image, write_image
+from .imagecore import (FormatError, Image, Point, Polygon, check_json, load_json, read_image,
+                        write_image)
 from .seeds import derive_seed, rng_from
 
 
@@ -302,7 +303,7 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
 def load_dataset(in_dir) -> Dataset:
     """Read a dataset written by save_dataset; a malformed manifest raises FormatError."""
     root = Path(in_dir)
-    doc = json.loads((root / "manifest.json").read_text())
+    doc = load_json(root / "manifest.json", "manifest")
     check_json(doc, "manifest", {"seed": int, "images": list}, {})
     items = []
     for i, e in enumerate(doc["images"]):

@@ -72,3 +72,29 @@ def fnet_bytes(conv_w=None, conv_in=1, window=2, pool_stride=2, dense_in=8,
         np.asarray(dense_b, "<f4").tobytes(),
         tail,
     ])
+
+
+def conv_layer(rng, o, c):
+    from advface.featnet import LayerDef
+
+    return LayerDef("conv", rng.standard_normal((o, c, 3, 3)).astype(np.float32),
+                    (0.1 * rng.standard_normal(o)).astype(np.float32), pad=1)
+
+
+def relu_pool_relu(rng):
+    """conv -> relu -> maxpool -> relu: more ReLUs than convs. Returns the
+    layers and, per conv, the layer count up to its response and that shape."""
+    from advface.featnet import LayerDef
+
+    return ((conv_layer(rng, 4, 1), LayerDef("relu"), LayerDef("maxpool", stride=2),
+             LayerDef("relu")),
+            [(2, (4, 64, 64))])
+
+
+def pool_between_convs(rng):
+    """conv -> maxpool -> conv -> relu: the first conv has no ReLU of its own."""
+    from advface.featnet import LayerDef
+
+    return ((conv_layer(rng, 4, 1), LayerDef("maxpool", stride=2), conv_layer(rng, 4, 4),
+             LayerDef("relu")),
+            [(1, (4, 64, 64)), (4, (4, 32, 32))])

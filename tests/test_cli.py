@@ -1,5 +1,6 @@
 import argparse
 import json
+import shutil
 import struct
 import sys
 import threading
@@ -16,7 +17,7 @@ from advface.imagecore import read_image
 from advface.mitigator import load_table
 from advface.synthface import load_dataset
 
-from conftest import fnet_bytes
+from conftest import fnet_bytes, pool_between_convs, relu_pool_relu
 from oracles import sensitivity_loop
 
 
@@ -167,31 +168,11 @@ class TestSubcommands:
         assert capsys.readouterr().out == out_weights
 
 
-def _conv(rng, o, c):
-    return LayerDef("conv", rng.standard_normal((o, c, 3, 3)).astype(np.float32),
-                    (0.1 * rng.standard_normal(o)).astype(np.float32), pad=1)
-
-
-def _relu_pool_relu(rng):
-    """conv -> relu -> maxpool -> relu: more ReLUs than convs. Returns the
-    layers and, per conv, the layer count up to its response and that shape."""
-    return ((_conv(rng, 4, 1), LayerDef("relu"), LayerDef("maxpool", stride=2),
-             LayerDef("relu")),
-            [(2, (4, 64, 64))])
-
-
-def _pool_between_convs(rng):
-    """conv -> maxpool -> conv -> relu: the first conv has no ReLU of its own."""
-    return ((_conv(rng, 4, 1), LayerDef("maxpool", stride=2), _conv(rng, 4, 4),
-             LayerDef("relu")),
-            [(1, (4, 64, 64)), (4, (4, 32, 32))])
-
-
 class TestSensitivityResponses:
     """`advface sensitivity` scores each conv on its own response: the ReLU
     right after it, or the conv output when no ReLU follows."""
 
-    @pytest.mark.parametrize("build", [_relu_pool_relu, _pool_between_convs],
+    @pytest.mark.parametrize("build", [relu_pool_relu, pool_between_convs],
                              ids=["relu-pool-relu", "pool-between-convs"])
     def test_each_row_is_its_convs_response(self, pipeline, tmp_path, build):
         rng = np.random.default_rng(9)
@@ -735,3 +716,91 @@ class TestOutOfRangeInputs:
         assert capsys.readouterr().err == \
             f"error: mitigation plan: mask entry {entry} references no conv filter\n"
         assert forwarded == []
+
+
+_BIG = 10**400  # a 400-digit JSON integer: no float64 or int64 holds it
+
+
+class TestJsonDataFiles:
+    """A data file that is not JSON, or holds a number NumPy cannot take, is a
+    data error in one line, found on load."""
+
+    @staticmethod
+    def _argv(pipeline, tmp_path, kind: str, content: bytes) -> list:
+        """Write content as the `kind` data file; return the command that loads it."""
+        bad = tmp_path / "bad.json"
+        if kind == "manifest":
+            bad = tmp_path / "data" / "manifest.json"
+            shutil.copytree(pipeline["data"], bad.parent)
+        bad.write_bytes(content)
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+        return {
+            "sensitivity table": ["build-plan", "--table", bad, "--eta", 1, "--kappa", 0.1,
+                                  "--out", tmp_path / "plan.json"],
+            "mitigation plan": ["mitigate", "--net-seed", 1, "--plan", bad, "--image", img,
+                                "--out", tmp_path / "emb.json"],
+            "distortion spec": ["distort", "--spec", bad, "--in", pipeline["data"],
+                                "--out", tmp_path / "out"],
+            "detector": ["detect", "--net-seed", 1, "--detector", bad, "--image", img],
+            "manifest": ["distort", "--spec", pipeline["spec"], "--in", bad.parent,
+                         "--out", tmp_path / "out"],
+        }[kind]
+
+    @pytest.mark.parametrize("content", [b"{", b"\xff\xfe{}", b'{"n": ' + b"1" * 5000 + b"}"],
+                             ids=["truncated", "not-utf8", "5000-digit-int"])
+    @pytest.mark.parametrize("kind", ["sensitivity table", "mitigation plan", "distortion spec",
+                                      "detector", "manifest"])
+    def test_file_that_is_not_json_is_data_error(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                 kind, content):
+        forwarded = TestOutOfRangeInputs._count_forwards(monkeypatch)
+        assert run(*self._argv(pipeline, tmp_path, kind, content)) == 2
+        err = TestOutOfRangeInputs._one_line(capsys, f"error: {kind}: ")
+        assert "is not JSON" in err
+        assert forwarded == []
+
+    @pytest.mark.parametrize("key", ["w", "feat_mean", "feat_std", "b", "C"])
+    @pytest.mark.parametrize("number", [_BIG, -_BIG], ids=["big", "minus-big"])
+    def test_detector_number_no_float64_holds_is_data_error(self, pipeline, tmp_path, capsys,
+                                                            key, number):
+        doc = json.loads(pipeline["detector"].read_text())
+        doc["mean_reps_path"] = str((pipeline["detector"].parent / doc["mean_reps_path"])
+                                    .resolve())
+        doc[key] = [number] * doc["n_layers"] if isinstance(doc[key], list) else number
+        TestErrors._assert_detect_data_error(pipeline, tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("kind, doc, start", [
+        ("sensitivity table", {"eps": [[_BIG, 1.0]], "layer_agg": [2.0], "n_dis": 1},
+         "key 'eps'"),
+        ("sensitivity table", {"eps": [[1.0, 1.0]], "layer_agg": [_BIG], "n_dis": 1},
+         "key 'layer_agg'"),
+        ("sensitivity table", {"eps": [[1.0, 1.0]], "layer_agg": [2.0], "n_dis": 2**63},
+         "key 'n_dis'"),
+        ("mitigation plan", {"eta": 2**63, "kappa": 0.25, "mask": []}, "key 'eta'"),
+        ("mitigation plan", {"eta": 1, "kappa": 0.25, "mask": [[0, -2**63 - 1]]}, "key 'mask'"),
+        ("distortion spec", {"kind": "ero", "psi": _BIG}, "key 'psi'"),
+    ], ids=["table-eps", "table-layer_agg", "table-n_dis", "plan-eta", "plan-mask", "spec-psi"])
+    def test_number_out_of_range_is_data_error(self, pipeline, tmp_path, capsys, monkeypatch,
+                                               kind, doc, start):
+        forwarded = TestOutOfRangeInputs._count_forwards(monkeypatch)
+        assert run(*self._argv(pipeline, tmp_path, kind, json.dumps(doc).encode())) == 2
+        TestOutOfRangeInputs._one_line(capsys, f"error: {kind}: {start} has the wrong type "
+                                               "or is out of range")
+        assert forwarded == []
+
+    @pytest.mark.parametrize("spec, path", [
+        ({"kind": "beard", "seed": 2}, ("beard_polygon", 1, 0)),
+        ({"kind": "ero", "seed": 2}, ("right_eye", 0)),
+    ], ids=["beard-vertex", "ero-right-eye"])
+    def test_landmark_no_int64_holds_is_data_error(self, pipeline, tmp_path, capsys, spec,
+                                                   path):
+        manifest = json.loads((pipeline["data"] / "manifest.json").read_text())
+        point = manifest["images"][0]["landmarks"]
+        for k in path[:-1]:
+            point = point[k]
+        point[path[-1]] = _BIG
+        argv = self._argv(pipeline, tmp_path, "manifest", json.dumps(manifest).encode())
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv[argv.index("--spec") + 1] = tmp_path / "spec.json"
+        assert run(*argv) == 2
+        TestOutOfRangeInputs._one_line(
+            capsys, f"error: manifest image 0: landmarks: key {path[0]!r} has the wrong type")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -114,17 +115,37 @@ class TestForward:
         with pytest.raises(ValueError, match="does not match model input"):
             forward_batch(default_model, np.zeros((1, 32, 32, 1), dtype=np.uint8))
 
-    def test_forward_chunks_are_slices_in_order(self, default_model):
+    def test_forward_chunks_are_slices_in_order(self, default_model, monkeypatch):
+        monkeypatch.setattr(featnet, "FORWARD_CHUNK", 3)
         rng = np.random.default_rng(7)
         batch = rng.integers(0, 256, size=(7, 64, 64, 1), dtype=np.uint8)
-        chunks = list(featnet._forward_chunks(default_model, batch, chunk=3))
-        assert [lo for lo, _ in chunks] == [0, 3, 6]
-        for lo, got in chunks:
+        starts = []
+        # each chunk's taps are only valid inside the loop body
+        for lo, (emb, taps) in featnet._forward_chunks(default_model, batch):
+            starts.append(lo)
             want = forward_batch(default_model, batch[lo : lo + 3])
-            assert np.array_equal(got[0], want[0])
-            assert len(got[1]) == len(want[1]) == 5
-            for g, w in zip(got[1], want[1]):
+            assert np.array_equal(emb, want[0])
+            assert len(taps) == len(want[1]) == 5
+            for g, w in zip(taps, want[1]):
                 assert np.array_equal(g, w)
+        assert starts == [0, 3, 6]
+
+    def test_forward_chunks_free_a_chunks_taps_before_the_next_forward(self, default_model,
+                                                                        monkeypatch):
+        monkeypatch.setattr(featnet, "FORWARD_CHUNK", 2)
+        refs, alive_at_forward = [], []
+        real = featnet.forward_batch
+
+        def spy(model, images, *args):
+            alive_at_forward.append([r() is not None for r in refs])
+            return real(model, images, *args)
+
+        monkeypatch.setattr(featnet, "forward_batch", spy)
+        batch = np.zeros((5, 64, 64, 1), np.uint8)
+        for _, (_, taps) in featnet._forward_chunks(default_model, batch):
+            refs.append(weakref.ref(taps[0]))
+        assert alive_at_forward == [[], [False], [False, False]]
+        assert all(r() is None for r in refs)
 
     def test_deterministic(self, default_model):
         rng = np.random.default_rng(8)

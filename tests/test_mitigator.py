@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advface import featnet, mitigator
 from advface.detector import DetectorModel, compute_mean_reps
 from advface.distortions import DistortionSpec, apply_grids, apply_xmsb
 from advface.featnet import FilterMask, LayerDef, NetworkModel, default_network, forward_batch
@@ -22,6 +23,7 @@ from advface.mitigator import (
 )
 from advface.synthface import generate_dataset
 
+from conftest import pool_between_convs, relu_pool_relu
 from oracles import naive_conv, sensitivity_loop
 
 
@@ -34,6 +36,41 @@ def _conv_maps(model, batch):
 
 def table_from(rows, n_dis=1):
     return SensitivityTable(tuple(np.asarray(r, dtype=np.float64) for r in rows), n_dis)
+
+
+@pytest.fixture(scope="module")
+def pairs_300():
+    clean = generate_dataset(30, 10, 64, seed=21)
+    return [((apply_grids(it.image, 4, seed=i) if i % 2
+              else apply_xmsb(it.image, (0.05, 0.05, 0.1), seed=i))[0], it.image)
+            for i, it in enumerate(clean.items)]
+
+
+def _response_net(name):
+    """The default net 43, or net (A) or (B) under a dense head, with a function
+    giving each conv's (N, O, H', W') response maps of a batch."""
+    if name == "default":
+        model = default_network(43)
+        return model, lambda batch: _conv_maps(model, batch)
+    rng = np.random.default_rng(9)
+    body, responses = {"relu-pool-relu": relu_pool_relu,
+                       "pool-between-convs": pool_between_convs}[name](rng)
+    layers = body + (LayerDef("flatten"),
+                     LayerDef("dense", rng.standard_normal((8, 4 * 32 * 32)).astype(np.float32),
+                              np.zeros(8, np.float32)),
+                     LayerDef("l2norm"))
+
+    def maps(batch):  # each response from a network cut right after it
+        return [forward_batch(NetworkModel(layers[:end], (end - 1,), (64, 64, 1)), batch)[1][0]
+                .reshape(len(batch), *shape) for end, shape in responses]
+
+    return NetworkModel(layers, (3, 5), (64, 64, 1)), maps
+
+
+@pytest.fixture(scope="module", params=["default", "relu-pool-relu", "pool-between-convs"])
+def response_maps(request, pairs_300):
+    model, maps = _response_net(request.param)
+    return (model, *(maps(np.stack([p[k].pixels for p in pairs_300])) for k in (0, 1)))
 
 
 class TestSensitivity:
@@ -89,6 +126,35 @@ class TestSensitivity:
     def test_empty_pairs_rejected(self, default_model):
         with pytest.raises(ValueError, match="at least one"):
             compute_sensitivity(default_model, [])
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 257, 300])
+    def test_equals_the_loop_at_every_pair_count(self, response_maps, pairs_300, n):
+        model, maps_d, maps_c = response_maps
+        table = compute_sensitivity(model, pairs_300[:n])
+        want = sensitivity_loop([m[:n] for m in maps_d], [m[:n] for m in maps_c], chunk=128)
+        assert len(table.eps) == len(want)
+        for got, exp in zip(table.eps, want):
+            assert np.array_equal(got, exp)
+
+    def test_pairs_share_full_chunks_of_a_network_cut_at_the_last_response(
+            self, pairs_300, monkeypatch):
+        forwards = []
+        real = featnet.forward_batch
+
+        def spy(model, images, *args):
+            forwards.append((len(images), len(model.layers)))
+            return real(model, images, *args)
+
+        monkeypatch.setattr(featnet, "forward_batch", spy)
+        compute_sensitivity(default_network(43), pairs_300)
+        # the last response is the ReLU at layer 10: flatten, dense and l2norm never run
+        assert forwards == [(256, 11), (256, 11), (88, 11)]
+
+    def test_network_without_conv_gives_an_empty_table(self, small_dataset):
+        model = NetworkModel((LayerDef("flatten"),), (0,), (64, 64, 1))
+        img = small_dataset.items[0].image
+        table = compute_sensitivity(model, [(img, img)])
+        assert table.eps == () and table.n_dis == 1
 
 
 class TestSensitivityTable:
@@ -342,6 +408,31 @@ class TestGridSearch:
                                 {s.kind: det for s in specs},
                                 eta_grid=[3, 1, 2], kappa_grid=[0.5, 0.1, 0.25], seed=0)
         assert plan == build_plan(table, 1, 0.1)
+
+    @pytest.mark.parametrize("grids, far, message", [
+        (([9], [0.1]), 0.01, r"eta must be in \[1, 4\]"),
+        (([1], [2.0]), 0.01, r"kappa in \[0, 1\]"),
+        (([1], [0.1]), 0.0, r"far_target must be in \(0, 1\)"),
+    ], ids=["eta-9", "kappa-2", "far-0"])
+    def test_grid_and_far_checked_before_any_forward(self, default_model, small_dataset,
+                                                      monkeypatch, grids, far, message):
+        from advface import verifybench
+
+        table = table_from([[1.0] * n for n in default_model.conv_filter_counts()])
+        det = self._flag_all_detector(default_model, small_dataset)
+        forwarded = []
+        real = featnet.forward_batch
+
+        def counting(model, images, *args):
+            forwarded.append(len(images))
+            return real(model, images, *args)
+
+        for mod in (featnet, mitigator, verifybench):
+            monkeypatch.setattr(mod, "forward_batch", counting)
+        with pytest.raises(ValueError, match=message):
+            grid_search_plan(default_model, table, small_dataset, [DistortionSpec("grids")],
+                             {"grids": det}, *grids, far_target=far)
+        assert forwarded == []
 
     def test_empty_grid_rejected(self, default_model, small_dataset):
         table = table_from([[1.0] * n for n in default_model.conv_filter_counts()])
