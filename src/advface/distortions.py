@@ -10,6 +10,7 @@ and seeded; identical inputs give identical output bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class DistortionSpec:
     @classmethod
     def from_json_dict(cls, d: dict) -> "DistortionSpec":
         check_json(d, "distortion spec", {"kind": str},
-                   {"rho_grids": int, "phi": (list, float), "psi": float, "seed": int})
+                   {"rho_grids": int, "phi": (list, float), "psi": float, "seed": Integral})
         try:
             return cls(
                 kind=d["kind"],

@@ -358,12 +358,13 @@ def forward_batch(model: NetworkModel, images: np.ndarray, mask: FilterMask | No
 
 
 def _forward_chunks(model: NetworkModel, images: np.ndarray):
-    """Yield (lo, forward_batch(model, images[lo : lo + FORWARD_CHUNK])) in order. Each
-    chunk's taps list is emptied before the next chunk is forwarded, freeing its taps."""
+    """Yield (lo, forward_batch(model, images[lo : lo + FORWARD_CHUNK])) in order; a chunk's
+    taps are freed before the next forward unless the caller keeps a tap or an emb sharing one."""
     for lo in range(0, images.shape[0], FORWARD_CHUNK):
         emb, taps = forward_batch(model, images[lo : lo + FORWARD_CHUNK])
         yield lo, (emb, taps)
         taps.clear()
+        del emb
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,8 @@ def _json_is(value, kind) -> bool:
 
 def check_json(d, what: str, required: dict, optional: dict) -> None:
     """Raise FormatError unless JSON object d has every required key and each key
-    present holds its kind: bool, int (fits int64), float (any number float64
-    holds), str or (list, item kind)."""
+    present holds its kind: bool, int (fits int64), Integral (any integer, for
+    seeds), float (any number float64 holds), str or (list, item kind)."""
     if not isinstance(d, dict):
         raise FormatError(f"{what}: expected a JSON object, got {type(d).__name__}")
     for key, kind in {**required, **optional}.items():

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .imagecore import FormatError, check_json, load_json, median_filter_array
-from .featnet import FORWARD_CHUNK, FilterMask, NetworkModel, _forward_chunks, forward_batch
+from . import featnet
+from .featnet import FilterMask, NetworkModel, _forward_chunks, forward_batch
 from .synthface import Dataset
 
 _AGG_TOL = 1e-6
@@ -107,20 +108,21 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
     kinds = [layer.kind for layer in model.layers] + [None]
     taps = tuple(i + 1 if kinds[i + 1] == "relu" else i for i in model.conv_ordinals)
     responses = NetworkModel(model.layers[: max(taps, default=-1) + 1], taps, model.input_spec)
-    half = FORWARD_CHUNK // 2
+    half = featnet.FORWARD_CHUNK // 2
     images = np.stack([p[k].pixels for lo in range(0, len(pairs), half)
                        for k in (0, 1) for p in pairs[lo : lo + half]])
     sums = [np.zeros(n) for n in model.conv_filter_counts()]
-    for _, (_, maps) in _forward_chunks(responses, images):
+    for lo, (_, maps) in _forward_chunks(responses, images):
         for s, t in zip(sums, maps):
-            s += _pair_norms(t, len(s)).sum(axis=0)
+            s += _pair_norms(t, min(half, len(pairs) - lo // 2), len(s)).sum(axis=0)
     return SensitivityTable(tuple(sums), len(pairs))
 
 
-def _pair_norms(t: np.ndarray, o: int) -> np.ndarray:
+def _pair_norms(t: np.ndarray, n: int, o: int) -> np.ndarray:
     """(N, O) L2 norm of each filter's response difference, per pair, from a
     flat (2N, O*H'*W') tap: N distorted responses, then their N clean pairs."""
-    n = t.shape[0] // 2
+    if t.shape[0] != 2 * n:  # an odd FORWARD_CHUNK would split a chunk's pairs
+        raise ValueError(f"a chunk of {t.shape[0]} responses does not hold {n} pairs")
     # channels-last views: the position sum then accumulates each filter's
     # squares in row-major (h, w) order, one add at a time
     md, mc = (h.reshape(n, o, -1).transpose(0, 2, 1) for h in (t[:n], t[n:]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -304,7 +305,7 @@ def load_dataset(in_dir) -> Dataset:
     """Read a dataset written by save_dataset; a malformed manifest raises FormatError."""
     root = Path(in_dir)
     doc = load_json(root / "manifest.json", "manifest")
-    check_json(doc, "manifest", {"seed": int, "images": list}, {})
+    check_json(doc, "manifest", {"seed": Integral, "images": list}, {})
     items = []
     for i, e in enumerate(doc["images"]):
         what = f"manifest image {i}"

@@ -95,6 +95,20 @@ class TestSubcommands:
         if doc["kind"] == "xmsb":
             assert records[0]["spec"]["phi"] == [0, 0.05, 0.1]  # written as given
 
+    def test_seeds_beyond_int64_load_back(self, pipeline, tmp_path):
+        # gen-data and distort write seeds of any size; every later command reads them
+        data = tmp_path / "data"
+        assert run("gen-data", "--subjects", 2, "--samples", 2, "--size", 64,
+                   "--seed", 2**63, "--out", data) == 0
+        (tmp_path / "spec.json").write_text(json.dumps({"kind": "grids", "seed": 3}))
+        assert run("distort", "--spec", tmp_path / "spec.json", "--in", data,
+                   "--out", tmp_path / "out") == 0
+        records = json.loads((tmp_path / "out" / "records.json").read_text())
+        applied = next(r["spec"] for r in records if r["spec"]["seed"] >= 2**63)
+        (tmp_path / "applied.json").write_text(json.dumps(applied))
+        assert run("distort", "--spec", tmp_path / "applied.json", "--in", data,
+                   "--out", tmp_path / "again") == 0
+
     def test_extract_outputs(self, pipeline):
         assert (pipeline["extracted"] / "network.fnet").exists()
         assert (pipeline["extracted"] / "mean_reps.mrep").exists()

@@ -62,6 +62,9 @@ class TestSpec:
         DistortionSpec("ero", psi=5.5),
         DistortionSpec("fhbo"),
         DistortionSpec("beard"),
+        # seeds are reduced to 64 bits, not handed to NumPy: any integer is one
+        per_image_spec(DistortionSpec("grids", seed=3), 0),  # derived seed >= 2**63
+        DistortionSpec("xmsb", seed=2**70 + 1),
     ])
     def test_json_round_trip(self, spec):
         assert DistortionSpec.from_json_dict(spec.to_json_dict()) == spec

@@ -143,9 +143,26 @@ class TestForward:
         monkeypatch.setattr(featnet, "forward_batch", spy)
         batch = np.zeros((5, 64, 64, 1), np.uint8)
         for _, (_, taps) in featnet._forward_chunks(default_model, batch):
-            refs.append(weakref.ref(taps[0]))
-        assert alive_at_forward == [[], [False], [False, False]]
+            refs.extend(weakref.ref(t) for t in taps)  # every tap, the last one too
+        assert alive_at_forward == [[], [False] * 5, [False] * 10]
         assert all(r() is None for r in refs)
+
+    def test_forward_chunks_drop_the_embedding_before_the_next_forward(self, monkeypatch):
+        # a network cut at its tap returns that tap's buffer as the embedding
+        model = NetworkModel(default_network(43).layers[:2], (1,), (64, 64, 1))
+        monkeypatch.setattr(featnet, "FORWARD_CHUNK", 2)
+        refs, alive_at_forward = [], []
+        real = featnet.forward_batch
+
+        def spy(model, images, *args):
+            alive_at_forward.append([r() is not None for r in refs])
+            return real(model, images, *args)
+
+        monkeypatch.setattr(featnet, "forward_batch", spy)
+        chunks = featnet._forward_chunks(model, np.zeros((5, 64, 64, 1), np.uint8))
+        for _ in range(3):  # the caller binds nothing of a chunk
+            refs.append(weakref.ref(next(chunks)[1][0]))
+        assert alive_at_forward == [[], [False], [False, False]]
 
     def test_deterministic(self, default_model):
         rng = np.random.default_rng(8)

@@ -150,6 +150,21 @@ class TestSensitivity:
         # the last response is the ReLU at layer 10: flatten, dense and l2norm never run
         assert forwards == [(256, 11), (256, 11), (88, 11)]
 
+    def test_pairs_follow_the_chunk_size_read_at_call_time(self, response_maps, pairs_300,
+                                                            monkeypatch):
+        monkeypatch.setattr(featnet, "FORWARD_CHUNK", 6)
+        model, maps_d, maps_c = response_maps
+        table = compute_sensitivity(model, pairs_300[:8])
+        want = sensitivity_loop([m[:8] for m in maps_d], [m[:8] for m in maps_c], chunk=3)
+        for got, exp in zip(table.eps, want):
+            assert np.array_equal(got, exp)
+
+    def test_odd_chunk_size_is_refused_not_mispaired(self, default_model, pairs_300,
+                                                     monkeypatch):
+        monkeypatch.setattr(featnet, "FORWARD_CHUNK", 3)
+        with pytest.raises(ValueError, match="a chunk of 3 responses does not hold 1 pairs"):
+            compute_sensitivity(default_model, pairs_300[:2])
+
     def test_network_without_conv_gives_an_empty_table(self, small_dataset):
         model = NetworkModel((LayerDef("flatten"),), (0,), (64, 64, 1))
         img = small_dataset.items[0].image

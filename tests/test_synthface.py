@@ -137,6 +137,10 @@ class TestPersistence:
             assert a.landmarks == b.landmarks
             assert (a.subject_id, a.sample_index) == (b.subject_id, b.sample_index)
 
+    def test_manifest_seed_beyond_int64_loads(self, tmp_path, small_dataset):
+        save_dataset(Dataset(small_dataset.items[:1], 2**63), tmp_path / "d")
+        assert load_dataset(tmp_path / "d").seed == 2**63
+
     def test_manifest_field_names(self, tmp_path, small_dataset):
         save_dataset(small_dataset, tmp_path / "d")
         doc = json.loads((tmp_path / "d" / "manifest.json").read_text())
