@@ -41,7 +41,7 @@ class DistortionSpec:
             raise ValueError("rho_grids must be >= 0")
         if len(self.phi) != 3 or any(not 0 <= p <= 1 for p in self.phi):
             raise ValueError("phi must be three fractions in [0, 1]")
-        if self.psi <= 0:
+        if not self.psi > 0:  # refuses NaN too
             raise ValueError("psi must be positive")
 
     def to_json_dict(self) -> dict:
@@ -102,6 +102,8 @@ def apply_grids(img: Image, rho_grids: int, seed: int) -> tuple[Image, int]:
             b = Point(w - 1, int(rng.integers(0, h)))
         xs, ys = line_pixels(a, b)
         changed[ys, xs] = True
+        if changed.all():  # later lines cannot change the mask
+            break
     return _zero_mask(img, changed)
 
 
@@ -137,15 +139,15 @@ def apply_xmsb(img: Image, phi, seed: int) -> tuple[Image, int]:
 
 def ero_band(landmarks: LandmarkSet, psi: float, height: int) -> tuple[int, int]:
     """Inclusive row range [lo, hi] of the eye-occlusion band, clamped to the image."""
-    if psi <= 0:
+    if not psi > 0:  # refuses NaN too
         raise ValueError("psi must be positive")
     d_eye = landmarks.right_eye.x - landmarks.left_eye.x
     if d_eye <= 0:
         raise ValueError("invalid landmarks: non-positive inter-eye distance")
     y_e = int(round((landmarks.left_eye.y + landmarks.right_eye.y) / 2))
-    half = d_eye / psi
-    lo = max(0, int(np.ceil(y_e - half)))
-    hi = min(height - 1, int(np.floor(y_e + half)))
+    half = d_eye / psi  # inf for a subnormal psi: the ends are clamped before int()
+    lo = int(max(0, np.ceil(y_e - half)))
+    hi = int(min(height - 1, np.floor(y_e + half)))
     return lo, hi
 
 

@@ -17,14 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .imagecore import FormatError, check_json, load_json, median_filter_array
-from . import featnet
 from .featnet import FilterMask, NetworkModel, _forward_chunks, forward_batch
 from .synthface import Dataset
 
 _AGG_TOL = 1e-6
 MEDIAN_WINDOW = 5  # side of the median filter a plan applies before the masked forward
-# pairs per float64 difference block: conv1's block is 2 MiB, not 67 MB for a chunk
-_DIFF_PAIRS = 8
+# pairs whose norms are added in order before their total joins the table's
+_SUM_PAIRS = 128
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,9 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
 
     A conv's response is the ReLU right after it, or the conv itself when no
     ReLU follows; the forward pass taps exactly those layers and stops at the
-    last. Each chunk holds up to FORWARD_CHUNK // 2 distorted images, then their pairs.
+    last. Each distorted image is stacked right before its clean pair, so any
+    even chunk keeps the pairs whole. The pair norms are added in order within
+    each _SUM_PAIRS group, then the group totals in order, whatever the chunk.
     """
     pairs = list(pairs)
     if not pairs:
@@ -108,31 +109,28 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
     kinds = [layer.kind for layer in model.layers] + [None]
     taps = tuple(i + 1 if kinds[i + 1] == "relu" else i for i in model.conv_ordinals)
     responses = NetworkModel(model.layers[: max(taps, default=-1) + 1], taps, model.input_spec)
-    half = featnet.FORWARD_CHUNK // 2
-    images = np.stack([p[k].pixels for lo in range(0, len(pairs), half)
-                       for k in (0, 1) for p in pairs[lo : lo + half]])
-    sums = [np.zeros(n) for n in model.conv_filter_counts()]
+    images = np.stack([p[k].pixels for p in pairs for k in (0, 1)])
+    norms = [np.empty((len(pairs), n)) for n in model.conv_filter_counts()]
     for lo, (_, maps) in _forward_chunks(responses, images):
-        for s, t in zip(sums, maps):
-            s += _pair_norms(t, min(half, len(pairs) - lo // 2), len(s)).sum(axis=0)
+        for out, t in zip(norms, maps):
+            _pair_norms(t, out[lo // 2 : (lo + len(t)) // 2])
+    sums = (sum(a[g : g + _SUM_PAIRS].sum(axis=0) for g in range(0, len(a), _SUM_PAIRS))
+            for a in norms)
     return SensitivityTable(tuple(sums), len(pairs))
 
 
-def _pair_norms(t: np.ndarray, n: int, o: int) -> np.ndarray:
-    """(N, O) L2 norm of each filter's response difference, per pair, from a
-    flat (2N, O*H'*W') tap: N distorted responses, then their N clean pairs."""
-    if t.shape[0] != 2 * n:  # an odd FORWARD_CHUNK would split a chunk's pairs
-        raise ValueError(f"a chunk of {t.shape[0]} responses does not hold {n} pairs")
+def _pair_norms(t: np.ndarray, out: np.ndarray) -> None:
+    """Write into out's rows the (O,) L2 norm of each filter's response difference,
+    one pair per row, from a flat (2N, O*H'*W') tap of N (distorted, clean) row pairs."""
+    if len(t) % 2:
+        raise ValueError(f"a chunk of {len(t)} responses splits a pair")
     # channels-last views: the position sum then accumulates each filter's
     # squares in row-major (h, w) order, one add at a time
-    md, mc = (h.reshape(n, o, -1).transpose(0, 2, 1) for h in (t[:n], t[n:]))
-    norms = np.empty((n, o))
-    diff = np.empty((min(n, _DIFF_PAIRS), md.shape[1], o))
-    for lo in range(0, n, _DIFF_PAIRS):
-        d = diff[: min(n - lo, _DIFF_PAIRS)]
-        np.subtract(md[lo : lo + len(d)], mc[lo : lo + len(d)], out=d, dtype=np.float64)
-        norms[lo : lo + len(d)] = np.sqrt(np.square(d, out=d).sum(axis=1))
-    return norms
+    m = t.reshape(len(t), out.shape[1], -1).transpose(0, 2, 1)
+    diff = np.empty(m.shape[1:])
+    for i, row in enumerate(out):
+        np.subtract(m[2 * i], m[2 * i + 1], out=diff, dtype=np.float64)
+        np.sqrt(np.square(diff, out=diff).sum(axis=0), out=row)
 
 
 def build_plan(table: SensitivityTable, eta: int, kappa: float,
@@ -168,7 +166,7 @@ def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dat
     on a 50%-distorted copy of train_ds and computing GAR at far_target,
     averaged across distortions; `det` maps each kind to its detector. The
     first maximum wins, so ties prefer smaller kappa, then smaller eta. The
-    grids and far_target are checked before any forward pass.
+    grids, far_target and the detectors' kinds are checked before any forward pass.
     """
     from . import verifybench  # local import: verifybench depends on this module
 
@@ -181,6 +179,9 @@ def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dat
         raise ValueError("training dataset must span at least 2 subjects")
     if not 0 < far_target < 1:
         raise ValueError("far_target must be in (0, 1)")
+    missing = sorted({spec.kind for spec in specs} - set(det))
+    if missing:
+        raise ValueError(f"no detector for distortion kinds {missing}")
     plans = [build_plan(table, eta, kappa) for kappa in kappa_grid for eta in eta_grid]
 
     prepared = [verifybench.prepare_pipeline_eval(model, train_ds, spec, det[spec.kind],

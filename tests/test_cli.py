@@ -95,6 +95,14 @@ class TestSubcommands:
         if doc["kind"] == "xmsb":
             assert records[0]["spec"]["phi"] == [0, 0.05, 0.1]  # written as given
 
+    def test_subnormal_ero_psi_blacks_out_every_image(self, pipeline, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps({"kind": "ero", "psi": 5e-324}))
+        assert run("distort", "--spec", tmp_path / "spec.json", "--in", pipeline["data"],
+                   "--out", tmp_path / "out") == 0
+        pgms = sorted((tmp_path / "out").glob("*.pgm"))
+        assert len(pgms) == 4
+        assert all((read_image(p).pixels == 0).all() for p in pgms)
+
     def test_seeds_beyond_int64_load_back(self, pipeline, tmp_path):
         # gen-data and distort write seeds of any size; every later command reads them
         data = tmp_path / "data"

@@ -1,8 +1,15 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import advface
 from advface import distortions
 from advface.distortions import (
     DistortionSpec,
@@ -82,6 +89,20 @@ class TestSpec:
         assert spec == DistortionSpec("xmsb", phi=(0.03, 0.05, 0.10), seed=42)
 
 
+def _grid_masks(w, h, seed):
+    """The mask after each line of apply_grids's draws, drawing on past full coverage."""
+    rng = rng_from(seed, 0x621D5)
+    mask = np.zeros((h, w), dtype=bool)
+    for i in itertools.count():
+        if i % 2 == 0:
+            a, b = Point(int(rng.integers(0, w)), 0), Point(int(rng.integers(0, w)), h - 1)
+        else:
+            a, b = Point(0, int(rng.integers(0, h))), Point(w - 1, int(rng.integers(0, h)))
+        xs, ys = line_pixels(a, b)
+        mask[ys, xs] = True
+        yield mask.copy()
+
+
 class TestGrids:
     def test_zero_lines_is_identity(self):
         img = constant_image()
@@ -92,21 +113,10 @@ class TestGrids:
     def test_lines_match_rasterization_of_drawn_anchors(self):
         # reconstruct the anchor draws with the same derived stream and check
         # the changed-pixel set equals the union of the rasterized lines
-        img = constant_image(64)
-        out, n = apply_grids(img, 4, seed=9)
-        rng = rng_from(9, 0x621D5)
-        expected = set()
-        for i in range(4):
-            if i % 2 == 0:
-                a = Point(int(rng.integers(0, 64)), 0)
-                b = Point(int(rng.integers(0, 64)), 63)
-            else:
-                a = Point(0, int(rng.integers(0, 64)))
-                b = Point(63, int(rng.integers(0, 64)))
-            expected |= set(zip(*(v.tolist() for v in line_pixels(a, b))))
-        changed = {(x, y) for y, x in zip(*np.nonzero(out.pixels[:, :, 0] == 0))}
-        assert changed == expected
-        assert n == len(expected)
+        out, n = apply_grids(constant_image(64), 4, seed=9)
+        expected = list(itertools.islice(_grid_masks(64, 64, 9), 4))[-1]
+        assert np.array_equal(out.pixels[:, :, 0] == 0, expected)
+        assert n == int(expected.sum())
         assert 64 <= n <= 4 * 64
 
     def test_all_changed_pixels_are_zero_and_rest_untouched(self):
@@ -115,6 +125,28 @@ class TestGrids:
         diff = out.pixels != img.pixels
         assert (out.pixels[diff] == 0).all()
         assert n == int(diff.any(axis=2).sum())
+
+    @pytest.mark.parametrize("w, h, seed", [(64, 64, 3), (96, 48, 8)])
+    def test_drawing_stops_once_every_pixel_is_black(self, w, h, seed):
+        masks = list(itertools.islice(_grid_masks(w, h, seed), 3000))
+        full = next(n for n, m in enumerate(masks, 1) if m.all())
+        img = Image(np.full((h, w, 1), 200, dtype=np.uint8))
+        for n in (full - 2, full - 1, full, full + 1, full + 50):
+            out, count = apply_grids(img, n, seed)
+            assert np.array_equal(out.pixels[:, :, 0] == 0, masks[n - 1])
+            assert count == int(masks[n - 1].sum())
+        # lines past full coverage are never drawn, so a huge count finishes
+        script = ("import sys, numpy as np\n"
+                  "from advface.distortions import apply_grids\n"
+                  "from advface.imagecore import Image\n"
+                  "w, h, seed = map(int, sys.argv[1:])\n"
+                  "out, n = apply_grids(Image(np.full((h, w, 1), 200, np.uint8)), 10**12, seed)\n"
+                  "print(n, int(out.pixels.max()))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(advface.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script, str(w), str(h), str(seed)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(w * h), "0"]
 
 
 class TestXmsb:
@@ -192,9 +224,22 @@ class TestEro:
             lo, hi = ero_band(lms, psi, 64)
             assert list(range(lo, hi + 1)) == ero_rows(13, 30, 51, 34, psi, 64)
 
+    def test_subnormal_psi_covers_every_row(self):
+        # d_eye / 5e-324 is inf: the band ends are clamped before they become ints
+        assert ero_band(make_landmarks(), 5e-324, 64) == (0, 63)
+        out, n = apply_ero(constant_image(64), make_landmarks(), 5e-324)
+        assert (out.pixels == 0).all() and n == 64 * 64
+
     def test_psi_validated(self):
         with pytest.raises(ValueError, match="psi"):
             ero_band(make_landmarks(), -1.0, 64)
+
+    def test_nan_psi_rejected(self):
+        # a NaN band end would otherwise clamp to the whole image
+        with pytest.raises(ValueError, match="psi must be positive"):
+            ero_band(make_landmarks(), float("nan"), 64)
+        with pytest.raises(FormatError, match="^distortion spec: psi must be positive"):
+            DistortionSpec.from_json_dict({"kind": "ero", "psi": float("nan")})
 
 
 class TestFaceMasks:

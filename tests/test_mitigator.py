@@ -73,6 +73,14 @@ def response_maps(request, pairs_300):
     return (model, *(maps(np.stack([p[k].pixels for p in pairs_300])) for k in (0, 1)))
 
 
+@pytest.fixture(scope="module")
+def loop_tables(response_maps):
+    """sensitivity_loop's table of each prefix of pairs_300 that the chunk test checks."""
+    _, maps_d, maps_c = response_maps
+    return {n: sensitivity_loop([m[:n] for m in maps_d], [m[:n] for m in maps_c], chunk=128)
+            for n in (1, 127, 128, 129, 257, 300)}
+
+
 class TestSensitivity:
     def test_identical_pairs_give_zero(self, default_model, small_dataset):
         imgs = [it.image for it in small_dataset.items[:3]]
@@ -150,19 +158,20 @@ class TestSensitivity:
         # the last response is the ReLU at layer 10: flatten, dense and l2norm never run
         assert forwards == [(256, 11), (256, 11), (88, 11)]
 
-    def test_pairs_follow_the_chunk_size_read_at_call_time(self, response_maps, pairs_300,
-                                                            monkeypatch):
-        monkeypatch.setattr(featnet, "FORWARD_CHUNK", 6)
-        model, maps_d, maps_c = response_maps
-        table = compute_sensitivity(model, pairs_300[:8])
-        want = sensitivity_loop([m[:8] for m in maps_d], [m[:8] for m in maps_c], chunk=3)
-        for got, exp in zip(table.eps, want):
-            assert np.array_equal(got, exp)
+    @pytest.mark.parametrize("chunk", [2, 6, 64, 100, 256, 512])
+    def test_table_is_the_same_for_every_even_chunk_size(self, response_maps, loop_tables,
+                                                         pairs_300, monkeypatch, chunk):
+        monkeypatch.setattr(featnet, "FORWARD_CHUNK", chunk)
+        for n, want in loop_tables.items():
+            table = compute_sensitivity(response_maps[0], pairs_300[:n])
+            assert len(table.eps) == len(want)
+            for got, exp in zip(table.eps, want):
+                assert np.array_equal(got, exp)
 
     def test_odd_chunk_size_is_refused_not_mispaired(self, default_model, pairs_300,
                                                      monkeypatch):
         monkeypatch.setattr(featnet, "FORWARD_CHUNK", 3)
-        with pytest.raises(ValueError, match="a chunk of 3 responses does not hold 1 pairs"):
+        with pytest.raises(ValueError, match="a chunk of 3 responses splits a pair"):
             compute_sensitivity(default_model, pairs_300[:2])
 
     def test_network_without_conv_gives_an_empty_table(self, small_dataset):
@@ -447,6 +456,21 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=message):
             grid_search_plan(default_model, table, small_dataset, [DistortionSpec("grids")],
                              {"grids": det}, *grids, far_target=far)
+        assert forwarded == []
+
+    def test_missing_detector_kind_checked_before_any_forward(self, default_model,
+                                                               small_dataset, monkeypatch):
+        from advface import verifybench
+
+        table = table_from([[1.0] * n for n in default_model.conv_filter_counts()])
+        det = self._flag_all_detector(default_model, small_dataset)
+        forwarded = []
+        for mod in (featnet, mitigator, verifybench):
+            monkeypatch.setattr(mod, "forward_batch", lambda *args: forwarded.append(args))
+        specs = [DistortionSpec("grids"), DistortionSpec("beard")]
+        with pytest.raises(ValueError, match=r"no detector for distortion kinds \['beard'\]"):
+            grid_search_plan(default_model, table, small_dataset, specs, {"grids": det},
+                             [1], [0.1])
         assert forwarded == []
 
     def test_empty_grid_rejected(self, default_model, small_dataset):
