@@ -68,7 +68,7 @@ def compute_mean_reps(model: NetworkModel, clean_images: np.ndarray) -> MeanReps
     if n < 1:
         raise ValueError("need at least one clean image")
     sums = None
-    for _, (_, taps) in featnet._forward_chunks(model, clean_images):
+    for _, (_, taps) in featnet.forward_chunks(model, clean_images):
         part = [t.sum(axis=0, dtype=np.float64) for t in taps]
         sums = part if sums is None else [s + p for s, p in zip(sums, part)]
     return MeanReps(tuple(s / n for s in sums), n)
@@ -129,7 +129,7 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps,
                           f"the network has {model.n_taps}")
     embs = []
     feats = np.empty((images.shape[0], len(mean_reps.means)))
-    for lo, (emb, taps) in featnet._forward_chunks(model, images):
+    for lo, (emb, taps) in featnet.forward_chunks(model, images):
         embs.append(emb)
         for i, (t, mu) in enumerate(zip(taps, mean_reps.means)):
             if len(mu) != t.shape[1]:
@@ -300,8 +300,10 @@ def load_detector(path) -> DetectorModel:
     if len(set(lengths)) != 1:
         raise FormatError("detector: lengths of w, feat_mean, feat_std, n_layers and the "
                           f"mean reps' taps disagree: {lengths}")
-    w, feat_mean, feat_std = (np.array(doc[k]) for k in ("w", "feat_mean", "feat_std"))
-    finite = np.isfinite(np.concatenate([w, feat_mean, feat_std, [doc["b"], doc["C"]]])).all()
+    # float64 dtype: an integer beyond int64 would otherwise make an object array
+    w, feat_mean, feat_std, b_c = (np.array(v, dtype=np.float64) for v in (
+        doc["w"], doc["feat_mean"], doc["feat_std"], [doc["b"], doc["C"]]))
+    finite = np.isfinite(np.concatenate([w, feat_mean, feat_std, b_c])).all()
     if not finite or (feat_std <= 0).any() or doc["C"] <= 0:
         # a zero std or a non-finite weight would score every image -inf or nan
         raise FormatError("detector: w, b, C, feat_mean and feat_std must be finite, "

@@ -23,8 +23,7 @@ _MAGIC = b"FNET1"
 _KIND_CODES = {"conv": 0, "relu": 1, "maxpool": 2, "flatten": 3, "dense": 4, "l2norm": 5}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
-# Images per forward_batch call where _forward_chunks splits a batch; the same
-# chunks give the same bytes, so callers that share results all split through it.
+# Images per forward_batch call in forward_chunks, which splits every batch the same way.
 FORWARD_CHUNK = 256
 # Images per reused im2col block in _conv2d; it bounds that buffer and moves no bit.
 _CONV_BLOCK = 8
@@ -357,14 +356,19 @@ def forward_batch(model: NetworkModel, images: np.ndarray, mask: FilterMask | No
     return x, taps
 
 
-def _forward_chunks(model: NetworkModel, images: np.ndarray):
-    """Yield (lo, forward_batch(model, images[lo : lo + FORWARD_CHUNK])) in order; a chunk's
+def forward_chunks(model: NetworkModel, images: np.ndarray, mask: FilterMask | None = None):
+    """Yield (lo, forward_batch(model, images[lo : lo + FORWARD_CHUNK], mask)) in order; a chunk's
     taps are freed before the next forward unless the caller keeps a tap or an emb sharing one."""
     for lo in range(0, images.shape[0], FORWARD_CHUNK):
-        emb, taps = forward_batch(model, images[lo : lo + FORWARD_CHUNK])
+        emb, taps = forward_batch(model, images[lo : lo + FORWARD_CHUNK], mask)
         yield lo, (emb, taps)
         taps.clear()
         del emb
+
+
+def embed(model: NetworkModel, images: np.ndarray, mask: FilterMask | None = None) -> np.ndarray:
+    """(N, D) embeddings of a non-empty (N, H, W, C) uint8 batch, one chunk at a time."""
+    return np.vstack([emb for _, (emb, _) in forward_chunks(model, images, mask)])
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +403,9 @@ def load_weights(path) -> NetworkModel:
     """Read an FNET1 file, checking that the network it holds can run.
 
     Beyond the byte layout, this rejects trailing bytes, non-finite weights
-    or biases, a bad stride, pad or window, and layer shapes that do not
-    chain (checked through `tap_lengths`), all as FormatError.
+    or biases, a bad stride, pad or window, layer shapes that do not chain
+    (checked through `tap_lengths`), and a network with no flatten layer,
+    whose output is not an embedding vector, all as FormatError.
     """
     with open(path, "rb") as fh:
         rd = _Reader(fh.read(), "weight file")
@@ -444,6 +449,9 @@ def load_weights(path) -> NetworkModel:
         rd.finish("the last layer")
         model = NetworkModel(tuple(layers), taps, (w_in, h_in, c_in))
         model.tap_lengths()
+        if "flatten" not in (layer.kind for layer in layers):
+            raise FormatError("weight file: the network has no flatten layer, so its output "
+                              "is not a vector")
     except FormatError:
         raise
     except ValueError as exc:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .imagecore import FormatError, check_json, load_json, median_filter_array
-from .featnet import FilterMask, NetworkModel, _forward_chunks, forward_batch
+from .featnet import FilterMask, NetworkModel, embed, forward_chunks
 from .synthface import Dataset
 
 _AGG_TOL = 1e-6
@@ -53,11 +53,12 @@ class SensitivityTable:
         check_json(d, "sensitivity table",
                    {"eps": (list, (list, float)), "layer_agg": (list, float), "n_dis": int}, {})
         try:
-            table = cls(tuple(np.array(row) for row in d["eps"]), d["n_dis"])
+            table = cls(tuple(np.array(row, dtype=np.float64) for row in d["eps"]), d["n_dis"])
         except ValueError as exc:
             raise FormatError(f"sensitivity table: {exc}") from None
         if (len(d["layer_agg"]) != len(table.eps)
-                or not np.allclose(table.layer_agg, d["layer_agg"], atol=_AGG_TOL)):
+                or not np.allclose(table.layer_agg, np.array(d["layer_agg"], dtype=np.float64),
+                                   atol=_AGG_TOL)):
             raise FormatError("sensitivity table: layer aggregates inconsistent with eps matrix")
         return table
 
@@ -111,7 +112,7 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
     responses = NetworkModel(model.layers[: max(taps, default=-1) + 1], taps, model.input_spec)
     images = np.stack([p[k].pixels for p in pairs for k in (0, 1)])
     norms = [np.empty((len(pairs), n)) for n in model.conv_filter_counts()]
-    for lo, (_, maps) in _forward_chunks(responses, images):
+    for lo, (_, maps) in forward_chunks(responses, images):
         for out, t in zip(norms, maps):
             _pair_norms(t, out[lo // 2 : (lo + len(t)) // 2])
     sums = (sum(a[g : g + _SUM_PAIRS].sum(axis=0) for g in range(0, len(a), _SUM_PAIRS))
@@ -154,7 +155,7 @@ def mitigate_batch(model: NetworkModel, plan: MitigationPlan, images: np.ndarray
     """Embeddings of a (N, H, W, C) uint8 batch after median filtering and masked forward."""
     if plan.use_median_filter:
         images = median_filter_array(images, MEDIAN_WINDOW)
-    return forward_batch(model, images, plan.mask)[0]
+    return embed(model, images, plan.mask)
 
 
 def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dataset,

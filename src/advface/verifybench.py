@@ -17,7 +17,7 @@ import numpy as np
 
 from . import distortions
 from .detector import embed_and_features
-from .featnet import NetworkModel, _forward_chunks, forward_batch
+from .featnet import NetworkModel, embed
 from .mitigator import MEDIAN_WINDOW, MitigationPlan
 from .imagecore import median_filter_array
 from .synthface import Dataset, split_protocol
@@ -57,10 +57,6 @@ class RocCurve:
     @property
     def points(self) -> list[tuple[float, float, float]]:
         return list(zip(self.thresholds.tolist(), self.far.tolist(), self.gar.tolist()))
-
-
-def _embed_plain(model: NetworkModel, batch: np.ndarray) -> np.ndarray:
-    return np.vstack([emb for _, (emb, _) in _forward_chunks(model, batch)])
 
 
 def _cosine_matrix(emb: np.ndarray) -> np.ndarray:
@@ -120,11 +116,8 @@ def _distorted_copy(ds: Dataset, spec: distortions.DistortionSpec,
     return batch
 
 
-def _gar_from_embeddings(emb: np.ndarray, ids: np.ndarray,
-                         far_target: float) -> tuple[float, int, int]:
-    sm = score_matrix(emb, ids)
-    return (gar_at_far(roc(sm), far_target),
-            len(sm.genuine_scores()), len(sm.impostor_scores()))
+def _gar_from_embeddings(emb: np.ndarray, ids: np.ndarray, far_target: float) -> float:
+    return gar_at_far(roc(score_matrix(emb, ids)), far_target)
 
 
 def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionSpec,
@@ -144,24 +137,23 @@ def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionS
         raise ValueError("the corrected condition needs both a detector and a plan, "
                          f"got only the {'plan' if det is None else 'detector'}")
     ids = np.array([it.subject_id for it in ds.items])
-    if len(np.unique(ids)) < 2:
+    per_subject = np.unique(ids, return_counts=True)[1]
+    if len(per_subject) < 2:
         raise ProtocolError("dataset must span at least 2 subjects")
-    conditions = {"original": _embed_plain(model, ds.pixel_batch())}
+    # ordered off-diagonal pairs, the same for every condition
+    n_gen = int((per_subject * (per_subject - 1)).sum())
+    n_imp = len(ids) * (len(ids) - 1) - n_gen
+    conditions = {"original": embed(model, ds.pixel_batch())}
     if det is not None:
         prep = prepare_pipeline_eval(model, ds, spec, det, fraction, seed)
         conditions["distorted"] = prep.emb_plain
         conditions["corrected"] = _corrected_embeddings(model, prep, plan)
     else:
-        conditions["distorted"] = _embed_plain(model, _distorted_copy(ds, spec, fraction, seed))
-    rows = []
-    for condition, emb in conditions.items():
-        gar, n_gen, n_imp = _gar_from_embeddings(emb, ids, far_target)
-        rows.append({
-            "condition": condition, "distortion": spec.kind, "gar_at_far": gar,
-            "far_target": far_target, "n_genuine": n_gen, "n_impostor": n_imp,
-            "seed": seed,
-        })
-    return rows
+        conditions["distorted"] = embed(model, _distorted_copy(ds, spec, fraction, seed))
+    return [{"condition": condition, "distortion": spec.kind,
+             "gar_at_far": _gar_from_embeddings(emb, ids, far_target),
+             "far_target": far_target, "n_genuine": n_gen, "n_impostor": n_imp, "seed": seed}
+            for condition, emb in conditions.items()]
 
 
 def write_report(rows, path) -> None:
@@ -216,12 +208,11 @@ def _corrected_embeddings(model: NetworkModel, prep: PipelineEval,
     emb = prep.emb_plain.copy()
     if prep.flags.any():
         batch = prep.flagged_median if plan.use_median_filter else prep.flagged
-        emb[prep.flags] = forward_batch(model, batch, plan.mask)[0]
+        emb[prep.flags] = embed(model, batch, plan.mask)
     return emb
 
 
 def finish_pipeline_eval(model: NetworkModel, prep: PipelineEval, plan: MitigationPlan,
                          far_target: float) -> float:
     """Corrected-condition GAR@FAR for one candidate plan."""
-    return _gar_from_embeddings(_corrected_embeddings(model, prep, plan),
-                                prep.ids, far_target)[0]
+    return _gar_from_embeddings(_corrected_embeddings(model, prep, plan), prep.ids, far_target)

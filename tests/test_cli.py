@@ -633,8 +633,6 @@ class TestOutOfRangeInputs:
 
     @staticmethod
     def _count_forwards(monkeypatch) -> list:
-        from advface import mitigator, verifybench
-
         forwarded = []
         real = featnet.forward_batch
 
@@ -642,8 +640,7 @@ class TestOutOfRangeInputs:
             forwarded.append(images.shape[0])
             return real(model, images, *args, **kw)
 
-        for mod in (featnet, mitigator, verifybench):
-            monkeypatch.setattr(mod, "forward_batch", counting)
+        monkeypatch.setattr(featnet, "forward_batch", counting)
         return forwarded
 
     @staticmethod
@@ -826,3 +823,134 @@ class TestJsonDataFiles:
         assert run(*argv) == 2
         TestOutOfRangeInputs._one_line(
             capsys, f"error: manifest image 0: landmarks: key {path[0]!r} has the wrong type")
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("detector", lambda d: d.update(w=[10**20] * d["n_layers"])),
+        ("detector", lambda d: d.update(C=10**20)),
+        ("sensitivity table", lambda d: d.update(eps=[[10**20, 1.0]], layer_agg=[1e20])),
+    ], ids=["detector-w", "detector-C", "table-eps"])
+    def test_integer_beyond_int64_that_float64_holds_is_read(self, pipeline, tmp_path, capsys,
+                                                             kind, edit):
+        if kind == "detector":
+            doc = json.loads(pipeline["detector"].read_text())
+            doc["mean_reps_path"] = str(pipeline["extracted"] / "mean_reps.mrep")
+        else:
+            doc = json.loads(pipeline["table"].read_text())
+        edit(doc)
+        assert run(*self._argv(pipeline, tmp_path, kind, json.dumps(doc).encode())) == 0
+        assert capsys.readouterr().err == ""
+
+
+def _conv_relu_fnet() -> bytes:
+    """FNET1 bytes of a 64x64x1 conv + relu net: it runs, but its output is a map."""
+    return b"".join([b"FNET1", struct.pack("<IIIIII", 2, 64, 64, 1, 1, 1),
+                     struct.pack("<BIIIII", 0, 1, 1, 3, 1, 1), np.ones(10, "<f4").tobytes(),
+                     struct.pack("<B", 1)])
+
+
+def _first_layer(b: bytes) -> int:
+    """Offset of the first layer's kind byte in FNET1 bytes."""
+    return 25 + 4 * struct.unpack_from("<I", b, 21)[0]
+
+
+def _json_update(**fields):
+    return lambda b: json.dumps({**json.loads(b), **fields}).encode()
+
+
+def _manifest_subject(subject_id):
+    def edit(b):
+        doc = json.loads(b)
+        doc["images"][0]["subject_id"] = subject_id
+        return json.dumps(doc).encode()
+    return edit
+
+
+_U32_MAX = 2**32 - 1
+_TRUNCATED = ("truncated", lambda b: b[: len(b) // 2])
+
+# kind -> (mistyped, integer beyond int64 or, in binary formats, the widest the
+# field holds, and further cases), each an (id, edit of the good file's bytes)
+_ARTIFACT_CASES = {
+    "FNET1": [
+        ("mistyped-layer-kind",
+         lambda b: b[: _first_layer(b)] + b"\x09" + b[_first_layer(b) + 1:]),
+        ("conv-bytes-beyond-int64", lambda b: b[: _first_layer(b) + 1]
+         + struct.pack("<III", _U32_MAX, _U32_MAX, _U32_MAX) + b[_first_layer(b) + 13:]),
+        ("output-not-a-vector", lambda b: _conv_relu_fnet()),
+    ],
+    "MREP1": [
+        ("mistyped-magic", lambda b: b"FNET1" + b[5:]),
+        ("u32-max-length", lambda b: b[:13] + struct.pack("<I", _U32_MAX) + b[17:]),
+    ],
+    "detector": [("mistyped-b", _json_update(b="0")), ("C-beyond-int64", _json_update(C=-10**20))],
+    "table": [
+        ("mistyped-n_dis", _json_update(n_dis="1")),
+        ("eps-beyond-int64", _json_update(eps=[[-10**20, 1.0]], layer_agg=[-1e20])),
+    ],
+    "plan": [("mistyped-kappa", _json_update(kappa="0.25")),
+             ("eta-beyond-int64", _json_update(eta=2**64))],
+    "spec": [("mistyped-kind", _json_update(kind=3)),
+             ("rho_grids-beyond-int64", _json_update(rho_grids=2**64))],
+    "manifest": [("mistyped-seed", _json_update(seed="3")),
+                 ("subject_id-beyond-int64", _manifest_subject(2**64))],
+    "PGM": [("mistyped-width", lambda b: b.replace(b"64", b"xx", 1)),
+            ("width-beyond-int64", lambda b: b.replace(b"64", str(2**64).encode(), 1))],
+}
+
+
+class TestArtifactFuzz:
+    """Every artifact kind, truncated, mistyped or holding an out-of-range
+    integer, ends its command in exit 1 or 2 with one stderr line."""
+
+    @staticmethod
+    def _argv(pipeline, tmp_path, kind: str) -> tuple:
+        """(path of the good `kind` file, the bad file's path, the command that loads it)."""
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+        bad = tmp_path / "bad"
+        plan = tmp_path / "empty-plan.json"
+        plan.write_text(json.dumps({"eta": 1, "kappa": 0.0, "mask": []}))
+        good, argv = {
+            "FNET1": (pipeline["extracted"] / "network.fnet",
+                      ["mitigate", "--weights", bad, "--plan", plan, "--image", img,
+                       "--out", tmp_path / "emb.json"]),
+            "MREP1": (pipeline["extracted"] / "mean_reps.mrep",
+                      ["train-detector", "--net-seed", 1, "--mean-reps", bad,
+                       "--clean", pipeline["data"], "--distorted", pipeline["distorted"],
+                       "--out", tmp_path / "det"]),
+            "detector": (pipeline["detector"],
+                         ["detect", "--net-seed", 1, "--detector", bad, "--image", img]),
+            "table": (pipeline["table"],
+                      ["build-plan", "--table", bad, "--eta", 1, "--kappa", 0.25,
+                       "--out", tmp_path / "plan.json"]),
+            "plan": (pipeline["plan"],
+                     ["mitigate", "--net-seed", 1, "--plan", bad, "--image", img,
+                      "--out", tmp_path / "emb.json"]),
+            "spec": (pipeline["spec"],
+                     ["distort", "--spec", bad, "--in", pipeline["data"],
+                      "--out", tmp_path / "out"]),
+            "manifest": (pipeline["data"] / "manifest.json",
+                         ["distort", "--spec", pipeline["spec"], "--in", bad.parent / "data",
+                          "--out", tmp_path / "out"]),
+            "PGM": (img, ["detect", "--net-seed", 1, "--detector", pipeline["detector"],
+                          "--image", bad]),
+        }[kind]
+        if kind == "manifest":
+            shutil.copytree(pipeline["data"], tmp_path / "data")
+            bad = tmp_path / "data" / "manifest.json"
+        return good, bad, argv
+
+    @pytest.mark.parametrize("kind, edit", [
+        pytest.param(kind, edit, id=f"{kind}-{name}")
+        for kind, cases in _ARTIFACT_CASES.items()
+        for name, edit in [_TRUNCATED, *cases]])
+    def test_bad_artifact_is_one_line_error(self, pipeline, tmp_path, capsys, kind, edit):
+        good, bad, argv = self._argv(pipeline, tmp_path, kind)
+        content = good.read_bytes()
+        if kind == "detector":  # the copy lives elsewhere: name its mean reps absolutely
+            content = _json_update(mean_reps_path=str(
+                pipeline["extracted"] / "mean_reps.mrep"))(content)
+        bad.write_bytes(edit(content))
+        assert run(*argv) in (1, 2)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err

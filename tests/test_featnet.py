@@ -121,7 +121,7 @@ class TestForward:
         batch = rng.integers(0, 256, size=(7, 64, 64, 1), dtype=np.uint8)
         starts = []
         # each chunk's taps are only valid inside the loop body
-        for lo, (emb, taps) in featnet._forward_chunks(default_model, batch):
+        for lo, (emb, taps) in featnet.forward_chunks(default_model, batch):
             starts.append(lo)
             want = forward_batch(default_model, batch[lo : lo + 3])
             assert np.array_equal(emb, want[0])
@@ -142,7 +142,7 @@ class TestForward:
 
         monkeypatch.setattr(featnet, "forward_batch", spy)
         batch = np.zeros((5, 64, 64, 1), np.uint8)
-        for _, (_, taps) in featnet._forward_chunks(default_model, batch):
+        for _, (_, taps) in featnet.forward_chunks(default_model, batch):
             refs.extend(weakref.ref(t) for t in taps)  # every tap, the last one too
         assert alive_at_forward == [[], [False] * 5, [False] * 10]
         assert all(r() is None for r in refs)
@@ -159,7 +159,7 @@ class TestForward:
             return real(model, images, *args)
 
         monkeypatch.setattr(featnet, "forward_batch", spy)
-        chunks = featnet._forward_chunks(model, np.zeros((5, 64, 64, 1), np.uint8))
+        chunks = featnet.forward_chunks(model, np.zeros((5, 64, 64, 1), np.uint8))
         for _ in range(3):  # the caller binds nothing of a chunk
             refs.append(weakref.ref(next(chunks)[1][0]))
         assert alive_at_forward == [[], [False], [False, False]]

@@ -440,8 +440,6 @@ class TestGridSearch:
     ], ids=["eta-9", "kappa-2", "far-0"])
     def test_grid_and_far_checked_before_any_forward(self, default_model, small_dataset,
                                                       monkeypatch, grids, far, message):
-        from advface import verifybench
-
         table = table_from([[1.0] * n for n in default_model.conv_filter_counts()])
         det = self._flag_all_detector(default_model, small_dataset)
         forwarded = []
@@ -451,8 +449,7 @@ class TestGridSearch:
             forwarded.append(len(images))
             return real(model, images, *args)
 
-        for mod in (featnet, mitigator, verifybench):
-            monkeypatch.setattr(mod, "forward_batch", counting)
+        monkeypatch.setattr(featnet, "forward_batch", counting)
         with pytest.raises(ValueError, match=message):
             grid_search_plan(default_model, table, small_dataset, [DistortionSpec("grids")],
                              {"grids": det}, *grids, far_target=far)
@@ -460,13 +457,10 @@ class TestGridSearch:
 
     def test_missing_detector_kind_checked_before_any_forward(self, default_model,
                                                                small_dataset, monkeypatch):
-        from advface import verifybench
-
         table = table_from([[1.0] * n for n in default_model.conv_filter_counts()])
         det = self._flag_all_detector(default_model, small_dataset)
         forwarded = []
-        for mod in (featnet, mitigator, verifybench):
-            monkeypatch.setattr(mod, "forward_batch", lambda *args: forwarded.append(args))
+        monkeypatch.setattr(featnet, "forward_batch", lambda *args: forwarded.append(args))
         specs = [DistortionSpec("grids"), DistortionSpec("beard")]
         with pytest.raises(ValueError, match=r"no detector for distortion kinds \['beard'\]"):
             grid_search_plan(default_model, table, small_dataset, specs, {"grids": det},

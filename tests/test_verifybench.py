@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advface import detector, featnet, mitigator, verifybench
-from advface.detector import DetectorModel, compute_mean_reps, detect_scores
+from advface.detector import DetectorModel, MeanReps, compute_mean_reps, detect_scores
 from advface.distortions import DistortionSpec
 from advface.featnet import FilterMask, forward_batch
+from advface.imagecore import median_filter_array
 from advface.mitigator import MitigationPlan
 from advface.synthface import Dataset, DatasetItem, generate_dataset
 from advface.verifybench import (
@@ -205,9 +206,12 @@ class TestProtocol:
                             DistortionSpec("xmsb", seed=4), det=det, plan=plan,
                             fraction=0.5, seed=2)
         assert [r["condition"] for r in rows] == ["original", "distorted", "corrected"]
+        sm = score_matrix(np.eye(len(small_dataset)),
+                          [it.subject_id for it in small_dataset.items])
         for r in rows:
             assert 0.0 <= r["gar_at_far"] <= 1.0
-            assert r["n_genuine"] > 0 and r["n_impostor"] > 0
+            assert (r["n_genuine"], r["n_impostor"]) == (len(sm.genuine_scores()),
+                                                          len(sm.impostor_scores()))
 
     def test_each_condition_forwards_each_image_once(self, default_model, small_dataset,
                                                      monkeypatch):
@@ -231,11 +235,41 @@ class TestProtocol:
             counts["plain" if mask is None else "masked"] += images.shape[0]
             return real(model, images, mask, **kw)
 
-        for mod in (featnet, verifybench, mitigator):
-            monkeypatch.setattr(mod, "forward_batch", counting)
+        monkeypatch.setattr(featnet, "forward_batch", counting)
         run_protocol(small_dataset, default_model, spec, det=det, plan=plan,
                      fraction=0.5, seed=2)
         assert counts == {"plain": 2 * len(mixed), "masked": flagged}
+
+    def test_masked_forwards_run_in_featnet_chunks(self, default_model, monkeypatch):
+        # 40 flagged images in chunks of 16, 16 and 8: each chunk has the
+        # 8 or more rows for which the dense layer gives the full batch's bytes
+        monkeypatch.setattr(featnet, "FORWARD_CHUNK", 16)
+        ds = generate_dataset(10, 4, 64, seed=6)
+        means = MeanReps(tuple(np.zeros(n) for n in default_model.tap_lengths()), 1)
+        n = len(means.means)
+        flag_all = DetectorModel(np.zeros(n), 1.0, 1.0, np.zeros(n), np.ones(n), means)
+        plan = MitigationPlan(1, 0.25, FilterMask({(0, 0), (1, 3)}))
+        spec = DistortionSpec("grids", seed=4)
+        mixed = verifybench._distorted_copy(ds, spec, 0.5, 2)
+        want = forward_batch(default_model, median_filter_array(mixed, 5), plan.mask)[0]
+        masked = []
+        real = featnet.forward_batch
+
+        def counting(model, images, mask=None):
+            if mask is not None:
+                masked.append(len(images))
+            return real(model, images, mask)
+
+        monkeypatch.setattr(featnet, "forward_batch", counting)
+        assert np.array_equal(mitigator.mitigate_batch(default_model, plan, mixed), want)
+        rows = run_protocol(ds, default_model, spec, det=flag_all, plan=plan,
+                            fraction=0.5, seed=2)
+        prep = verifybench.prepare_pipeline_eval(default_model, ds, spec, flag_all, 0.5, 2)
+        assert prep.flags.all()
+        assert np.array_equal(verifybench._corrected_embeddings(default_model, prep, plan),
+                              want)
+        assert masked == [16, 16, 8] * 3
+        assert rows[2]["gar_at_far"] == verifybench._gar_from_embeddings(want, prep.ids, 0.01)
 
     @staticmethod
     def _half_flagging_detector(model, ds, spec):
@@ -264,8 +298,7 @@ class TestProtocol:
         assert rows[2]["condition"] == "corrected"
         assert rows[2]["gar_at_far"] == verifybench.finish_pipeline_eval(
             default_model, prep, plan, 0.05)
-        distorted, _, _ = verifybench._gar_from_embeddings(
-            prep.emb_plain, prep.ids, 0.05)
+        distorted = verifybench._gar_from_embeddings(prep.emb_plain, prep.ids, 0.05)
         assert rows[1]["gar_at_far"] == distorted
 
     @pytest.mark.parametrize("use_median", [True, False], ids=["median", "no-median"])
