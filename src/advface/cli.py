@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import detector as det_mod
 from . import distortions, featnet, mitigator, synthface, verifybench
-from .imagecore import FormatError, read_image
+from .imagecore import FormatError, read_image, reading
 
 
 @functools.lru_cache(maxsize=8)
@@ -37,10 +37,8 @@ def _load_network(args) -> featnet.NetworkModel:
 
 def _load_plan(path, model: featnet.NetworkModel) -> mitigator.MitigationPlan:
     plan = mitigator.MitigationPlan.from_json_file(path)
-    try:  # a filter the network lacks is found here, before any forward pass
+    with reading("mitigation plan"):  # finds a filter the network lacks before any forward
         model.validate_mask(plan.mask)
-    except ValueError as exc:
-        raise FormatError(f"mitigation plan: {exc}") from None
     return plan
 
 

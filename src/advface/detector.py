@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imagecore import FormatError, _Reader, check_json, load_json
+from .imagecore import FormatError, _Reader, check_json, load_json, reading
 from . import featnet
 from .featnet import NetworkModel
 from .seeds import rng_from
@@ -266,10 +266,8 @@ def load_mean_reps(path) -> MeanReps:
         length = rd.u32(f"layer {i} length")
         means.append(np.frombuffer(rd.take(8 * length, f"layer {i} means"), "<f8").copy())
     rd.finish("the last layer")
-    try:
+    with reading("mean file"):
         return MeanReps(tuple(means), n_train)
-    except ValueError as exc:
-        raise FormatError(f"mean file: {exc}") from None
 
 
 def save_detector(det: DetectorModel, path, mean_reps_path) -> None:

@@ -14,8 +14,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .imagecore import (FormatError, Image, Point, check_json, line_pixels, load_json,
-                        polygon_mask)
+from .imagecore import (Image, Point, check_json, line_pixels, load_json, polygon_mask,
+                        reading)
 from .seeds import derive_seed, rng_from
 from .synthface import LandmarkSet
 
@@ -58,7 +58,7 @@ class DistortionSpec:
     def from_json_dict(cls, d: dict) -> "DistortionSpec":
         check_json(d, "distortion spec", {"kind": str},
                    {"rho_grids": int, "phi": (list, float), "psi": float, "seed": Integral})
-        try:
+        with reading("distortion spec"):
             return cls(
                 kind=d["kind"],
                 rho_grids=d.get("rho_grids", DEFAULT_RHO_GRIDS),
@@ -66,8 +66,6 @@ class DistortionSpec:
                 psi=d.get("psi", DEFAULT_PSI),
                 seed=d.get("seed", 0),
             )
-        except ValueError as exc:
-            raise FormatError(f"distortion spec: {exc}") from None
 
     @classmethod
     def from_json_file(cls, path) -> "DistortionSpec":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagecore import FormatError, _Reader
+from .imagecore import FormatError, _Reader, reading
 from .seeds import rng_from
 
 _MAGIC = b"FNET1"
@@ -30,8 +30,6 @@ _CONV_BLOCK = 8
 # Threads that share a blocked loop in _parallel_blocks, the calling one
 # included: the CPUs this process may use.
 _WORKERS = len(os.sched_getaffinity(0))
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -192,22 +190,15 @@ def _tap_range(u: int, pad: int, stride: int, n_in: int, n_out: int) -> tuple[in
     return lo, max(lo, hi)
 
 
-def _executor() -> ThreadPoolExecutor:
+def _new_pool() -> None:
+    """Make the pool of _parallel_blocks, whose threads start on the first submit: at
+    import, and in a forked child, which inherits the pool but none of its threads."""
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS - 1)
-        return _pool
+    _pool = ThreadPoolExecutor(max(1, _WORKERS - 1))
 
 
-def _drop_pool_in_child() -> None:
-    """A forked child inherits the pool but none of its threads, so work
-    submitted to it would never run: the child starts its own on demand."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_drop_pool_in_child)
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)
 
 
 def _parallel_blocks(n: int, step: int, alloc, fn) -> None:
@@ -240,8 +231,7 @@ def _parallel_blocks(n: int, step: int, alloc, fn) -> None:
         run(alloc())
         return
     scratches = [alloc() for _ in range(threads)]
-    pool = _executor()
-    helpers = [pool.submit(run, scratch) for scratch in scratches[1:]]
+    helpers = [_pool.submit(run, scratch) for scratch in scratches[1:]]
     try:
         run(scratches[0])
     finally:
@@ -268,8 +258,7 @@ def _conv2d(x: np.ndarray, layer: LayerDef) -> np.ndarray:
     o, c, k, _ = w.shape
     n, _, h, wd = x.shape
     p, s = layer.pad, layer.stride
-    ho = (h + 2 * p - k) // s + 1
-    wo = (wd + 2 * p - k) // s + 1
+    _, ho, wo = _out_shape(layer, x.shape[1:])
     wmat = w.reshape(o, c * k * k)
     bias = layer.bias[:, None, None]
     out = np.empty((n, o, ho, wo), np.float32)
@@ -297,8 +286,7 @@ def _conv2d(x: np.ndarray, layer: LayerDef) -> np.ndarray:
 def _maxpool(x: np.ndarray, layer: LayerDef) -> np.ndarray:
     """Running np.maximum over the k*k strided slices, one per window offset."""
     k, s = layer.window, layer.stride
-    ho = (x.shape[2] - k) // s + 1
-    wo = (x.shape[3] - k) // s + 1
+    _, ho, wo = _out_shape(layer, x.shape[1:])
     out = None
     for di in range(k):
         for dj in range(k):
@@ -418,7 +406,7 @@ def load_weights(path) -> NetworkModel:
     n_taps = rd.u32("tap count")
     taps = tuple(rd.u32("tap index") for _ in range(n_taps))
     layers = []
-    try:
+    with reading("weight file"):
         for li in range(n_layers):
             code = rd.take(1, f"layer {li} kind")[0]
             if code not in _CODE_KINDS:
@@ -452,8 +440,4 @@ def load_weights(path) -> NetworkModel:
         if "flatten" not in (layer.kind for layer in layers):
             raise FormatError("weight file: the network has no flatten layer, so its output "
                               "is not a vector")
-    except FormatError:
-        raise
-    except ValueError as exc:
-        raise FormatError(f"weight file: {exc}") from None
     return model

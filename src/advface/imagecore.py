@@ -7,6 +7,7 @@ The only image formats are binary PGM (P5) and PPM (P6) with maxval 255.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import struct
@@ -19,6 +20,17 @@ import numpy as np
 
 class FormatError(ValueError):
     """Malformed or unsupported file content."""
+
+
+@contextlib.contextmanager
+def reading(what: str):
+    """A ValueError in the block, but not a FormatError, becomes FormatError(f"{what}: {exc}")."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(f"{what}: {exc}") from None
 
 
 class _Reader:
@@ -78,10 +90,8 @@ def check_json(d, what: str, required: dict, optional: dict) -> None:
 
 def load_json(path, what: str):
     """Parse the JSON file at path; text that is not JSON is a FormatError naming `what`."""
-    try:
+    with reading(f"{what}: {path} is not JSON"):  # not UTF-8, not JSON, or an int too long
         return json.loads(Path(path).read_text())
-    except ValueError as exc:  # not UTF-8, not JSON, or an int too long to parse
-        raise FormatError(f"{what}: {path} is not JSON: {exc}") from None
 
 
 class Point(NamedTuple):

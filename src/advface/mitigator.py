@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imagecore import FormatError, check_json, load_json, median_filter_array
+from .imagecore import FormatError, check_json, load_json, median_filter_array, reading
 from .featnet import FilterMask, NetworkModel, embed, forward_chunks
 from .synthface import Dataset
 
@@ -52,10 +52,8 @@ class SensitivityTable:
     def from_json_dict(cls, d: dict) -> "SensitivityTable":
         check_json(d, "sensitivity table",
                    {"eps": (list, (list, float)), "layer_agg": (list, float), "n_dis": int}, {})
-        try:
+        with reading("sensitivity table"):
             table = cls(tuple(np.array(row, dtype=np.float64) for row in d["eps"]), d["n_dis"])
-        except ValueError as exc:
-            raise FormatError(f"sensitivity table: {exc}") from None
         if (len(d["layer_agg"]) != len(table.eps)
                 or not np.allclose(table.layer_agg, np.array(d["layer_agg"], dtype=np.float64),
                                    atol=_AGG_TOL)):
@@ -84,11 +82,9 @@ class MitigationPlan:
                    {"use_median_filter": bool})
         if any(len(pair) != 2 for pair in d["mask"]):
             raise FormatError("mitigation plan: mask entries must be [layer, filter] pairs")
-        try:
+        with reading("mitigation plan"):
             return cls(d["eta"], d["kappa"], FilterMask(frozenset(map(tuple, d["mask"]))),
                        d.get("use_median_filter", True))
-        except ValueError as exc:
-            raise FormatError(f"mitigation plan: {exc}") from None
 
     @classmethod
     def from_json_file(cls, path) -> "MitigationPlan":
@@ -167,7 +163,8 @@ def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dat
     on a 50%-distorted copy of train_ds and computing GAR at far_target,
     averaged across distortions; `det` maps each kind to its detector. The
     first maximum wins, so ties prefer smaller kappa, then smaller eta. The
-    grids, far_target and the detectors' kinds are checked before any forward pass.
+    grids, far_target, the detectors' kinds and the set's genuine pairs are
+    checked before any forward pass.
     """
     from . import verifybench  # local import: verifybench depends on this module
 
@@ -176,8 +173,7 @@ def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dat
     specs = list(distortion_specs)
     if not eta_grid or not kappa_grid or not specs:
         raise ValueError("grids and distortion list must be non-empty")
-    if len({it.subject_id for it in train_ds.items}) < 2:
-        raise ValueError("training dataset must span at least 2 subjects")
+    verifybench.pair_counts([it.subject_id for it in train_ds.items], "training dataset")
     if not 0 < far_target < 1:
         raise ValueError("far_target must be in (0, 1)")
     missing = sorted({spec.kind for spec in specs} - set(det))

@@ -302,10 +302,13 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
 
 
 def load_dataset(in_dir) -> Dataset:
-    """Read a dataset written by save_dataset; a malformed manifest raises FormatError."""
+    """Read a dataset written by save_dataset; a malformed manifest, one that lists
+    no images, or images of unequal shapes raise FormatError."""
     root = Path(in_dir)
     doc = load_json(root / "manifest.json", "manifest")
     check_json(doc, "manifest", {"seed": Integral, "images": list}, {})
+    if not doc["images"]:
+        raise FormatError("manifest: lists no images")
     items = []
     for i, e in enumerate(doc["images"]):
         what = f"manifest image {i}"
@@ -316,5 +319,8 @@ def load_dataset(in_dir) -> Dataset:
         except ValueError as exc:
             raise FormatError(f"{what}: {exc}") from None
         img = read_image(root / e["path"])
+        if items and img.pixels.shape != items[0].image.pixels.shape:
+            raise FormatError(f"{what}: {e['path']} has shape {img.pixels.shape}, "
+                              f"manifest image 0 has {items[0].image.pixels.shape}")
         items.append(DatasetItem(img, lms, e["subject_id"], e["sample_index"]))
     return Dataset(tuple(items), doc["seed"])

@@ -116,6 +116,18 @@ def _distorted_copy(ds: Dataset, spec: distortions.DistortionSpec,
     return batch
 
 
+def pair_counts(ids, what: str = "dataset") -> tuple[int, int]:
+    """(genuine, impostor) counts of the ordered off-diagonal pairs of a set with
+    these subject ids; a set that cannot give both kinds is a ProtocolError."""
+    per_subject = np.unique(ids, return_counts=True)[1]
+    if len(per_subject) < 2:
+        raise ProtocolError(f"{what} must span at least 2 subjects")
+    n_gen = int((per_subject * (per_subject - 1)).sum())
+    if n_gen == 0:  # no subject has two images
+        raise ProtocolError("need at least one genuine and one impostor pair")
+    return n_gen, len(ids) * (len(ids) - 1) - n_gen
+
+
 def _gar_from_embeddings(emb: np.ndarray, ids: np.ndarray, far_target: float) -> float:
     return gar_at_far(roc(score_matrix(emb, ids)), far_target)
 
@@ -129,7 +141,8 @@ def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionS
     With a detector and a plan, the distorted and corrected conditions come
     from the same PipelineEval the plan search scores its candidates on;
     only one of the two, or a far_target or fraction out of range, is a
-    ValueError raised before any forward pass.
+    ValueError, and a set with no genuine pair a ProtocolError, raised before
+    any forward pass.
     """
     if not 0 < far_target < 1 or not 0 <= fraction <= 1:
         raise ValueError("far_target must be in (0, 1) and fraction in [0, 1]")
@@ -137,12 +150,7 @@ def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionS
         raise ValueError("the corrected condition needs both a detector and a plan, "
                          f"got only the {'plan' if det is None else 'detector'}")
     ids = np.array([it.subject_id for it in ds.items])
-    per_subject = np.unique(ids, return_counts=True)[1]
-    if len(per_subject) < 2:
-        raise ProtocolError("dataset must span at least 2 subjects")
-    # ordered off-diagonal pairs, the same for every condition
-    n_gen = int((per_subject * (per_subject - 1)).sum())
-    n_imp = len(ids) * (len(ids) - 1) - n_gen
+    n_gen, n_imp = pair_counts(ids)  # the same for every condition
     conditions = {"original": embed(model, ds.pixel_batch())}
     if det is not None:
         prep = prepare_pipeline_eval(model, ds, spec, det, fraction, seed)

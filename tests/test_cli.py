@@ -13,7 +13,7 @@ from advface.cli import main
 from advface.detector import (DetectorModel, MeanReps, load_mean_reps, save_detector,
                               save_mean_reps)
 from advface.featnet import LayerDef, NetworkModel
-from advface.imagecore import read_image
+from advface.imagecore import Image, read_image, write_image
 from advface.mitigator import load_table
 from advface.synthface import load_dataset
 
@@ -687,6 +687,21 @@ class TestOutOfRangeInputs:
             "usage error: far_target must be in (0, 1) and fraction in [0, 1]\n"
         assert forwarded == []
 
+    def test_set_with_no_genuine_pair_fails_before_forwarding(self, pipeline, tmp_path,
+                                                                capsys, monkeypatch):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        doc = json.loads((data / "manifest.json").read_text())
+        for i, e in enumerate(doc["images"]):  # 4 images of 4 subjects
+            e["subject_id"] = i
+        (data / "manifest.json").write_text(json.dumps(doc))
+        forwarded = self._count_forwards(monkeypatch)
+        assert run("evaluate", "--net-seed", 1, "--dataset", data,
+                   "--distortion", pipeline["spec"], "--out", tmp_path / "r.csv") == 2
+        assert capsys.readouterr().err == \
+            "error: need at least one genuine and one impostor pair\n"
+        assert forwarded == []
+
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
         from advface import synthface
 
@@ -865,8 +880,18 @@ def _manifest_subject(subject_id):
     return edit
 
 
+def _manifest_small_image(b):
+    """Point manifest image 1 at small.pgm, a 32x32 PGM among 64x64 ones."""
+    doc = json.loads(b)
+    doc["images"][1]["path"] = "small.pgm"
+    return json.dumps(doc).encode()
+
+
 _U32_MAX = 2**32 - 1
 _TRUNCATED = ("truncated", lambda b: b[: len(b) // 2])
+# manifests whose images do not stack into one batch
+_UNSTACKABLE_MANIFESTS = [("no-images", _json_update(images=[])),
+                          ("image-shapes-differ", _manifest_small_image)]
 
 # kind -> (mistyped, integer beyond int64 or, in binary formats, the widest the
 # field holds, and further cases), each an (id, edit of the good file's bytes)
@@ -892,7 +917,8 @@ _ARTIFACT_CASES = {
     "spec": [("mistyped-kind", _json_update(kind=3)),
              ("rho_grids-beyond-int64", _json_update(rho_grids=2**64))],
     "manifest": [("mistyped-seed", _json_update(seed="3")),
-                 ("subject_id-beyond-int64", _manifest_subject(2**64))],
+                 ("subject_id-beyond-int64", _manifest_subject(2**64)),
+                 *_UNSTACKABLE_MANIFESTS],
     "PGM": [("mistyped-width", lambda b: b.replace(b"64", b"xx", 1)),
             ("width-beyond-int64", lambda b: b.replace(b"64", str(2**64).encode(), 1))],
 }
@@ -936,6 +962,7 @@ class TestArtifactFuzz:
         }[kind]
         if kind == "manifest":
             shutil.copytree(pipeline["data"], tmp_path / "data")
+            write_image(Image(np.zeros((32, 32, 1), np.uint8)), tmp_path / "data" / "small.pgm")
             bad = tmp_path / "data" / "manifest.json"
         return good, bad, argv
 
@@ -954,3 +981,23 @@ class TestArtifactFuzz:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.endswith("\n"), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["distort", "extract", "sensitivity", "evaluate"])
+    @pytest.mark.parametrize("name, edit", _UNSTACKABLE_MANIFESTS,
+                             ids=[name for name, _ in _UNSTACKABLE_MANIFESTS])
+    def test_unstackable_manifest_is_data_error(self, pipeline, tmp_path, capsys, command,
+                                                name, edit):
+        good, bad, _ = self._argv(pipeline, tmp_path, "manifest")
+        bad.write_bytes(edit(good.read_bytes()))
+        data = bad.parent
+        argv = {"distort": ["--spec", pipeline["spec"], "--in", data, "--out", tmp_path / "o"],
+                "extract": ["--net-seed", 1, "--dataset", data, "--out", tmp_path / "o"],
+                "sensitivity": ["--net-seed", 1, "--clean", data,
+                                "--distorted", pipeline["distorted"], "--out", tmp_path / "t"],
+                "evaluate": ["--net-seed", 1, "--dataset", data,
+                             "--distortion", pipeline["spec"], "--out", tmp_path / "r.csv"]}
+        assert run(command, *argv[command]) == 2
+        assert capsys.readouterr().err == {
+            "no-images": "error: manifest: lists no images\n",
+            "image-shapes-differ": "error: manifest image 1: small.pgm has shape (32, 32, 1), "
+                                   "manifest image 0 has (64, 64, 1)\n"}[name]

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -346,8 +345,25 @@ _AFFINITY_SCRIPT = (
     "      hashlib.sha256(b''.join(a.tobytes() for a in [e, *t, f])).hexdigest())\n")
 
 
-def _parallel_blocks_in_child():
-    featnet._parallel_blocks(64, 8, lambda: None, lambda scratch, lo, hi: None)
+def _blocks_on_two_threads():
+    """Two blocks that each wait for the other, so a pool thread must run one."""
+    meet = threading.Barrier(2, timeout=30)
+    featnet._parallel_blocks(16, 8, lambda: None, lambda scratch, lo, hi: meet.wait())
+
+
+# imports the CLI, then forwards 9 images: two conv blocks, so the pool runs
+# one of them whenever the process may use two CPUs
+_IMPORT_SCRIPT = (
+    "import hashlib, os, sys, threading, numpy as np\n"
+    "if sys.argv[1] == 'pin':\n"
+    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    "import advface.cli\n"
+    "from advface import featnet\n"
+    "threads = threading.active_count()\n"
+    "b = np.random.default_rng(3).integers(0, 256, (9, 64, 64, 1), np.uint8)\n"
+    "e, t = featnet.forward_batch(featnet.default_network(43), b)\n"
+    "print(threads, featnet._WORKERS,\n"
+    "      hashlib.sha256(b''.join(a.tobytes() for a in [e, *t])).hexdigest())\n")
 
 
 class TestWorkers:
@@ -425,17 +441,21 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match="block failed"):
             featnet._parallel_blocks(16, 8, lambda: None, fn)
 
-    def test_forked_child_runs_parallel_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("used", [True, False], ids=["after-use", "before-use"])
+    def test_forked_child_runs_parallel_blocks(self, monkeypatch, used):
         monkeypatch.setattr(featnet, "_WORKERS", 2)
-        # busy blocks make the pool start both threads, which the child lacks
-        featnet._parallel_blocks(64, 8, lambda: None, lambda scratch, lo, hi: time.sleep(0.01))
-        child = multiprocessing.get_context("fork").Process(target=_parallel_blocks_in_child)
+        pool = ThreadPoolExecutor(1)  # no thread started yet, as right after import
+        monkeypatch.setattr(featnet, "_pool", pool)
+        if used:  # the pool starts its thread, which the child lacks
+            _blocks_on_two_threads()
+        child = multiprocessing.get_context("fork").Process(target=_blocks_on_two_threads)
         child.start()
         child.join(timeout=60)
         alive = child.is_alive()
         if alive:
             child.kill()
             child.join()
+        pool.shutdown()
         assert not alive and child.exitcode == 0
 
     def test_one_cpu_affinity_gives_same_bytes(self):
@@ -449,6 +469,18 @@ class TestWorkers:
             out.append(proc.stdout.split())
         assert out[0][0] == "1" and out[1][0] == str(len(os.sched_getaffinity(0)))
         assert len(out[0][1]) == 64 and out[0][1] == out[1][1]
+
+    def test_import_starts_no_thread(self):
+        src = str(Path(advface.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = []
+        for mode in ("pin", "default"):
+            proc = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT, mode], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout.split())
+        assert [o[:2] for o in out] == [["1", "1"], ["1", str(len(os.sched_getaffinity(0)))]]
+        assert len(out[0][2]) == 64 and out[0][2] == out[1][2]
 
 
 class TestMasking:

@@ -12,6 +12,7 @@ from advface.imagecore import (
     median_filter_array,
     polygon_mask,
     read_image,
+    reading,
     write_image,
 )
 
@@ -143,6 +144,30 @@ class TestCodec:
         path2 = path.with_suffix(".again")
         write_image(back, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+class TestReading:
+    """`reading(what)` is the one rule that turns a bad value in a file into a FormatError."""
+
+    def test_format_error_keeps_its_message(self):
+        with pytest.raises(FormatError) as info:
+            with reading("weight file"):
+                raise FormatError("weight file: truncated")
+        assert str(info.value) == "weight file: truncated"
+
+    def test_value_error_gets_the_prefix(self):
+        with pytest.raises(FormatError) as info:
+            with reading("mean file"):
+                raise ValueError("n_train must be >= 1")
+        assert str(info.value) == "mean file: n_train must be >= 1"
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
+    def test_os_error_passes_through(self):
+        err = FileNotFoundError("no such file")
+        with pytest.raises(FileNotFoundError) as info:
+            with reading("manifest"):
+                raise err
+        assert info.value is err
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from advface.mitigator import (
     save_plan,
     save_table,
 )
-from advface.synthface import generate_dataset
+from advface.synthface import Dataset, DatasetItem, generate_dataset
 
 from conftest import pool_between_convs, relu_pool_relu
 from oracles import naive_conv, sensitivity_loop
@@ -465,6 +465,25 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=r"no detector for distortion kinds \['beard'\]"):
             grid_search_plan(default_model, table, small_dataset, specs, {"grids": det},
                              [1], [0.1])
+        assert forwarded == []
+
+    @pytest.mark.parametrize("subject, message", [
+        (lambda i: 0, "training dataset must span at least 2 subjects"),
+        (lambda i: i, "need at least one genuine and one impostor pair"),
+    ], ids=["one-subject", "one-image-per-subject"])
+    def test_set_with_no_genuine_pair_rejected_before_any_forward(
+            self, default_model, small_dataset, monkeypatch, subject, message):
+        from advface.verifybench import ProtocolError
+
+        table = table_from([[1.0] * n for n in default_model.conv_filter_counts()])
+        det = self._flag_all_detector(default_model, small_dataset)
+        ds = Dataset(tuple(DatasetItem(it.image, it.landmarks, subject(i), 0)
+                           for i, it in enumerate(small_dataset.items[:4])), 0)
+        forwarded = []
+        monkeypatch.setattr(featnet, "forward_batch", lambda *args: forwarded.append(args))
+        with pytest.raises(ProtocolError, match=message):
+            grid_search_plan(default_model, table, ds, [DistortionSpec("grids")],
+                             {"grids": det}, [1], [0.1])
         assert forwarded == []
 
     def test_empty_grid_rejected(self, default_model, small_dataset):

@@ -324,6 +324,21 @@ class TestProtocol:
         assert run_protocol(*args, fraction=0.5, seed=5) == \
             run_protocol(*args, fraction=0.5, seed=5)
 
+    @pytest.mark.parametrize("defended", [False, True], ids=["plain", "defended"])
+    def test_set_with_no_genuine_pair_rejected_before_any_forward(
+            self, default_model, small_dataset, monkeypatch, defended):
+        reps = compute_mean_reps(default_model, small_dataset.pixel_batch())
+        n = len(reps.means)
+        det = DetectorModel(np.zeros(n), 1.0, 1.0, np.zeros(n), np.ones(n), reps)
+        defence = dict(det=det, plan=MitigationPlan(1, 0.0, FilterMask())) if defended else {}
+        ds = Dataset(tuple(DatasetItem(it.image, it.landmarks, i, 0)
+                           for i, it in enumerate(small_dataset.items[:4])), 0)
+        forwarded = []
+        monkeypatch.setattr(featnet, "forward_batch", lambda *args: forwarded.append(args))
+        with pytest.raises(ProtocolError, match="need at least one genuine and one impostor"):
+            run_protocol(ds, default_model, DistortionSpec("grids"), **defence)
+        assert forwarded == []
+
     def test_single_subject_dataset_rejected(self, default_model, small_dataset):
         items = tuple(DatasetItem(it.image, it.landmarks, 0, i)
                       for i, it in enumerate(small_dataset.items))
