@@ -8,6 +8,7 @@ can be disabled at inference time via a FilterMask (selective dropout).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import threading
@@ -25,7 +26,8 @@ _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
 # Images per forward_batch call in forward_chunks, which splits every batch the same way.
 FORWARD_CHUNK = 256
-# Images per reused im2col block in _conv2d; it bounds that buffer and moves no bit.
+# Images per block of forward_batch's depth-first loop; it bounds the per-thread
+# scratch and moves no bit.
 _CONV_BLOCK = 8
 # Threads that share a blocked loop in _parallel_blocks, the calling one
 # included: the CPUs this process may use.
@@ -144,7 +146,7 @@ def _out_shape(layer: LayerDef, shape: tuple) -> tuple:
         c, h, w = shape
         return (c, (h - layer.window) // layer.stride + 1, (w - layer.window) // layer.stride + 1)
     if layer.kind == "flatten":
-        return (int(np.prod(shape)),)
+        return (math.prod(shape),)
     if layer.kind == "dense":
         o, i = layer.weights.shape
         if shape != (i,):
@@ -182,13 +184,6 @@ def default_network(seed: int) -> NetworkModel:
 # ---------------------------------------------------------------------------
 # Forward pass
 # ---------------------------------------------------------------------------
-
-def _tap_range(u: int, pad: int, stride: int, n_in: int, n_out: int) -> tuple[int, int]:
-    """Output indices [lo, hi) whose kernel offset u reads an input cell, not the border."""
-    lo = max(0, -((u - pad) // stride))            # ceil((pad - u) / stride)
-    hi = min(n_out, (n_in - 1 + pad - u) // stride + 1)
-    return lo, max(lo, hi)
-
 
 def _new_pool() -> None:
     """Make the pool of _parallel_blocks, whose threads start on the first submit: at
@@ -244,55 +239,37 @@ def _parallel_blocks(n: int, step: int, alloc, fn) -> None:
         f.result()
 
 
-def _conv2d(x: np.ndarray, layer: LayerDef) -> np.ndarray:
-    """Weight-stationary conv: per image, (O, C*k*k) @ im2col (C*k*k, H'*W').
+def _conv2d(xp: np.ndarray, layer: LayerDef, col: np.ndarray, out: np.ndarray) -> None:
+    """Weight-stationary conv of one block: per image, (O, C*k*k) @ im2col (C*k*k, H'*W').
 
-    The im2col block holds _CONV_BLOCK images and is filled by k*k strided
-    slice copies; its zero-padding cells are never written, so it is zeroed
-    once per thread and reused. Each image is one GEMM of a shape
-    that does not depend on the batch, so its output bits do not either, and
-    the blocks run across the process's CPUs. Returns a fresh C-contiguous
-    (N, O, H', W') float32 array.
+    xp is the block's (nb, C, H + 2*pad, W + 2*pad) input, border zeros
+    included; out is its (nb, O, H', W') float32 output, which must be
+    C-contiguous, as a reshape of any other array would copy and lose the
+    result. The flat scratch col, at least nb*C*k*k*H'*W' floats, is fully
+    overwritten by k*k strided slice copies. Each image is one GEMM of a
+    shape that does not depend on the batch, so its output bits do not either.
     """
-    w = layer.weights
-    o, c, k, _ = w.shape
-    n, _, h, wd = x.shape
-    p, s = layer.pad, layer.stride
-    _, ho, wo = _out_shape(layer, x.shape[1:])
-    wmat = w.reshape(o, c * k * k)
-    bias = layer.bias[:, None, None]
-    out = np.empty((n, o, ho, wo), np.float32)
-    rows = [_tap_range(u, p, s, h, ho) for u in range(k)]
-    cols = [_tap_range(v, p, s, wd, wo) for v in range(k)]
-
-    def block(col: np.ndarray, lo: int, hi: int) -> None:
-        nb = hi - lo
-        for u, (i0, i1) in enumerate(rows):
-            for v, (j0, j1) in enumerate(cols):
-                y0, x0 = i0 * s + u - p, j0 * s + v - p
-                col[:nb, :, u, v, i0:i1, j0:j1] = x[lo:hi, :,
-                                                    y0 : y0 + s * (i1 - i0) : s,
-                                                    x0 : x0 + s * (j1 - j0) : s]
-        np.matmul(wmat, col[:nb].reshape(nb, c * k * k, ho * wo),
-                  out=out[lo:hi].reshape(nb, o, ho * wo))
-        out[lo:hi] += bias
-
-    _parallel_blocks(n, _CONV_BLOCK,
-                     lambda: np.zeros((min(n, _CONV_BLOCK), c, k, k, ho, wo), np.float32),
-                     block)
-    return out
+    o, c, k, _ = layer.weights.shape
+    s = layer.stride
+    nb, _, ho, wo = out.shape
+    col = col[: nb * c * k * k * ho * wo].reshape(nb, c, k, k, ho, wo)
+    for u in range(k):
+        for v in range(k):
+            col[:, :, u, v] = xp[:, :, u : u + s * (ho - 1) + 1 : s, v : v + s * (wo - 1) + 1 : s]
+    np.matmul(layer.weights.reshape(o, c * k * k), col.reshape(nb, c * k * k, ho * wo),
+              out=out.reshape(nb, o, ho * wo))
+    out += layer.bias[:, None, None]
 
 
-def _maxpool(x: np.ndarray, layer: LayerDef) -> np.ndarray:
-    """Running np.maximum over the k*k strided slices, one per window offset."""
+def _maxpool(x: np.ndarray, layer: LayerDef, out: np.ndarray) -> None:
+    """Running np.maximum into out over the k*k strided slices, one per window offset."""
     k, s = layer.window, layer.stride
-    _, ho, wo = _out_shape(layer, x.shape[1:])
-    out = None
-    for di in range(k):
-        for dj in range(k):
-            tap = x[:, :, di : di + s * (ho - 1) + 1 : s, dj : dj + s * (wo - 1) + 1 : s]
-            out = tap.copy() if out is None else np.maximum(out, tap, out=out)
-    return out
+    _, _, ho, wo = out.shape
+    windows = [x[:, :, di : di + s * (ho - 1) + 1 : s, dj : dj + s * (wo - 1) + 1 : s]
+               for di in range(k) for dj in range(k)]
+    np.copyto(out, windows[0])
+    for win in windows[1:]:
+        np.maximum(out, win, out=out)
 
 
 def l2_normalize(x: np.ndarray) -> np.ndarray:
@@ -301,46 +278,135 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
     return np.where(norms > 0, x / np.where(norms > 0, norms, 1.0), x)
 
 
+def _homes(model: NetworkModel, split: int) -> dict:
+    """Where each stage of a block writes its output, as (kind, stage).
+
+    Stage -1 scales the input; stage i < split runs layer i. A tapped stage,
+    and the last one, write into their rows of an (N, ...) array ("full").
+    An untapped stage feeding a ReLU writes where that ReLU does, and the
+    ReLU runs in place. One feeding a padded conv writes into the head of
+    the im2col buffer ("col"), which that conv copies into its zero-bordered
+    input before its im2col overwrites it: a maxpool writing straight into
+    that strided interior ran about 1.5x slower. A conv never writes there,
+    as it reads that buffer while it writes. Any other stage gets a block
+    buffer ("buf").
+    """
+    layers = model.layers
+    home = {}
+    for i in range(split - 1, -2, -1):
+        nxt = layers[i + 1] if i + 1 < split else None
+        if i == split - 1 or i in model.tap_points:
+            at = ("full", i)
+        elif nxt.kind == "relu":
+            at = home[i + 1]
+        elif nxt.kind == "conv" and nxt.pad:
+            at = ("col", i)
+        else:
+            at = ("buf", i)
+        if at[0] == "col" and i >= 0 and layers[i].kind == "conv":
+            at = ("buf", i)
+        home[i] = at
+    return home
+
+
 def forward_batch(model: NetworkModel, images: np.ndarray, mask: FilterMask | None = None):
     """Run the network on a (N, H, W, C) uint8 batch.
 
     Returns (embeddings (N, D), taps: list of (N, lambda_i) float arrays, one
     per tap point). Masked filters contribute exactly zero output channels.
+
+    Depth-first: one _parallel_blocks call runs each _CONV_BLOCK-image block
+    through every layer before the first flatten or dense, input scaling
+    first. Per thread the scratch is one im2col buffer, one zero-bordered
+    input buffer per padded conv and a block buffer for any output that
+    _homes places in neither. flatten, dense and l2norm after that run once
+    over the batch.
     """
     w_in, h_in, c_in = model.input_spec
     if images.ndim != 4 or images.shape[1:] != (h_in, w_in, c_in):
         raise ValueError(
             f"input batch shape {images.shape} does not match model input "
             f"{(h_in, w_in, c_in)}")
-    disabled_by_conv: dict[int, list[int]] = {}
+    off: dict[int, list[int]] = {}  # conv layer index -> masked filters
     if mask is not None:
         model.validate_mask(mask)
         for li, fj in mask.disabled:
-            disabled_by_conv.setdefault(li, []).append(fj)
+            off.setdefault(model.conv_ordinals[li], []).append(fj)
 
-    x = np.moveaxis(images, 3, 1).astype(np.float32) / 255.0  # (N, C, H, W)
-    taps: list[np.ndarray] = []
-    conv_ord = -1
-    fresh = False  # x is the previous layer's conv output and no tap holds it
-    for idx, layer in enumerate(model.layers):
-        if layer.kind == "conv":
-            conv_ord += 1
-            x = _conv2d(x, layer)
-            if conv_ord in disabled_by_conv:
-                x[:, disabled_by_conv[conv_ord], :, :] = 0.0
-        elif layer.kind == "relu":
-            x = np.maximum(x, 0.0, out=x if fresh else None)
-        elif layer.kind == "maxpool":
-            x = _maxpool(x, layer)
-        elif layer.kind == "flatten":
-            x = x.reshape(x.shape[0], -1)
+    layers, n = model.layers, images.shape[0]
+    shapes = {-1: (c_in, h_in, w_in)}
+    for i, layer in enumerate(layers):
+        shapes[i] = _out_shape(layer, shapes[i - 1])
+    split = next((i for i, l in enumerate(layers) if l.kind in ("flatten", "dense")),
+                 len(layers))
+    home = _homes(model, split)
+    full = {j: np.empty((n, *shapes[j]), np.float32) for kind, j in home.values()
+            if kind == "full"}
+    b = min(n, _CONV_BLOCK)
+    sizes = {i: math.prod(shape) for i, shape in shapes.items()}
+    col_len = b * max([layer.weights[0].size * shapes[i][1] * shapes[i][2]
+                       for i, layer in enumerate(layers[:split]) if layer.kind == "conv"]
+                      + [sizes[j] for kind, j in home.values() if kind == "col"],
+                      default=0)
+
+    padded = [i for i in range(split) if layers[i].kind == "conv" and layers[i].pad]
+
+    def alloc():
+        pads = {}
+        for i in padded:
+            c, h, w = shapes[i - 1]
+            p = layers[i].pad
+            pads[i] = np.zeros((b, c, h + 2 * p, w + 2 * p), np.float32)
+        bufs = {j: np.empty(b * sizes[j], np.float32) for kind, j in home.values()
+                if kind == "buf"}
+        return np.empty(col_len, np.float32), pads, bufs
+
+    def block(scratch, lo: int, hi: int) -> None:
+        col, pads, bufs = scratch
+        nb = hi - lo
+
+        def out(i: int) -> np.ndarray:
+            kind, j = home[i]
+            if kind == "full":
+                return full[j][lo:hi]
+            flat = col if kind == "col" else bufs[j]
+            return flat[: nb * sizes[j]].reshape(nb, *shapes[j])
+
+        x = out(-1)
+        np.divide(np.moveaxis(images[lo:hi], 3, 1), 255.0, out=x, dtype=np.float32)
+        for i in range(split):
+            layer, y = layers[i], out(i)
+            if layer.kind == "conv":
+                if layer.pad:
+                    p = layer.pad
+                    pads[i][:nb, :, p:-p, p:-p] = x
+                    x = pads[i][:nb]
+                _conv2d(x, layer, col, y)
+                if i in off:
+                    y[:, off[i]] = 0.0
+            elif layer.kind == "relu":
+                np.maximum(x, 0.0, out=y)
+            elif layer.kind == "maxpool":
+                _maxpool(x, layer, y)
+            else:  # l2norm
+                y[...] = l2_normalize(x)
+            x = y
+
+    _parallel_blocks(n, _CONV_BLOCK, alloc, block)
+    x = full[split - 1]
+    taps = [full[t].reshape(n, -1) for t in model.tap_points if t < split]
+    for idx in range(split, len(layers)):
+        layer = layers[idx]
+        if layer.kind == "flatten":
+            x = x.reshape(n, -1)
         elif layer.kind == "dense":
             x = x @ layer.weights.T + layer.bias
+        elif layer.kind == "relu":
+            x = np.maximum(x, 0.0)
         else:  # l2norm
             x = l2_normalize(x)
         if idx in model.tap_points:
-            taps.append(x.reshape(x.shape[0], -1))
-        fresh = layer.kind == "conv" and idx not in model.tap_points
+            taps.append(x.reshape(n, -1))
     return x, taps
 
 

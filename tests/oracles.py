@@ -133,6 +133,85 @@ def tensordot_conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     return out + bias[None, :, None, None]
 
 
+def _tap_range(u: int, pad: int, stride: int, n_in: int, n_out: int) -> tuple[int, int]:
+    """Output indices [lo, hi) whose kernel offset u reads an input cell, not the border."""
+    lo = max(0, -((u - pad) // stride))            # ceil((pad - u) / stride)
+    hi = min(n_out, (n_in - 1 + pad - u) // stride + 1)
+    return lo, max(lo, hi)
+
+
+def layerwise_conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+                   stride: int, pad: int, block: int = 8) -> np.ndarray:
+    """The earlier featnet conv over a whole (N, C, H, W) float32 batch: per
+    `block` images, k*k strided slice copies into a zero-bordered im2col
+    buffer, one stacked (O, C*k*k) @ (C*k*k, H'*W') matmul into the
+    contiguous (N, O, H', W') result, then the bias added in place."""
+    o, c, k, _ = weights.shape
+    n, _, h, wd = x.shape
+    s, p = stride, pad
+    ho, wo = (h + 2 * p - k) // s + 1, (wd + 2 * p - k) // s + 1
+    wmat = weights.reshape(o, c * k * k)
+    out = np.empty((n, o, ho, wo), np.float32)
+    col = np.zeros((min(n, block), c, k, k, ho, wo), np.float32)
+    rows = [_tap_range(u, p, s, h, ho) for u in range(k)]
+    cols = [_tap_range(v, p, s, wd, wo) for v in range(k)]
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        nb = hi - lo
+        for u, (i0, i1) in enumerate(rows):
+            for v, (j0, j1) in enumerate(cols):
+                y0, x0 = i0 * s + u - p, j0 * s + v - p
+                col[:nb, :, u, v, i0:i1, j0:j1] = x[lo:hi, :,
+                                                    y0 : y0 + s * (i1 - i0) : s,
+                                                    x0 : x0 + s * (j1 - j0) : s]
+        np.matmul(wmat, col[:nb].reshape(nb, c * k * k, ho * wo),
+                  out=out[lo:hi].reshape(nb, o, ho * wo))
+        out[lo:hi] += bias[:, None, None]
+    return out
+
+
+def layerwise_forward(model, images: np.ndarray, mask=None):
+    """The earlier featnet forward: each layer over the whole (N, H, W, C)
+    batch before the next starts. Returns (embeddings, taps) as forward_batch
+    does; a ReLU runs in place on an untapped conv output, as it did."""
+    from advface.featnet import l2_normalize
+
+    disabled: dict[int, list[int]] = {}
+    for li, fj in (mask.disabled if mask is not None else ()):
+        disabled.setdefault(li, []).append(fj)
+    x = np.moveaxis(images, 3, 1).astype(np.float32) / 255.0
+    taps = []
+    conv_ord = -1
+    fresh = False  # x is the previous layer's conv output and no tap holds it
+    for idx, layer in enumerate(model.layers):
+        if layer.kind == "conv":
+            conv_ord += 1
+            x = layerwise_conv(x, layer.weights, layer.bias, layer.stride, layer.pad)
+            if conv_ord in disabled:
+                x[:, disabled[conv_ord], :, :] = 0.0
+        elif layer.kind == "relu":
+            x = np.maximum(x, 0.0, out=x if fresh else None)
+        elif layer.kind == "maxpool":
+            k, s = layer.window, layer.stride
+            ho, wo = (x.shape[2] - k) // s + 1, (x.shape[3] - k) // s + 1
+            out = None
+            for di in range(k):
+                for dj in range(k):
+                    tap = x[:, :, di : di + s * (ho - 1) + 1 : s, dj : dj + s * (wo - 1) + 1 : s]
+                    out = tap.copy() if out is None else np.maximum(out, tap, out=out)
+            x = out
+        elif layer.kind == "flatten":
+            x = x.reshape(x.shape[0], -1)
+        elif layer.kind == "dense":
+            x = x @ layer.weights.T + layer.bias
+        else:  # l2norm
+            x = l2_normalize(x)
+        if idx in model.tap_points:
+            taps.append(x.reshape(x.shape[0], -1))
+        fresh = layer.kind == "conv" and idx not in model.tap_points
+    return x, taps
+
+
 def naive_maxpool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
     c, h, w = x.shape
     ho = (h - window) // stride + 1

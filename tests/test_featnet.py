@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import multiprocessing
 import os
@@ -30,8 +31,8 @@ from advface.imagecore import FormatError
 from advface.mitigator import SensitivityTable, build_plan
 from advface.verifybench import score_matrix
 
-from conftest import fnet_bytes
-from oracles import naive_conv, naive_maxpool, tensordot_conv
+from conftest import fnet_bytes, pool_between_convs, relu_pool_relu
+from oracles import layerwise_forward, naive_conv, naive_maxpool, tensordot_conv
 
 
 def tiny_conv_model(weights, bias, stride=1, pad=0, input_hw=(4, 4), channels=1):
@@ -203,8 +204,9 @@ class TestConvKernel:
                                                          monkeypatch, n, masked):
         mask = plan_mask if masked else None
         got = forward_batch(net43, batch300[:n], mask)
-        monkeypatch.setattr(featnet, "_conv2d", lambda x, layer: tensordot_conv(
-            x, layer.weights, layer.bias, layer.stride, layer.pad))
+        # the kernel gets each block already padded, so the adapter pads nothing
+        monkeypatch.setattr(featnet, "_conv2d", lambda xp, layer, col, out: np.copyto(
+            out, tensordot_conv(xp, layer.weights, layer.bias, layer.stride, 0)))
         want = forward_batch(net43, batch300[:n], mask)
         assert np.array_equal(got[0], want[0])
         assert len(got[1]) == len(want[1]) == 5  # four post-ReLU conv maps, then dense
@@ -256,6 +258,97 @@ class TestConvKernel:
         _, (pre, post) = forward_batch(model, rng.integers(0, 256, (2, 5, 5, 1), np.uint8))
         assert (pre < 0).any()
         assert np.array_equal(post, np.maximum(pre, 0))
+
+
+def _dense_head(body, taps, seed):
+    """body, then flatten, dense(4) and l2norm, tapped at taps and the dense layer."""
+    flat = NetworkModel(tuple(body), (len(body) - 1,), (64, 64, 1)).tap_lengths()[0]
+    dense = LayerDef("dense", np.random.default_rng(seed).standard_normal((4, flat)).astype(
+        np.float32), np.zeros(4, np.float32))
+    return NetworkModel((*body, LayerDef("flatten"), dense, LayerDef("l2norm")),
+                        (*taps, len(body) + 1), (64, 64, 1))
+
+
+def _depth_first_net(name):
+    """Nets whose block stages write to every kind of place: tap rows, an
+    in-place ReLU, the im2col head ahead of a padded conv, a block buffer."""
+    net = default_network(43)
+    if name == "default":
+        return net
+    if name == "conv-taps":  # conv outputs tapped, ReLUs not
+        return dataclasses.replace(net, tap_points=(0, 6, 12))
+    if name == "cut-at-responses":  # as compute_sensitivity forwards it: no flatten
+        return NetworkModel(net.layers[:11], (1, 4, 7, 10), net.input_spec)
+    rng = np.random.default_rng(9)
+    if name == "relu-pool-relu":
+        return _dense_head(relu_pool_relu(rng)[0], (3,), 1)
+    return _dense_head(pool_between_convs(rng)[0], (0, 3), 2)  # pool-between-convs
+
+
+def _random_mask(model, seed):
+    rng = np.random.default_rng(seed)
+    return FilterMask(frozenset((li, int(fj)) for li, n in enumerate(model.conv_filter_counts())
+                                for fj in rng.choice(n, size=max(1, n // 4), replace=False)))
+
+
+class TestDepthFirst:
+    """forward_batch's per-block loop gives the bits of the layer-at-a-time forward."""
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 256, 300])
+    @pytest.mark.parametrize("name", ["default", "conv-taps", "cut-at-responses",
+                                      "relu-pool-relu", "pool-between-convs"])
+    def test_bitwise_equals_layerwise_forward(self, batch300, monkeypatch, name, n):
+        model = _depth_first_net(name)
+        for mask in (None, _random_mask(model, n)):
+            want_emb, want_taps = layerwise_forward(model, batch300[:n], mask)
+            for workers in (1, 2):
+                monkeypatch.setattr(featnet, "_WORKERS", workers)
+                emb, taps = forward_batch(model, batch300[:n], mask)
+                assert emb.dtype == want_emb.dtype and emb.shape == want_emb.shape
+                assert np.array_equal(emb, want_emb)
+                assert len(taps) == len(want_taps) == model.n_taps
+                for g, w in zip(taps, want_taps):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("n", [1, 9, 256])
+    def test_one_parallel_pass_with_bounded_scratch(self, net43, batch300, monkeypatch, n):
+        calls, scratch_bytes = [], []
+        real = featnet._parallel_blocks
+
+        def nbytes(obj):
+            if isinstance(obj, np.ndarray):
+                return obj.nbytes
+            items = obj.values() if isinstance(obj, dict) else obj
+            return sum(nbytes(o) for o in items)
+
+        def spy(n_rows, step, alloc, fn):
+            calls.append((n_rows, step))
+
+            def counted():
+                scratch = alloc()
+                scratch_bytes.append(nbytes(scratch))
+                return scratch
+            return real(n_rows, step, counted, fn)
+
+        monkeypatch.setattr(featnet, "_WORKERS", 2)
+        monkeypatch.setattr(featnet, "_parallel_blocks", spy)
+        forward_batch(net43, batch300[:n])
+        block = featnet._CONV_BLOCK
+        assert calls == [(n, block)]
+        # one im2col buffer for the largest conv and a zero-bordered input
+        # per padded conv: a buffer per conv per thread raised single-image peak RSS
+        shape, cols, pads = (1, 64, 64), [], 0
+        for layer in net43.layers[: [l.kind for l in net43.layers].index("flatten")]:
+            out = featnet._out_shape(layer, shape)
+            if layer.kind == "conv":
+                c, h, w = shape
+                p, k = layer.pad, layer.weights.shape[2]
+                pads += block * c * (h + 2 * p) * (w + 2 * p) * 4
+                cols.append(c * k * k * out[1] * out[2])
+            shape = out
+        assert len(scratch_bytes) == min(2, -(-n // block))
+        assert all(b <= block * max(cols) * 4 + pads for b in scratch_bytes)
 
 
 class TestBatchInvariance:
