@@ -119,7 +119,7 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps,
 
     The batch is forwarded in featnet's chunks, so each embedding is bitwise
     the one a plain chunked forward pass gives. Mean reps whose tap count or
-    tap lengths differ from the network's are a FormatError.
+    tap lengths differ from the network's are a FormatError, before any forward.
     """
     if images.shape[0] < 1:
         raise ValueError("need at least one image")
@@ -127,14 +127,15 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps,
         # zipping taps with means would silently drop the unmatched ones
         raise FormatError(f"mean reps hold {len(mean_reps.means)} taps, "
                           f"the network has {model.n_taps}")
+    for i, (mu, length) in enumerate(zip(mean_reps.means, model.tap_lengths())):
+        if len(mu) != length:
+            raise FormatError(f"mean reps tap {i} holds {len(mu)} values, "
+                              f"the network's tap {i} has {length}")
     embs = []
     feats = np.empty((images.shape[0], len(mean_reps.means)))
     for lo, (emb, taps) in featnet.forward_chunks(model, images):
         embs.append(emb)
         for i, (t, mu) in enumerate(zip(taps, mean_reps.means)):
-            if len(mu) != t.shape[1]:
-                raise FormatError(f"mean reps tap {i} holds {len(mu)} values, "
-                                  f"the network's tap {i} has {t.shape[1]}")
             feats[lo : lo + t.shape[0], i] = canberra(t, mu)
     return np.vstack(embs), feats
 

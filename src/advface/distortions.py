@@ -9,7 +9,7 @@ and seeded; identical inputs give identical output bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
@@ -189,6 +189,5 @@ def apply(spec: DistortionSpec, img: Image,
 def per_image_spec(spec: DistortionSpec, index: int) -> DistortionSpec:
     """Derive an image-specific seeded spec so each image draws fresh randomness."""
     if spec.kind in ("grids", "xmsb"):
-        return DistortionSpec(spec.kind, rho_grids=spec.rho_grids, phi=spec.phi,
-                              psi=spec.psi, seed=derive_seed(spec.seed, 0xD15, index))
+        return replace(spec, seed=derive_seed(spec.seed, 0xD15, index))
     return spec

@@ -13,7 +13,7 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,11 +91,22 @@ class NetworkModel:
     layers: tuple[LayerDef, ...]
     tap_points: tuple[int, ...]
     input_spec: tuple[int, int, int]    # (W, H, C)
+    # the (C, H, W) input shape, then each layer's output shape; walked once
+    # here, so a network whose layers do not chain cannot be built
+    shapes: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         taps = tuple(self.tap_points)
         if list(taps) != sorted(set(taps)) or (taps and taps[-1] >= len(self.layers)):
             raise ValueError("tap points must be strictly increasing layer indices")
+        shapes = [tuple(self.input_spec)[::-1]]
+        if min(shapes[0]) < 1:
+            raise ValueError(f"empty input shape {self.input_spec}")
+        for idx, layer in enumerate(self.layers):
+            shapes.append(_out_shape(layer, shapes[-1]))
+            if min(shapes[-1]) < 1:
+                raise ValueError(f"layer {idx} ({layer.kind}) has an empty output {shapes[-1]}")
+        object.__setattr__(self, "shapes", tuple(shapes))
 
     @property
     def n_taps(self) -> int:
@@ -110,19 +121,8 @@ class NetworkModel:
         return tuple(self.layers[i].weights.shape[0] for i in self.conv_ordinals)
 
     def tap_lengths(self) -> tuple[int, ...]:
-        """Flattened activation length at each tap, from shape arithmetic."""
-        w, h, c = self.input_spec
-        shape = (c, h, w)
-        if min(shape) < 1:
-            raise ValueError(f"empty input shape {self.input_spec}")
-        lengths = []
-        for idx, layer in enumerate(self.layers):
-            shape = _out_shape(layer, shape)
-            if min(shape) < 1:
-                raise ValueError(f"layer {idx} ({layer.kind}) has an empty output {shape}")
-            if idx in self.tap_points:
-                lengths.append(int(np.prod(shape)))
-        return tuple(lengths)
+        """Flattened activation length at each tap."""
+        return tuple(math.prod(self.shapes[t + 1]) for t in self.tap_points)
 
     def validate_mask(self, mask: FilterMask) -> None:
         counts = self.conv_filter_counts()
@@ -213,10 +213,9 @@ def _parallel_blocks(n: int, step: int, alloc, fn) -> None:
     not depend on the worker count or on which thread ran which block.
     alloc() is called in this thread: buffers allocated in a worker land in
     that thread's own malloc arena, which raised peak RSS by over 10%.
-    Fewer than two blocks run inline and never touch the pool.
+    With one thread (one block, or one CPU) the pool is never touched.
     """
     starts = iter(range(0, n, step))
-    threads = _threads(n, step)
     take = threading.Lock()
 
     def run(scratch) -> None:
@@ -227,10 +226,7 @@ def _parallel_blocks(n: int, step: int, alloc, fn) -> None:
                 return
             fn(scratch, lo, min(lo + step, n))
 
-    if threads < 2:
-        run(alloc())
-        return
-    scratches = [alloc() for _ in range(threads)]
+    scratches = [alloc() for _ in range(_threads(n, step))]
     helpers = [_pool.submit(run, scratch) for scratch in scratches[1:]]
     try:
         run(scratches[0])
@@ -339,9 +335,7 @@ def forward_batch(model: NetworkModel, images: np.ndarray, mask: FilterMask | No
             off.setdefault(model.conv_ordinals[li], []).append(fj)
 
     layers, n = model.layers, images.shape[0]
-    shapes = {-1: (c_in, h_in, w_in)}
-    for i, layer in enumerate(layers):
-        shapes[i] = _out_shape(layer, shapes[i - 1])
+    shapes = dict(enumerate(model.shapes, -1))  # -1: the input
     split = next((i for i, l in enumerate(layers) if l.kind in ("flatten", "dense")),
                  len(layers))
     home = _homes(model, split)
@@ -431,8 +425,9 @@ def forward_chunks(model: NetworkModel, images: np.ndarray, mask: FilterMask | N
 
 
 def embed(model: NetworkModel, images: np.ndarray, mask: FilterMask | None = None) -> np.ndarray:
-    """(N, D) embeddings of a non-empty (N, H, W, C) uint8 batch, one chunk at a time."""
-    return np.vstack([emb for _, (emb, _) in forward_chunks(model, images, mask)])
+    """(N, D) embeddings of a non-empty (N, H, W, C) uint8 batch, one chunk at a time, no taps."""
+    untapped = replace(model, tap_points=())
+    return np.vstack([emb for _, (emb, _) in forward_chunks(untapped, images, mask)])
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +463,7 @@ def load_weights(path) -> NetworkModel:
 
     Beyond the byte layout, this rejects trailing bytes, non-finite weights
     or biases, a bad stride, pad or window, layer shapes that do not chain
-    (checked through `tap_lengths`), and a network with no flatten layer,
+    (checked when the model is built), and a network with no flatten layer,
     whose output is not an embedding vector, all as FormatError.
     """
     with open(path, "rb") as fh:
@@ -512,7 +507,6 @@ def load_weights(path) -> NetworkModel:
             layers.append(layer)
         rd.finish("the last layer")
         model = NetworkModel(tuple(layers), taps, (w_in, h_in, c_in))
-        model.tap_lengths()
         if "flatten" not in (layer.kind for layer in layers):
             raise FormatError("weight file: the network has no flatten layer, so its output "
                               "is not a vector")

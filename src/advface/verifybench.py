@@ -141,8 +141,9 @@ def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionS
     With a detector and a plan, the distorted and corrected conditions come
     from the same PipelineEval the plan search scores its candidates on;
     only one of the two, or a far_target or fraction out of range, is a
-    ValueError, and a set with no genuine pair a ProtocolError, raised before
-    any forward pass.
+    ValueError, a set with no genuine pair a ProtocolError, and a detector
+    whose mean reps do not fit the network a FormatError, raised before any
+    forward pass.
     """
     if not 0 < far_target < 1 or not 0 <= fraction <= 1:
         raise ValueError("far_target must be in (0, 1) and fraction in [0, 1]")
@@ -151,9 +152,10 @@ def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionS
                          f"got only the {'plan' if det is None else 'detector'}")
     ids = np.array([it.subject_id for it in ds.items])
     n_gen, n_imp = pair_counts(ids)  # the same for every condition
+    # first: it refuses mean reps that do not fit before any forward pass
+    prep = None if det is None else prepare_pipeline_eval(model, ds, spec, det, fraction, seed)
     conditions = {"original": embed(model, ds.pixel_batch())}
-    if det is not None:
-        prep = prepare_pipeline_eval(model, ds, spec, det, fraction, seed)
+    if prep is not None:
         conditions["distorted"] = prep.emb_plain
         conditions["corrected"] = _corrected_embeddings(model, prep, plan)
     else:

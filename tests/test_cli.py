@@ -565,27 +565,38 @@ class TestErrors:
 
     @pytest.mark.parametrize("n_taps", [4, 0])
     def test_mean_reps_short_of_the_network_taps_is_data_error(self, pipeline, tmp_path,
-                                                               capsys, n_taps):
+                                                               capsys, monkeypatch, n_taps):
         # detector and mean reps agree with each other, but not with the network
         doc = json.loads(pipeline["detector"].read_text())
         reps = load_mean_reps(pipeline["detector"].parent / doc["mean_reps_path"])
         save_mean_reps(MeanReps(reps.means[:n_taps], reps.n_train), tmp_path / "reps.mrep")
         doc.update({k: doc[k][:n_taps] for k in ("w", "feat_mean", "feat_std")},
                    n_layers=n_taps, mean_reps_path="reps.mrep")
-        self._assert_detect_data_error(pipeline, tmp_path, capsys, doc,
-                                       f"error: mean reps hold {n_taps} taps, "
-                                       "the network has 5\n")
+        self._assert_refused_before_forwarding(pipeline, tmp_path, capsys, monkeypatch, doc,
+                                               f"error: mean reps hold {n_taps} taps, "
+                                               "the network has 5\n")
 
     def test_mean_length_differing_from_its_tap_is_data_error(self, pipeline, tmp_path,
-                                                              capsys):
+                                                              capsys, monkeypatch):
         doc = json.loads(pipeline["detector"].read_text())
         reps = load_mean_reps(pipeline["detector"].parent / doc["mean_reps_path"])
         save_mean_reps(MeanReps((reps.means[0][:100], *reps.means[1:]), reps.n_train),
                        tmp_path / "reps.mrep")
         doc["mean_reps_path"] = "reps.mrep"
-        self._assert_detect_data_error(pipeline, tmp_path, capsys, doc,
-                                       "error: mean reps tap 0 holds 100 values, "
-                                       "the network's tap 0 has 32768\n")
+        self._assert_refused_before_forwarding(pipeline, tmp_path, capsys, monkeypatch, doc,
+                                               "error: mean reps tap 0 holds 100 values, "
+                                               "the network's tap 0 has 32768\n")
+
+    def _assert_refused_before_forwarding(self, pipeline, tmp_path, capsys, monkeypatch, doc,
+                                          expected):
+        """detect, then evaluate with a plan, refuse the detector before any forward pass."""
+        forwarded = self._count_forwards(monkeypatch)
+        self._assert_detect_data_error(pipeline, tmp_path, capsys, doc, expected)
+        assert run("evaluate", "--net-seed", 1, "--dataset", pipeline["data"],
+                   "--distortion", pipeline["spec"], "--detector", tmp_path / "detector.json",
+                   "--plan", pipeline["plan"], "--out", tmp_path / "r.csv") == 2
+        assert capsys.readouterr().err == expected
+        assert forwarded == []
 
     @staticmethod
     def _count_forwards(monkeypatch) -> list:

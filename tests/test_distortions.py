@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -322,3 +323,11 @@ class TestDispatchAndProperties:
         for kind in ("ero", "fhbo", "beard"):
             spec = DistortionSpec(kind, seed=5)
             assert per_image_spec(spec, 3) is spec
+
+    @pytest.mark.parametrize("kind", distortions.KINDS)
+    def test_per_image_spec_keeps_every_field_but_the_seed(self, kind):
+        spec = DistortionSpec(kind, rho_grids=3, phi=(0.1, 0.2, 0.3), psi=2.5, seed=5)
+        derived = per_image_spec(spec, 4)
+        for field in dataclasses.fields(DistortionSpec):
+            if field.name != "seed":
+                assert getattr(derived, field.name) == getattr(spec, field.name), field.name

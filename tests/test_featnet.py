@@ -8,6 +8,7 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -163,6 +164,27 @@ class TestForward:
         for _ in range(3):  # the caller binds nothing of a chunk
             refs.append(weakref.ref(next(chunks)[1][0]))
         assert alive_at_forward == [[], [False], [False, False]]
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 256, 257, 263, 400])
+    def test_embed_computes_no_taps_and_keeps_the_bits(self, net43, monkeypatch, n):
+        images = np.random.default_rng(n).integers(0, 256, size=(n, 64, 64, 1), dtype=np.uint8)
+        real = featnet.forward_batch
+        tap_counts = []
+
+        def spy(model, images, *args):
+            emb, taps = real(model, images, *args)
+            tap_counts.append(len(taps))
+            return emb, taps
+
+        for mask in (None, _random_mask(net43, n)):
+            want = np.vstack([emb for _, (emb, _) in featnet.forward_chunks(net43, images, mask)])
+            monkeypatch.setattr(featnet, "forward_batch", spy)
+            got = featnet.embed(net43, images, mask)
+            monkeypatch.setattr(featnet, "forward_batch", real)
+            assert tap_counts == [0] * -(-n // FORWARD_CHUNK)
+            tap_counts.clear()
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_deterministic(self, default_model):
         rng = np.random.default_rng(8)
@@ -662,11 +684,30 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="empty weights"):
             LayerDef("dense", np.zeros((0, 2), np.float32), np.zeros(0, np.float32))
 
-    def test_conv_after_flatten_rejected(self):
-        conv = LayerDef("conv", np.ones((1, 1, 1, 1), np.float32), np.zeros(1, np.float32))
-        model = NetworkModel((LayerDef("flatten"), conv), (1,), (4, 4, 1))
-        with pytest.raises(ValueError, match="needs a"):
-            model.tap_lengths()
+    @pytest.mark.parametrize("layers, input_spec, message", [
+        ((LayerDef("flatten"), LayerDef("conv", np.ones((1, 1, 1, 1), np.float32),
+                                        np.zeros(1, np.float32))),
+         (4, 4, 1), "conv needs a (C, H, W) input, got (16,)"),
+        ((LayerDef("conv", np.ones((1, 2, 1, 1), np.float32), np.zeros(1, np.float32)),),
+         (4, 4, 1), "conv expects 2 input channels, got 1"),
+        ((LayerDef("flatten"), LayerDef("dense", np.ones((3, 9), np.float32),
+                                        np.zeros(3, np.float32))),
+         (4, 4, 1), "dense expects input length 9, got (16,)"),
+        ((LayerDef("maxpool", window=5, stride=2), LayerDef("flatten")),
+         (4, 4, 1), "layer 0 (maxpool) has an empty output (1, 0, 0)"),
+        ((LayerDef("flatten"),), (0, 4, 1), "empty input shape (0, 4, 1)"),
+    ], ids=["conv-after-flatten", "channel-mismatch", "dense-length", "pool-window-too-large",
+            "zero-size-input"])
+    def test_broken_chain_rejected_when_built(self, tmp_path, layers, input_spec, message):
+        with pytest.raises(ValueError) as exc:
+            NetworkModel(layers, (0,), input_spec)
+        assert str(exc.value) == message
+        # save_weights reads only these fields, so it writes a net that cannot be built
+        save_weights(SimpleNamespace(layers=layers, tap_points=(0,), input_spec=input_spec),
+                     tmp_path / "net.fnet")
+        with pytest.raises(FormatError) as exc:
+            load_weights(tmp_path / "net.fnet")
+        assert str(exc.value) == f"weight file: {message}"
 
 
 class TestReadOnlyWeights:
