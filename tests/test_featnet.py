@@ -499,12 +499,15 @@ class TestWorkers:
             for g, w in zip(other, outs[0]):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 8, 9, 17, 50])
     def test_parallel_blocks_covers_each_block_once(self, monkeypatch, workers, n):
         monkeypatch.setattr(featnet, "_WORKERS", workers)
         caller = threading.get_ident()
-        allocs, calls = [], []
+        allocs, calls, submitted = [], [], []
+        pool = featnet._pool
+        monkeypatch.setattr(featnet, "_pool", SimpleNamespace(
+            submit=lambda *args: submitted.append(args) or pool.submit(*args)))
 
         def alloc():
             allocs.append(threading.get_ident())
@@ -523,7 +526,8 @@ class TestWorkers:
         for _, _, sid, tid in calls:
             assert tid_of_scratch.setdefault(sid, tid) == tid
         assert len(set(tid_of_scratch.values())) == len(tid_of_scratch)
-        if threads < 2:  # a lone block never touches the pool
+        assert len(submitted) == threads - 1  # one thread never touches the pool
+        if threads < 2:
             assert {tid for *_, tid in calls} == {caller}
 
     def test_caller_never_waits_for_a_helper_to_start(self, monkeypatch):
