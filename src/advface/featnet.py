@@ -280,33 +280,32 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
 
 
 def _homes(model: NetworkModel, split: int) -> dict:
-    """Where each stage of a block writes its output, as (kind, stage).
+    """Where each stage writes its output, as (kind, stage).
 
-    Stage -1 scales the input; stage i < split runs layer i. A tapped stage,
-    and the last one, write into their rows of an (N, ...) array ("full").
-    An untapped stage feeding a ReLU writes where that ReLU does, and the
-    ReLU runs in place. One feeding a padded conv writes into the head of
-    the im2col buffer ("col"), which that conv copies into its zero-bordered
-    input before its im2col overwrites it: a maxpool writing straight into
-    that strided interior ran about 1.5x slower. A conv never writes there,
-    as it reads that buffer while it writes. Any other stage gets a block
-    buffer ("buf").
+    Stage -1 scales the input; stage i runs layer i. An untapped stage other
+    than a flatten, feeding a ReLU, writes where that ReLU does, and the ReLU
+    runs in place. Otherwise a tapped stage, and every stage from split - 1
+    on, writes into its rows of an (N, ...) array ("full"); a flatten's array
+    is a view of its input's. Before that, a stage feeding a padded conv
+    writes into the head of the im2col buffer ("col"), which that conv copies
+    into its zero-bordered input before its im2col overwrites it: a maxpool
+    writing straight into that strided interior ran about 1.5x slower. A conv
+    never writes there, as it reads that buffer while it writes. Any other
+    stage gets a block buffer ("buf").
     """
     layers = model.layers
     home = {}
-    for i in range(split - 1, -2, -1):
-        nxt = layers[i + 1] if i + 1 < split else None
-        if i == split - 1 or i in model.tap_points:
-            at = ("full", i)
-        elif nxt.kind == "relu":
-            at = home[i + 1]
-        elif nxt.kind == "conv" and nxt.pad:
-            at = ("col", i)
+    for i in range(len(layers) - 1, -2, -1):
+        kind = layers[i].kind if i >= 0 else "input"
+        nxt = layers[i + 1].kind if i + 1 < len(layers) else None
+        if nxt == "relu" and kind != "flatten" and i not in model.tap_points:
+            home[i] = home[i + 1]
+        elif i >= split - 1 or i in model.tap_points:
+            home[i] = ("full", i)
+        elif nxt == "conv" and layers[i + 1].pad and kind != "conv":
+            home[i] = ("col", i)
         else:
-            at = ("buf", i)
-        if at[0] == "col" and i >= 0 and layers[i].kind == "conv":
-            at = ("buf", i)
-        home[i] = at
+            home[i] = ("buf", i)
     return home
 
 
@@ -316,12 +315,13 @@ def forward_batch(model: NetworkModel, images: np.ndarray, mask: FilterMask | No
     Returns (embeddings (N, D), taps: list of (N, lambda_i) float arrays, one
     per tap point). Masked filters contribute exactly zero output channels.
 
-    Depth-first: one _parallel_blocks call runs each _CONV_BLOCK-image block
-    through every layer before the first flatten or dense, input scaling
-    first. Per thread the scratch is one im2col buffer, one zero-bordered
-    input buffer per padded conv and a block buffer for any output that
-    _homes places in neither. flatten, dense and l2norm after that run once
-    over the batch.
+    Depth-first: every stage, input scaling first, runs in one loop over a
+    block of rows, writing where _homes places it. One _parallel_blocks call
+    runs each _CONV_BLOCK-image block through every stage before the first
+    flatten or dense; the stages from there on then run as one block of the
+    whole batch in the calling thread. Per thread the scratch is one im2col
+    buffer, one zero-bordered input buffer per padded conv and a block buffer
+    for any output that _homes places in neither.
     """
     w_in, h_in, c_in = model.input_spec
     if images.ndim != 4 or images.shape[1:] != (h_in, w_in, c_in):
@@ -362,10 +362,12 @@ def forward_batch(model: NetworkModel, images: np.ndarray, mask: FilterMask | No
     # allocated the other way round, they left holes in the heap that raised
     # train-detect's and defend-eval's peak RSS by 10-13%
     scratches = [alloc() for _ in range(_threads(n, _CONV_BLOCK))]
-    full = {j: np.empty((n, *shapes[j]), np.float32)
-            for j in sorted({j for kind, j in home.values() if kind == "full"})}
+    full = {}
+    for j in sorted({j for kind, j in home.values() if kind == "full"}):
+        full[j] = (full[home[j - 1][1]].reshape(n, -1) if j >= 0 and layers[j].kind == "flatten"
+                   else np.empty((n, *shapes[j]), np.float32))
 
-    def block(scratch, lo: int, hi: int) -> None:
+    def run(scratch, lo: int, hi: int, stages=range(-1, split)) -> None:
         col, pads, bufs = scratch
         nb = hi - lo
 
@@ -376,11 +378,13 @@ def forward_batch(model: NetworkModel, images: np.ndarray, mask: FilterMask | No
             flat = col if kind == "col" else bufs[j]
             return flat[: nb * sizes[j]].reshape(nb, *shapes[j])
 
-        x = out(-1)
-        np.divide(np.moveaxis(images[lo:hi], 3, 1), 255.0, out=x, dtype=np.float32)
-        for i in range(split):
-            layer, y = layers[i], out(i)
-            if layer.kind == "conv":
+        x = images[lo:hi] if stages.start < 0 else out(stages.start - 1)
+        for i in stages:
+            layer, y = layers[i] if i >= 0 else None, out(i)
+            kind = "input" if layer is None else layer.kind
+            if kind == "input":
+                np.divide(np.moveaxis(x, 3, 1), 255.0, out=y, dtype=np.float32)
+            elif kind == "conv":
                 if layer.pad:
                     p = layer.pad
                     pads[i][:nb, :, p:-p, p:-p] = x
@@ -388,30 +392,20 @@ def forward_batch(model: NetworkModel, images: np.ndarray, mask: FilterMask | No
                 _conv2d(x, layer, col, y)
                 if i in off:
                     y[:, off[i]] = 0.0
-            elif layer.kind == "relu":
+            elif kind == "relu":
                 np.maximum(x, 0.0, out=y)
-            elif layer.kind == "maxpool":
+            elif kind == "maxpool":
                 _maxpool(x, layer, y)
-            else:  # l2norm
+            elif kind == "dense":
+                np.matmul(x, layer.weights.T, out=y)
+                y += layer.bias
+            elif kind == "l2norm":
                 y[...] = l2_normalize(x)
-            x = y
+            x = y  # a flatten's y is already a view of x
 
-    _parallel_blocks(n, _CONV_BLOCK, scratches.pop, block)
-    x = full[split - 1]
-    taps = [full[t].reshape(n, -1) for t in model.tap_points if t < split]
-    for idx in range(split, len(layers)):
-        layer = layers[idx]
-        if layer.kind == "flatten":
-            x = x.reshape(n, -1)
-        elif layer.kind == "dense":
-            x = x @ layer.weights.T + layer.bias
-        elif layer.kind == "relu":
-            x = np.maximum(x, 0.0)
-        else:  # l2norm
-            x = l2_normalize(x)
-        if idx in model.tap_points:
-            taps.append(x.reshape(n, -1))
-    return x, taps
+    _parallel_blocks(n, _CONV_BLOCK, scratches.pop, run)
+    run((None, {}, {}), 0, n, range(split, len(layers)))  # every home here is "full"
+    return full[len(layers) - 1], [full[t].reshape(n, -1) for t in model.tap_points]
 
 
 def forward_chunks(model: NetworkModel, images: np.ndarray, mask: FilterMask | None = None):

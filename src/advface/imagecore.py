@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,16 +172,15 @@ def _shoelace(verts) -> float:
 # Netpbm codec (binary P5 / P6, maxval 255)
 # ---------------------------------------------------------------------------
 
+# a header token, after whitespace and comments ("#" to the end of its line)
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
+
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(buf)
-    while pos < n and buf[pos : pos + 1].isspace():
-        pos += 1
-    if pos >= n:
-        raise FormatError(f"unexpected end of header at byte {pos}")
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace():
-        pos += 1
-    return buf[start:pos], pos
+    m = _TOKEN.match(buf, pos)
+    if not m[1]:
+        raise FormatError(f"unexpected end of header at byte {m.end()}")
+    return m[1], m.end()
 
 
 def read_image(path) -> Image:

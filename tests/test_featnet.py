@@ -302,6 +302,15 @@ def _depth_first_net(name):
     if name == "cut-at-responses":  # as compute_sensitivity forwards it: no flatten
         return NetworkModel(net.layers[:11], (1, 4, 7, 10), net.input_spec)
     rng = np.random.default_rng(9)
+    if name == "dense-tail":
+        # l2norm before flatten, a tapped flatten, an untapped dense -> relu,
+        # then dense -> relu (tapped) -> dense -> l2norm
+        def dense(o, i):
+            return LayerDef("dense", (rng.standard_normal((o, i)) / np.sqrt(i)).astype(np.float32),
+                            (0.1 * rng.standard_normal(o)).astype(np.float32))
+        return NetworkModel((*net.layers[:11], LayerDef("l2norm"), LayerDef("flatten"),
+                             dense(32, 2048), LayerDef("relu"), dense(16, 32), LayerDef("relu"),
+                             dense(4, 16), LayerDef("l2norm")), (4, 12, 16), net.input_spec)
     if name == "relu-pool-relu":
         return _dense_head(relu_pool_relu(rng)[0], (3,), 1)
     return _dense_head(pool_between_convs(rng)[0], (0, 3), 2)  # pool-between-convs
@@ -318,7 +327,7 @@ class TestDepthFirst:
 
     @pytest.mark.parametrize("n", [*range(1, 10), 256, 300])
     @pytest.mark.parametrize("name", ["default", "conv-taps", "cut-at-responses",
-                                      "relu-pool-relu", "pool-between-convs"])
+                                      "relu-pool-relu", "pool-between-convs", "dense-tail"])
     def test_bitwise_equals_layerwise_forward(self, batch300, monkeypatch, name, n):
         model = _depth_first_net(name)
         for mask in (None, _random_mask(model, n)):
@@ -371,6 +380,52 @@ class TestDepthFirst:
             shape = out
         assert len(scratch_bytes) == min(2, -(-n // block))
         assert all(b <= block * max(cols) * 4 + pads for b in scratch_bytes)
+
+
+    def test_scratch_first_then_outputs_in_layer_order(self, net43, batch300, monkeypatch):
+        # peak RSS hangs on this order (see the comment in forward_batch)
+        n, made, scratches = 256, [], []
+
+        class SpyNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                made.append(np.empty(*args, **kwargs))
+                return made[-1]
+
+            def zeros(self, *args, **kwargs):
+                made.append(np.zeros(*args, **kwargs))
+                return made[-1]
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                return [obj]
+            return [a for o in (obj.values() if isinstance(obj, dict) else obj) for a in arrays(o)]
+
+        real = featnet._parallel_blocks
+
+        def spy(n_rows, step, alloc, fn):
+            def kept():
+                scratches.append(alloc())
+                return scratches[-1]
+            return real(n_rows, step, kept, fn)
+
+        monkeypatch.setattr(featnet, "_WORKERS", 2)
+        monkeypatch.setattr(featnet, "_parallel_blocks", spy)
+        monkeypatch.setattr(featnet, "np", SpyNumpy())
+        _, taps = forward_batch(net43, batch300[:n])
+        monkeypatch.undo()
+
+        def when(a):
+            return next(k for k, m in enumerate(made) if m is a)
+        outputs = [k for k, m in enumerate(made) if m.ndim > 1 and m.shape[0] == n]
+        assert len(scratches) == 2
+        assert max(when(a) for s in scratches for a in arrays(s)) < min(outputs)
+        # every conv tap lies in one of those outputs, and they come in layer order
+        assert [when(t.base) for t in taps[:4]] == outputs[:4]
+        layer_outputs = iter((n, *shape) for shape in net43.shapes[1:])
+        assert all(made[k].shape in layer_outputs for k in outputs)
 
 
 class TestBatchInvariance:

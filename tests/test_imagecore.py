@@ -102,6 +102,22 @@ class TestCodec:
         with pytest.raises(FormatError, match="bad width token"):
             read_image(f)
 
+    @pytest.mark.parametrize("magic, payload", [(b"P5", bytes([0, 255, 7, 9])),
+                                                (b"P6", bytes(range(12)))], ids=["P5", "P6"])
+    def test_header_comments_are_skipped(self, tmp_path, magic, payload):
+        plain, commented = tmp_path / "a.pnm", tmp_path / "b.pnm"
+        plain.write_bytes(magic + b"\n2 2\n255\n" + payload)
+        commented.write_bytes(magic + b"\n# CREATOR: GIMP PNM Filter Version 1.1\n2 # w\r"
+                              b"#\n 2\n# maxval next\n255\n" + payload)
+        got, want = read_image(commented), read_image(plain)
+        assert got.channels == want.channels and got.data == want.data == payload
+
+    def test_header_ending_inside_a_comment(self, tmp_path):
+        f = tmp_path / "a.pgm"
+        f.write_bytes(b"P5\n2 2\n# no maxval")
+        with pytest.raises(FormatError, match="unexpected end of header at byte 18"):
+            read_image(f)
+
     def test_bad_maxval(self, tmp_path):
         f = tmp_path / "a.pgm"
         f.write_bytes(b"P5\n1 1\n254\n\x00")
