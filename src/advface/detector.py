@@ -101,9 +101,11 @@ def canberra(rows: np.ndarray, b) -> np.ndarray:
 
     def block(bufs, lo: int, hi: int) -> None:
         num, den = (buf[: hi - lo] for buf in bufs)
-        t = rows[lo:hi]  # float32 taps are cast to float64 exactly by each ufunc
-        np.abs(np.subtract(t, b, out=num), out=num)
-        np.add(np.abs(t, out=den), den_b, out=den)
+        # one exact cast of the block: mixed float32/float64 ufuncs take NumPy's slower
+        # buffered casting loop
+        np.copyto(den, rows[lo:hi])
+        np.abs(np.subtract(den, b, out=num), out=num)
+        np.add(np.abs(den, out=den), den_b, out=den)
         np.divide(num, den, out=num)
         out[lo:hi] = num.sum(axis=1)
 
@@ -150,34 +152,62 @@ def canberra_features_batch(model: NetworkModel, mean_reps: MeanReps,
 # Linear soft-margin classifier (L2-regularized hinge, monotone full-batch descent)
 # ---------------------------------------------------------------------------
 
-def hinge_objective(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
-                    C: float) -> tuple[float, np.ndarray]:
-    """The objective at (w, b) and the margins 1 - y * (x @ w + b) it sums."""
-    margins = 1.0 - y * (x @ w + b)
-    return 0.5 * float(w @ w) + C * float(np.maximum(margins, 0.0).sum()), margins
+def hinge_objective(w: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray,
+                    C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The objectives (F,) of F stacked fits at (w (F, d), b (F,)) over x
+    (F, n, d), y (F, n) and C (F,), and the margins 1 - y * (x @ w + b) (F, n)
+    they sum. Each fit's values are bitwise those of its lone (F = 1) call."""
+    margins = (x @ w[:, :, None])[:, :, 0]
+    margins += b[:, None]
+    margins *= y
+    np.subtract(1.0, margins, out=margins)
+    ww = (w[:, None, :] @ w[:, :, None])[:, 0, 0]
+    return 0.5 * ww + C * np.maximum(margins, 0.0).sum(axis=1), margins
 
 
-def _fit_hinge(x: np.ndarray, y: np.ndarray, C: float) -> tuple[np.ndarray, float]:
-    """Full-batch subgradient descent with backtracking; objective never increases."""
-    n, d = x.shape
-    yx = y[:, None] * x
-    w, b = np.zeros(d), 0.0
+def _fit_hinge(x: np.ndarray, y: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full-batch subgradient descent with backtracking for F problems in
+    lockstep; no fit's objective ever increases. x is (F, n, d), y (F, n) and
+    C (F,); returns w (F, d) and b (F,).
+
+    Each pass tries one step for every live fit. A fit that lowers (or keeps)
+    its objective takes the step, grows it by 1.3 and starts its next epoch
+    from the subgradient at its new margins; one that does not halves its
+    step. A fit stops after _EPOCHS epochs or 60 halvings in a row. So every
+    fit takes the steps it would take alone, whatever its stack-mates: the
+    active rows' sums add in row order from 0.0 (np.bincount), as a lone
+    (k, d) sum(axis=0) does for d >= 2; for d = 1, where that sum is NumPy's
+    pairwise 1-D sum, each fit's column is summed on its own.
+    """
+    F, n, d = x.shape
+    # columns y * x and y of every row, and the (fit, column) bin of each entry
+    yxy = np.concatenate([y[:, :, None] * x, y[:, :, None]], axis=2).reshape(F * n, d + 1)
+    bins = np.arange(F * n)[:, None] // n * (d + 1) + np.arange(d + 1)
+    w, b = np.zeros((F, d)), np.zeros(F)
     step = 1.0 / (C * n + 1.0)
     f, margins = hinge_objective(w, b, x, y, C)
-    for _ in range(_EPOCHS):
-        active = margins > 0  # margins of the current (w, b)
-        gw = w - C * yx[active].sum(axis=0)
-        gb = -C * float(y[active].sum())
-        for _ in range(60):
-            w_new, b_new = w - step * gw, b - step * gb
-            f_new, m_new = hinge_objective(w_new, b_new, x, y, C)
-            if f_new <= f:
-                w, b, f, margins = w_new, b_new, f_new, m_new
-                step *= 1.3
-                break
-            step *= 0.5
-        else:  # no step size in 60 halvings lowers the objective
-            break
+    epochs, halvings = np.zeros(F, dtype=int), np.zeros(F, dtype=int)
+    live = np.ones(F, dtype=bool)
+    while live.any():
+        # a fit that did not move gets its subgradient again, bitwise the same
+        rows = np.flatnonzero(margins > 0)
+        sums = np.bincount(np.take(bins, rows, axis=0).ravel(), minlength=F * (d + 1),
+                           weights=np.take(yxy, rows, axis=0).ravel()).reshape(F, d + 1)
+        if d == 1:
+            cut = np.searchsorted(rows, np.arange(1, F) * n)
+            sums[:, 0] = [part.sum() for part in np.split(yxy[rows, 0], cut)]
+        w_new = w - step[:, None] * (w - C[:, None] * sums[:, :d])
+        b_new = b - step * (-C * sums[:, d])
+        f_new, m_new = hinge_objective(w_new, b_new, x, y, C)
+        moved = live & (f_new <= f)
+        np.copyto(w, w_new, where=moved[:, None])
+        np.copyto(b, b_new, where=moved)
+        np.copyto(f, f_new, where=moved)
+        np.copyto(margins, m_new, where=moved[:, None])
+        step *= np.where(moved, 1.3, 0.5)  # a stopped fit's step is never read again
+        epochs += moved
+        halvings = np.where(moved, 0, halvings + 1)
+        live &= (epochs < _EPOCHS) & (halvings < 60)
     return w, b
 
 
@@ -219,20 +249,22 @@ def train_detector(model: NetworkModel, mean_reps: MeanReps, clean, distorted,
     xn = (x - feat_mean) / feat_std
 
     folds = _fold_assignments(len(y), 5, seed)
-    splits = [(xn[tr], y[tr], xn[te], y[te])
-              for tr, te in ((folds != f, folds == f) for f in range(5))
+    splits = [(np.flatnonzero(tr), te) for tr, te in ((folds != f, folds == f) for f in range(5))
               if te.any() and len(np.unique(y[tr])) > 1]
-
-    def cv_accuracy(C: float) -> float:
-        accs = []
-        for x_tr, y_tr, x_te, y_te in splits:
-            w, b = _fit_hinge(x_tr, y_tr, C)
-            accs.append(float(((x_te @ w + b > 0) == (y_te > 0)).mean()))
-        return float(np.mean(accs)) if accs else 0.0
-
-    best_C = max(C_grid, key=cv_accuracy)  # the first maximum
-    w, b = _fit_hinge(xn, y, best_C)
-    return DetectorModel(w, float(b), float(best_C), feat_mean, feat_std, mean_reps)
+    # the accuracy of every C on every usable fold, one stacked fit per training-set size
+    accs = np.zeros((len(C_grid), len(splits)))
+    for size in {len(tr) for tr, _ in splits}:
+        group = [(i, j) for i in range(len(C_grid))
+                 for j, (tr, _) in enumerate(splits) if len(tr) == size]
+        tr = np.array([splits[j][0] for _, j in group])  # (F, size) training rows
+        ws, bs = _fit_hinge(xn[tr], y[tr], np.array([C_grid[i] for i, _ in group], dtype=float))
+        for (i, j), w, b in zip(group, ws, bs):
+            te = splits[j][1]
+            accs[i, j] = ((xn[te] @ w + b > 0) == (y[te] > 0)).mean()
+    cv = accs.mean(axis=1) if splits else np.zeros(len(C_grid))
+    best_C = C_grid[int(np.argmax(cv))]  # the first maximum
+    w, b = _fit_hinge(xn[None], y[None], np.array([best_C], dtype=float))
+    return DetectorModel(w[0], float(b[0]), float(best_C), feat_mean, feat_std, mean_reps)
 
 
 def detect_scores(det: DetectorModel, model: NetworkModel, images: np.ndarray) -> np.ndarray:

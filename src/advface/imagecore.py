@@ -172,8 +172,9 @@ def _shoelace(verts) -> float:
 # Netpbm codec (binary P5 / P6, maxval 255)
 # ---------------------------------------------------------------------------
 
-# a header token, after whitespace and comments ("#" to the end of its line)
-_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+# a header token, after whitespace and comments ("#" to the end of its line); a "#"
+# also ends the token it follows
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:

@@ -26,7 +26,8 @@ from advface import detector, featnet
 from advface.featnet import forward_batch
 from advface.imagecore import FormatError
 
-from oracles import canberra_loop, canberra_masked, mean_reps_loop, train_detector_loop
+from oracles import (_fit_hinge_loop, canberra_loop, canberra_masked, mean_reps_loop,
+                     train_detector_loop)
 
 
 @pytest.fixture(scope="module")
@@ -279,8 +280,10 @@ class TestTraining:
         x = np.vstack([fc, fd])
         xn = (x - det.feat_mean) / det.feat_std
         y = np.concatenate([-np.ones(40), np.ones(40)])
-        assert hinge_objective(det.w, det.b, xn, y, det.C)[0] <= \
-            hinge_objective(np.zeros(2), 0.0, xn, y, det.C)[0] + 1e-9
+        fitted, zero = (hinge_objective(w[None], np.array([b]), xn[None], y[None],
+                                        np.array([det.C]))[0][0]
+                        for w, b in ((det.w, det.b), (np.zeros(2), 0.0)))
+        assert fitted <= zero + 1e-9
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -386,6 +389,98 @@ class TestTrainingOracle:
                 tied += 1
                 assert C == winners[0]
         assert tied >= 3
+
+
+def _stack(F: int, n: int, d: int, seed: int) -> tuple:
+    """F overlapping two-class problems of n rows and d features, C from the default grid."""
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random((F, n)) < 0.5, -1.0, 1.0)
+    x = rng.normal(0, 1, (F, n, d)) + y[:, :, None] * rng.uniform(0.1, 1.0, (F, 1, d))
+    return x, y, rng.choice(DEFAULT_C_GRID, size=F)
+
+
+class TestLockstepFit:
+    """Each member of a stacked _fit_hinge call against its lone fit by the loop oracle."""
+
+    @staticmethod
+    def _assert_members_equal_lone_fits(x, y, C):
+        w, b = detector._fit_hinge(x, y, C)
+        assert w.shape == (len(C), x.shape[2]) and b.shape == C.shape
+        for f in range(len(C)):
+            w1, b1 = _fit_hinge_loop(x[f], y[f], float(C[f]))
+            assert w[f].tobytes() == w1.tobytes(), f"member {f}: w"
+            assert np.float64(b[f]).tobytes() == np.float64(b1).tobytes(), f"member {f}: b"
+        return w, b
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("F", [1, 2, 5, 25])
+    def test_members_are_bitwise_their_lone_fits(self, F, d):
+        x, y, C = _stack(F, 40, d, 10 * F + d)
+        if F > 1:
+            assert len(set(C)) > 1
+        self._assert_members_equal_lone_fits(x, y, C)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_zero_variance_column(self, d):
+        x, y, C = _stack(5, 30, d, d)
+        x[:, :, 1] = 0.0  # a constant feature, z-scored
+        w, _ = self._assert_members_equal_lone_fits(x, y, C)
+        assert (w[:, 1] == 0.0).all()
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_member_stopped_by_60_halvings_leaves_the_others_going(self, d):
+        x, y, C = _stack(5, 30, d, 7 + d)
+        # features near the float64 limit: every step of member 2, down to 60 halvings,
+        # overflows its objective to inf or nan, so it stops in its first epoch
+        x[2] *= 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, b = self._assert_members_equal_lone_fits(x, y, C)
+        assert not w[2].any() and b[2] == 0.0
+        assert all(w[f].any() for f in (0, 1, 3, 4))
+
+
+class TestNumpySumOrder:
+    """The NumPy summation rules the lockstep fit's bitwise contract rests on.
+
+    A NumPy upgrade that breaks one fails here under the rule's name, rather
+    than as a mismatch against the loop oracle.
+    """
+
+    @staticmethod
+    def _rows(rng, k: int, d: int) -> np.ndarray:
+        # magnitudes spread over 16 decades, so the order of the adds shows in the bits
+        return rng.normal(0, 1, (k, d)) * 10.0 ** rng.integers(-8, 8, (k, 1))
+
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_axis0_sum_adds_rows_in_order(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(300):
+            a = self._rows(rng, int(rng.integers(1, 200)), d)
+            acc = np.zeros(d)
+            for row in a:
+                acc = acc + row
+            assert a.sum(axis=0).tobytes() == acc.tobytes(), \
+                f"rule broken: a C-contiguous (k, {d}) sum(axis=0) adds its rows in order"
+
+    def test_bincount_adds_weights_in_order_from_zero(self):
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            k, n_bins = int(rng.integers(1, 400)), int(rng.integers(1, 30))
+            bins = rng.integers(0, n_bins, k)
+            weights = self._rows(rng, k, 1)[:, 0]
+            acc = [0.0] * n_bins
+            for i, v in zip(bins.tolist(), weights.tolist()):
+                acc[i] += v
+            got = np.bincount(bins, weights=weights, minlength=n_bins)
+            assert got.tobytes() == np.array(acc).tobytes(), \
+                "rule broken: np.bincount adds its weights in order from 0.0"
+
+    def test_single_column_sum_is_the_pairwise_1d_sum(self):
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            a = self._rows(rng, int(rng.integers(1, 400)), 1)
+            assert a.sum(axis=0).tobytes() == a[:, 0].copy().sum().tobytes(), \
+                "rule broken: a (k, 1) sum(axis=0) is the 1-D pairwise .sum() of its column"
 
 
 class TestDetect:

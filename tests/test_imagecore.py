@@ -112,6 +112,12 @@ class TestCodec:
         got, want = read_image(commented), read_image(plain)
         assert got.channels == want.channels and got.data == want.data == payload
 
+    def test_comment_ends_the_token_before_it(self, tmp_path):
+        f = tmp_path / "a.pgm"
+        f.write_bytes(b"P5\n2 2# size\n255\n" + bytes([0, 255, 7, 9]))
+        img = read_image(f)
+        assert (img.width, img.height) == (2, 2) and img.data == bytes([0, 255, 7, 9])
+
     def test_header_ending_inside_a_comment(self, tmp_path):
         f = tmp_path / "a.pgm"
         f.write_bytes(b"P5\n2 2\n# no maxval")
