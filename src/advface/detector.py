@@ -53,13 +53,14 @@ class DetectorModel:
     feat_std: np.ndarray
     mean_reps: MeanReps
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.w)
-
     def decision(self, feats: np.ndarray) -> np.ndarray:
-        """Scores of an (N, n_taps) feature matrix; > 0 means "distorted"."""
-        return ((feats - self.feat_mean) / self.feat_std) @ self.w + self.b
+        """Scores of an (N, n_taps) feature matrix; > 0 means "distorted". A
+        score that overflows (extreme finite weights) is a FormatError."""
+        with np.errstate(all="ignore"):
+            scores = ((feats - self.feat_mean) / self.feat_std) @ self.w + self.b
+        if not np.isfinite(scores).all():
+            raise FormatError("detector: a score is not finite (weights or features too large)")
+        return scores
 
 
 def compute_mean_reps(model: NetworkModel, clean_images: np.ndarray) -> MeanReps:
@@ -253,17 +254,23 @@ def train_detector(model: NetworkModel, mean_reps: MeanReps, clean, distorted,
               if te.any() and len(np.unique(y[tr])) > 1]
     # the accuracy of every C on every usable fold, one stacked fit per training-set size
     accs = np.zeros((len(C_grid), len(splits)))
-    for size in {len(tr) for tr, _ in splits}:
-        group = [(i, j) for i in range(len(C_grid))
-                 for j, (tr, _) in enumerate(splits) if len(tr) == size]
-        tr = np.array([splits[j][0] for _, j in group])  # (F, size) training rows
-        ws, bs = _fit_hinge(xn[tr], y[tr], np.array([C_grid[i] for i, _ in group], dtype=float))
-        for (i, j), w, b in zip(group, ws, bs):
-            te = splits[j][1]
-            accs[i, j] = ((xn[te] @ w + b > 0) == (y[te] > 0)).mean()
-    cv = accs.mean(axis=1) if splits else np.zeros(len(C_grid))
-    best_C = C_grid[int(np.argmax(cv))]  # the first maximum
-    w, b = _fit_hinge(xn[None], y[None], np.array([best_C], dtype=float))
+    try:  # a huge C overflows the descent, which would then end on w = 0, b = 0
+        with np.errstate(over="raise", invalid="raise"):
+            for size in {len(tr) for tr, _ in splits}:
+                group = [(i, j) for i in range(len(C_grid))
+                         for j, (tr, _) in enumerate(splits) if len(tr) == size]
+                tr = np.array([splits[j][0] for _, j in group])  # (F, size) training rows
+                ws, bs = _fit_hinge(xn[tr], y[tr],
+                                    np.array([C_grid[i] for i, _ in group], dtype=float))
+                for (i, j), w, b in zip(group, ws, bs):
+                    te = splits[j][1]
+                    accs[i, j] = ((xn[te] @ w + b > 0) == (y[te] > 0)).mean()
+            cv = accs.mean(axis=1) if splits else np.zeros(len(C_grid))
+            best_C = C_grid[int(np.argmax(cv))]  # the first maximum
+            w, b = _fit_hinge(xn[None], y[None], np.array([best_C], dtype=float))
+    except FloatingPointError:
+        raise ValueError(f"C grid up to {C_grid[-1]:g} overflows the hinge fit on {len(y)} "
+                         "rows; use smaller C values") from None
     return DetectorModel(w[0], float(b[0]), float(best_C), feat_mean, feat_std, mean_reps)
 
 
@@ -313,7 +320,7 @@ def save_detector(det: DetectorModel, path, mean_reps_path) -> None:
         "C": det.C,
         "feat_mean": det.feat_mean.tolist(),
         "feat_std": det.feat_std.tolist(),
-        "n_layers": det.n_layers,
+        "n_layers": len(det.w),
         "mean_reps_path": Path(reps_rel).as_posix(),
     }
     Path(path).write_text(json.dumps(doc, indent=2))

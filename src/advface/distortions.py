@@ -139,9 +139,7 @@ def ero_band(landmarks: LandmarkSet, psi: float, height: int) -> tuple[int, int]
     """Inclusive row range [lo, hi] of the eye-occlusion band, clamped to the image."""
     if not psi > 0:  # refuses NaN too
         raise ValueError("psi must be positive")
-    d_eye = landmarks.right_eye.x - landmarks.left_eye.x
-    if d_eye <= 0:
-        raise ValueError("invalid landmarks: non-positive inter-eye distance")
+    d_eye = landmarks.right_eye.x - landmarks.left_eye.x  # LandmarkSet makes it > 0
     y_e = int(round((landmarks.left_eye.y + landmarks.right_eye.y) / 2))
     half = d_eye / psi  # inf for a subnormal psi: the ends are clamped before int()
     lo = int(max(0, np.ceil(y_e - half)))

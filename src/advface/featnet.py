@@ -23,6 +23,11 @@ from .seeds import rng_from
 _MAGIC = b"FNET1"
 _KIND_CODES = {"conv": 0, "relu": 1, "maxpool": 2, "flatten": 3, "dense": 4, "l2norm": 5}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+# FNET1's layer layout: each kind's u32 header fields in file order; a conv's
+# (out, in, k, k) or a dense layer's (out, in) float32 weights, then its bias, follow
+_FIELDS = {"conv": ("out", "in", "k", "stride", "pad"), "maxpool": ("window", "stride"),
+           "dense": ("out", "in")}
+_SHAPE = ("out", "in", "k", "k")
 
 # Images per forward_batch call in forward_chunks, which splits every batch the same way.
 FORWARD_CHUNK = 256
@@ -437,17 +442,11 @@ def save_weights(model: NetworkModel, path) -> None:
         fh.write(struct.pack("<I", len(model.tap_points)))
         fh.write(struct.pack(f"<{len(model.tap_points)}I", *model.tap_points))
         for layer in model.layers:
-            fh.write(struct.pack("<B", _KIND_CODES[layer.kind]))
-            if layer.kind == "conv":
-                o, ci, k, _ = layer.weights.shape
-                fh.write(struct.pack("<IIIII", o, ci, k, layer.stride, layer.pad))
-                fh.write(layer.weights.astype("<f4").tobytes())
-                fh.write(layer.bias.astype("<f4").tobytes())
-            elif layer.kind == "maxpool":
-                fh.write(struct.pack("<II", layer.window, layer.stride))
-            elif layer.kind == "dense":
-                o, i = layer.weights.shape
-                fh.write(struct.pack("<II", o, i))
+            fields = _FIELDS.get(layer.kind, ())
+            dims = dict(zip(_SHAPE, () if layer.weights is None else layer.weights.shape))
+            fh.write(struct.pack(f"<B{len(fields)}I", _KIND_CODES[layer.kind],
+                                 *(dims[f] if f in dims else getattr(layer, f) for f in fields)))
+            if "out" in fields:
                 fh.write(layer.weights.astype("<f4").tobytes())
                 fh.write(layer.bias.astype("<f4").tobytes())
 
@@ -477,24 +476,15 @@ def load_weights(path) -> NetworkModel:
             if code not in _CODE_KINDS:
                 raise FormatError(f"unknown layer kind code {code} at layer {li}")
             kind = _CODE_KINDS[code]
-            if kind == "conv":
-                o, ci, k, stride, pad = (rd.u32(f"layer {li} dims") for _ in range(5))
-                w = np.frombuffer(rd.take(o * ci * k * k * 4, f"layer {li} weights"), "<f4")
-                b = np.frombuffer(rd.take(o * 4, f"layer {li} bias"), "<f4")
-                layer = LayerDef("conv", w.reshape(o, ci, k, k).copy(), b.copy(),
-                                 stride=stride, pad=pad)
-            elif kind == "maxpool":
-                window = rd.u32(f"layer {li} window")
-                stride = rd.u32(f"layer {li} stride")
-                layer = LayerDef("maxpool", window=window, stride=stride)
-            elif kind == "dense":
-                o = rd.u32(f"layer {li} out")
-                i = rd.u32(f"layer {li} in")
-                w = np.frombuffer(rd.take(o * i * 4, f"layer {li} weights"), "<f4")
-                b = np.frombuffer(rd.take(o * 4, f"layer {li} bias"), "<f4")
-                layer = LayerDef("dense", w.reshape(o, i).copy(), b.copy())
+            v = {f: rd.u32(f"layer {li} {f}") for f in _FIELDS.get(kind, ())}
+            shape = tuple(v[f] for f in _SHAPE if f in v)  # () for a kind without weights
+            params = {f: x for f, x in v.items() if f not in _SHAPE}
+            if shape:
+                w = np.frombuffer(rd.take(math.prod(shape) * 4, f"layer {li} weights"), "<f4")
+                b = np.frombuffer(rd.take(shape[0] * 4, f"layer {li} bias"), "<f4")
+                layer = LayerDef(kind, w.reshape(shape).copy(), b.copy(), **params)
             else:
-                layer = LayerDef(kind)
+                layer = LayerDef(kind, **params)
             if layer.weights is not None and not (np.isfinite(layer.weights).all()
                                                   and np.isfinite(layer.bias).all()):
                 raise FormatError(f"weight file has non-finite weights or bias in layer {li}")

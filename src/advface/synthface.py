@@ -74,18 +74,6 @@ class SubjectParams:
     base_intensity: float
     texture_seed: int
 
-    def __post_init__(self):
-        if not 60 <= self.base_intensity <= 200:
-            raise ValueError("base intensity out of [60, 200]")
-        (xl, yl), (xr, yr) = self.eye_centers
-        if xr <= xl:
-            raise ValueError("right eye must lie right of left eye")
-        cx, cy = self.face_center
-        a, b = self.face_axes
-        for ex, ey in self.eye_centers:
-            if ((ex - cx) / a) ** 2 + ((ey - cy) / b) ** 2 > 1.0:
-                raise ValueError("eye center outside face ellipse")
-
 
 @dataclass(frozen=True)
 class DatasetItem:

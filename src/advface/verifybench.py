@@ -54,10 +54,6 @@ class RocCurve:
     far: np.ndarray
     gar: np.ndarray
 
-    @property
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.thresholds.tolist(), self.far.tolist(), self.gar.tolist()))
-
 
 def _cosine_matrix(emb: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(emb, axis=1, keepdims=True)

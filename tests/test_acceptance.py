@@ -234,8 +234,8 @@ class TestFormulaOracles:
             sm = self._score_matrix_from(gen, imp)
             curve = verifybench.roc(sm)
             expected = roc_exhaustive(gen, imp)
-            assert len(curve.points) == len(expected)
-            for (t1, f1, g1), (t2, f2, g2) in zip(curve.points, expected):
+            assert len(curve.thresholds) == len(expected)
+            for t1, f1, g1, (t2, f2, g2) in zip(curve.thresholds, curve.far, curve.gar, expected):
                 assert abs(t1 - t2) < 1e-6
                 assert abs(f1 - f2) < 1e-6
                 assert abs(g1 - g2) < 1e-6

@@ -672,6 +672,27 @@ class TestOutOfRangeInputs:
         assert forwarded == []
         assert not (tmp_path / "det").exists()
 
+    def test_c_that_overflows_the_fit_is_usage_error(self, pipeline, tmp_path, capsys):
+        assert run("train-detector", "--net-seed", 1,
+                   "--mean-reps", pipeline["extracted"] / "mean_reps.mrep",
+                   "--clean", pipeline["data"], "--distorted", pipeline["distorted"],
+                   "--c-grid", "1e308", "--out", tmp_path / "det") == 1
+        self._one_line(capsys,
+                       "usage error: C grid up to 1e+308 overflows the hinge fit on 8 rows")
+        assert not (tmp_path / "det").exists()
+
+    def test_detector_whose_score_overflows_is_data_error(self, pipeline, tmp_path, capsys):
+        doc = json.loads(pipeline["detector"].read_text())
+        doc["mean_reps_path"] = str((pipeline["detector"].parent / doc["mean_reps_path"])
+                                    .resolve())
+        n = doc["n_layers"]
+        doc.update(w=[1e308, -1e308] + [0.0] * (n - 2), feat_mean=[0.0] * n, feat_std=[1.0] * n)
+        (tmp_path / "detector.json").write_text(json.dumps(doc))
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+        assert run("detect", "--net-seed", 1, "--detector", tmp_path / "detector.json",
+                   "--image", img) == 2
+        self._one_line(capsys, "error: detector: a score is not finite")
+
     @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
     def test_detector_c_is_data_error(self, pipeline, tmp_path, capsys, c):
         doc = json.loads(pipeline["detector"].read_text())

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +314,16 @@ class TestTraining:
         with pytest.raises(ValueError, match="every C finite and above 0"):
             train_detector(None, _toy_reps(), images, images, C_grid=grid)
 
+    @pytest.mark.parametrize("n, C", [(20, 1e307), (600, 1e306)])
+    def test_c_that_overflows_the_fit_is_refused(self, n, C):
+        # the overflowed descent would end on w = 0, b = 0 and score every image 0
+        rng = np.random.default_rng(1)
+        fc, fd = rng.normal(0, 1, (n, 2)), rng.normal(1, 1, (n, 2))
+        message = re.escape(f"C grid up to {C:g} overflows the hinge fit on {2 * n} rows")
+        with pytest.raises(ValueError, match=message):
+            train_detector(None, _toy_reps(), None, None, C_grid=(1.0, C),
+                           features=(fc, fd), seed=0)
+
     def test_feat_std_floored(self):
         fc = np.zeros((5, 1))
         fd = np.zeros((5, 1))
@@ -509,6 +520,15 @@ class TestDetect:
         s0 = detect_scores(d0, default_model, images[:2])
         s1 = detect_scores(d1, default_model, images[:2])
         assert np.allclose(s1 - s0, 0.25)
+
+    @pytest.mark.parametrize("feats", [[2.0, 2.0, 0, 0, 0], [2.0, 0, 0, 0, 0]],
+                             ids=["nan", "inf"])
+    def test_non_finite_score_is_format_error(self, feats):
+        # finite weights, but a nan score would read as clean and an inf as distorted
+        det = DetectorModel(np.array([1e308, -1e308, 0, 0, 0]), 0.0, 1.0,
+                            np.zeros(5), np.ones(5), _toy_reps())
+        with pytest.raises(FormatError, match="detector: a score is not finite"):
+            det.decision(np.array([feats]))
 
 
 class TestPersistence:

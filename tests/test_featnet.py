@@ -840,6 +840,21 @@ class TestWeightFile:
         emb, _ = forward_batch(model, np.full((1, 4, 4, 1), 255, np.uint8))
         assert np.isfinite(emb).all()
 
+    def test_writer_gives_back_fnet_bytes(self, tmp_path):
+        # fnet_bytes states the layout field by field, apart from save_weights
+        path = tmp_path / "net.fnet"
+        path.write_bytes(fnet_bytes())
+        save_weights(load_weights(path), tmp_path / "out.fnet")
+        assert (tmp_path / "out.fnet").read_bytes() == fnet_bytes()
+
+    @pytest.mark.parametrize("cut, field", [(35, "out at byte 34"), (44, "k at byte 42"),
+                                            (52, "pad at byte 50")])
+    def test_truncated_header_names_its_field(self, tmp_path, cut, field):
+        path = tmp_path / "short.fnet"
+        path.write_bytes(fnet_bytes()[:cut])
+        with pytest.raises(FormatError, match=f"while reading layer 0 {field}"):
+            load_weights(path)
+
     @pytest.mark.parametrize("fields, message", [
         (dict(conv_w=np.where(np.arange(18) == 4, np.nan, 1.0).reshape(2, 1, 3, 3)),
          "non-finite weights or bias in layer 0"),

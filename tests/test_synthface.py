@@ -8,7 +8,6 @@ from advface.imagecore import Point, Polygon
 from advface.synthface import (
     Dataset,
     LandmarkSet,
-    SubjectParams,
     generate_dataset,
     load_dataset,
     save_dataset,
@@ -85,23 +84,6 @@ class TestGeneration:
         diff = np.mean(within) - np.mean(across)
         pooled = np.sqrt((np.var(within) + np.var(across)) / 2)
         assert diff / pooled >= 0.5
-
-
-class TestSubjectParams:
-    def test_base_intensity_range_enforced(self):
-        with pytest.raises(ValueError, match="base intensity"):
-            SubjectParams(0, (32, 32), (20, 24), ((20, 28), (44, 28)),
-                          (20, 24), (44, 47), 230.0, 1)
-
-    def test_eye_ordering_enforced(self):
-        with pytest.raises(ValueError, match="right eye"):
-            SubjectParams(0, (32, 32), (20, 24), ((44, 28), (20, 28)),
-                          (20, 24), (44, 47), 80.0, 1)
-
-    def test_eye_inside_ellipse_enforced(self):
-        with pytest.raises(ValueError, match="outside face ellipse"):
-            SubjectParams(0, (32, 32), (20, 24), ((0, 0), (44, 28)),
-                          (20, 24), (44, 47), 80.0, 1)
 
 
 class TestSplitProtocol:

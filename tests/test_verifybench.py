@@ -120,8 +120,8 @@ class TestRoc:
         curve = roc(sm)
         expected = roc_exhaustive([0.9, 0.8, 0.7, 0.6, 0.5],
                                   [0.65, 0.55, 0.45, 0.35, 0.25])
-        assert len(curve.points) == len(expected)
-        for (t1, f1, g1), (t2, f2, g2) in zip(curve.points, expected):
+        assert len(curve.thresholds) == len(expected)
+        for t1, f1, g1, (t2, f2, g2) in zip(curve.thresholds, curve.far, curve.gar, expected):
             assert t1 == pytest.approx(t2)
             assert f1 == pytest.approx(f2)
             assert g1 == pytest.approx(g2)
@@ -140,8 +140,8 @@ class TestRoc:
         sm, _ = random_score_matrix(rng)
         curve = roc(sm)
         expected = roc_exhaustive(sm.genuine_scores(), sm.impostor_scores())
-        assert len(curve.points) == len(expected)
-        for (t1, f1, g1), (t2, f2, g2) in zip(curve.points, expected):
+        assert len(curve.thresholds) == len(expected)
+        for t1, f1, g1, (t2, f2, g2) in zip(curve.thresholds, curve.far, curve.gar, expected):
             assert t1 == pytest.approx(t2, abs=1e-12)
             assert f1 == pytest.approx(f2, abs=1e-12)
             assert g1 == pytest.approx(g2, abs=1e-12)
