@@ -30,15 +30,13 @@ def _seeded_network(seed: int) -> featnet.NetworkModel:
 def _load_network(args) -> featnet.NetworkModel:
     if getattr(args, "weights", None):
         return featnet.load_weights(args.weights)
-    if type(args.net_seed) is not int:
-        raise ValueError(f"--net-seed must be an integer, got {args.net_seed!r}")
     return _seeded_network(args.net_seed)
 
 
 def _load_plan(path, model: featnet.NetworkModel) -> mitigator.MitigationPlan:
     plan = mitigator.MitigationPlan.from_json_file(path)
     with reading("mitigation plan"):  # finds a filter the network lacks before any forward
-        model.validate_mask(plan.mask)
+        model.masked(plan.mask)
     return plan
 
 
@@ -105,6 +103,14 @@ def _cmd_sensitivity(args):
     distorted = synthface.load_dataset(args.distorted)
     if len(clean) != len(distorted):
         raise ValueError("clean and distorted datasets must pair up 1:1")
+    if clean.seed != distorted.seed:  # `advface distort` keeps its input's seed
+        raise ValueError("clean and distorted datasets must pair up 1:1: they come from "
+                         f"gen-data seeds {clean.seed} and {distorted.seed}")
+    for i, (c, d) in enumerate(zip(clean.items, distorted.items)):
+        if (c.subject_id, c.sample_index) != (d.subject_id, d.sample_index):
+            raise ValueError(f"clean and distorted datasets must pair up 1:1: item {i} is "
+                             f"subject {c.subject_id} sample {c.sample_index} in --clean but "
+                             f"subject {d.subject_id} sample {d.sample_index} in --distorted")
     pairs = [(d.image, c.image) for d, c in zip(distorted.items, clean.items)]
     table = mitigator.compute_sensitivity(model, pairs)
     mitigator.save_table(table, args.out)
@@ -228,14 +234,53 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(parser: argparse.ArgumentParser, defaults: dict) -> None:
-    """Install config values as flag defaults, including for required flags."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                _apply_config(sub, defaults)
-        elif action.dest in defaults:
-            action.default = defaults[action.dest]
+# what a flag of each type takes from a config besides text, and how an error names it
+_TAKES = {bool: ((bool,), "true or false"), int: ((str, int), "an integer"),
+          float: ((str, int, float), "a number"), str: ((str,), "a string")}
+
+
+def _config_value(action: argparse.Action, value):
+    """A config value as the flag's own parsing gives it, or ValueError naming the flag.
+
+    Text goes through the flag's type, as on the command line; any other JSON
+    value must already be of that type, where a float flag takes any number.
+    A switch takes true or false, a list flag a non-empty list of such values.
+    """
+    conv = bool if action.nargs == 0 else action.type or str
+    takes, want = _TAKES[conv]
+    many = action.nargs == "+"
+    items = (value if type(value) is list else None) if many else [value]
+    if items and all(type(v) in takes for v in items):
+        try:
+            got = [conv(v) for v in items]
+            return got if many else got[0]
+        except (ValueError, OverflowError):  # float() of a huge int overflows
+            pass
+    want = f"a non-empty list, each {want}" if many else want
+    raise ValueError(f"{action.option_strings[0]} must be {want}, got {json.dumps(value)}")
+
+
+def _apply_config(parser: argparse.ArgumentParser, path) -> None:
+    """Install a JSON config file's values as flag defaults, including for required flags.
+
+    A key names a flag of any subcommand by its option name, "_" standing for
+    "-"; every key and value is checked before any work.
+    """
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {path} is not a JSON object")
+    flags: dict[str, list] = {}  # option name -> its action in each subcommand that has it
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for sub in subs.choices.values():
+        for action in sub._actions:
+            if action.option_strings and action.dest != "help":
+                flags.setdefault(action.option_strings[0], []).append(action)
+    for key, value in doc.items():
+        actions = flags.get("--" + key.replace("_", "-"))
+        if not actions:
+            raise ValueError(f"config key {key!r} names no flag")
+        for action in actions:
+            action.default = _config_value(action, value)
             action.required = False
 
 
@@ -251,16 +296,12 @@ def main(argv=None) -> int:
     pre, parser = _parsers()
     known, _ = pre.parse_known_args(argv)
     if known.config:
+        parser = build_parser()  # _apply_config changes defaults: never the shared one
         try:
-            defaults = json.loads(Path(known.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            _apply_config(parser, known.config)
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             print(f"usage error: {exc}", file=sys.stderr)
             return 1
-        if not isinstance(defaults, dict):
-            print(f"usage error: config {known.config} is not a JSON object", file=sys.stderr)
-            return 1
-        parser = build_parser()  # _apply_config changes defaults: never the shared one
-        _apply_config(parser, {k.replace("-", "_"): v for k, v in defaults.items()})
     args = parser.parse_args(argv)
     try:
         args.func(args)

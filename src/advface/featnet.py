@@ -2,8 +2,8 @@
 
 The network is a fixed small architecture with seeded random (He-scaled)
 filters. Activations are tapped after every ReLU and after the dense layer;
-those tapped vectors feed the detector's layer-wise statistics. Conv filters
-can be disabled at inference time via a FilterMask (selective dropout).
+those tapped vectors feed the detector's layer-wise statistics. Selective
+dropout runs the copy NetworkModel.masked gives, its disabled filters zeroed.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class LayerDef:
 
 @dataclass(frozen=True)
 class FilterMask:
-    """Set of (conv_ordinal, filter_index) pairs disabled during forward."""
+    """Set of (conv_ordinal, filter_index) pairs that NetworkModel.masked zeroes."""
 
     disabled: frozenset = frozenset()
 
@@ -129,11 +129,19 @@ class NetworkModel:
         """Flattened activation length at each tap."""
         return tuple(math.prod(self.shapes[t + 1]) for t in self.tap_points)
 
-    def validate_mask(self, mask: FilterMask) -> None:
-        counts = self.conv_filter_counts()
+    def masked(self, mask: FilterMask) -> NetworkModel:
+        """A copy with each disabled filter's conv weights and bias zeroed; it shares the rest."""
+        layers, convs, counts = list(self.layers), self.conv_ordinals, self.conv_filter_counts()
+        off: dict[int, list[int]] = {}  # layer index -> disabled filters
         for layer_i, filt_j in mask.disabled:
             if not 0 <= layer_i < len(counts) or not 0 <= filt_j < counts[layer_i]:
                 raise ValueError(f"mask entry ({layer_i}, {filt_j}) references no conv filter")
+            off.setdefault(convs[layer_i], []).append(filt_j)
+        for i, filters in off.items():  # each masked layer copied once
+            w, b = layers[i].weights.copy(), layers[i].bias.copy()
+            w[filters] = b[filters] = 0.0
+            layers[i] = replace(layers[i], weights=w, bias=b)
+        return replace(self, layers=tuple(layers))
 
 
 def _out_shape(layer: LayerDef, shape: tuple) -> tuple:
@@ -314,11 +322,11 @@ def _homes(model: NetworkModel, split: int) -> dict:
     return home
 
 
-def forward_batch(model: NetworkModel, images: np.ndarray, mask: FilterMask | None = None):
+def forward_batch(model: NetworkModel, images: np.ndarray):
     """Run the network on a (N, H, W, C) uint8 batch.
 
     Returns (embeddings (N, D), taps: list of (N, lambda_i) float arrays, one
-    per tap point). Masked filters contribute exactly zero output channels.
+    per tap point).
 
     Depth-first: every stage, input scaling first, runs in one loop over a
     block of rows, writing where _homes places it. One _parallel_blocks call
@@ -333,12 +341,6 @@ def forward_batch(model: NetworkModel, images: np.ndarray, mask: FilterMask | No
         raise ValueError(
             f"input batch shape {images.shape} does not match model input "
             f"{(h_in, w_in, c_in)}")
-    off: dict[int, list[int]] = {}  # conv layer index -> masked filters
-    if mask is not None:
-        model.validate_mask(mask)
-        for li, fj in mask.disabled:
-            off.setdefault(model.conv_ordinals[li], []).append(fj)
-
     layers, n = model.layers, images.shape[0]
     shapes = dict(enumerate(model.shapes, -1))  # -1: the input
     split = next((i for i, l in enumerate(layers) if l.kind in ("flatten", "dense")),
@@ -395,8 +397,6 @@ def forward_batch(model: NetworkModel, images: np.ndarray, mask: FilterMask | No
                     pads[i][:nb, :, p:-p, p:-p] = x
                     x = pads[i][:nb]
                 _conv2d(x, layer, col, y)
-                if i in off:
-                    y[:, off[i]] = 0.0
             elif kind == "relu":
                 np.maximum(x, 0.0, out=y)
             elif kind == "maxpool":
@@ -413,20 +413,20 @@ def forward_batch(model: NetworkModel, images: np.ndarray, mask: FilterMask | No
     return full[len(layers) - 1], [full[t].reshape(n, -1) for t in model.tap_points]
 
 
-def forward_chunks(model: NetworkModel, images: np.ndarray, mask: FilterMask | None = None):
-    """Yield (lo, forward_batch(model, images[lo : lo + FORWARD_CHUNK], mask)) in order; a chunk's
-    taps are freed before the next forward unless the caller keeps a tap or an emb sharing one."""
+def forward_chunks(model: NetworkModel, images: np.ndarray):
+    """Yield (lo, forward_batch(model, images[lo : lo + FORWARD_CHUNK])) in order; a chunk's taps
+    are freed before the next forward unless the caller keeps a tap or an emb sharing one."""
     for lo in range(0, images.shape[0], FORWARD_CHUNK):
-        emb, taps = forward_batch(model, images[lo : lo + FORWARD_CHUNK], mask)
+        emb, taps = forward_batch(model, images[lo : lo + FORWARD_CHUNK])
         yield lo, (emb, taps)
         taps.clear()
         del emb
 
 
-def embed(model: NetworkModel, images: np.ndarray, mask: FilterMask | None = None) -> np.ndarray:
+def embed(model: NetworkModel, images: np.ndarray) -> np.ndarray:
     """(N, D) embeddings of a non-empty (N, H, W, C) uint8 batch, one chunk at a time, no taps."""
     untapped = replace(model, tap_points=())
-    return np.vstack([emb for _, (emb, _) in forward_chunks(untapped, images, mask)])
+    return np.vstack([emb for _, (emb, _) in forward_chunks(untapped, images)])
 
 
 # ---------------------------------------------------------------------------

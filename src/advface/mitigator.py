@@ -148,10 +148,10 @@ def build_plan(table: SensitivityTable, eta: int, kappa: float,
 
 
 def mitigate_batch(model: NetworkModel, plan: MitigationPlan, images: np.ndarray) -> np.ndarray:
-    """Embeddings of a (N, H, W, C) uint8 batch after median filtering and masked forward."""
+    """Embeddings of a (N, H, W, C) uint8 batch, median filtered, by the plan's masked network."""
     if plan.use_median_filter:
         images = median_filter_array(images, MEDIAN_WINDOW)
-    return embed(model, images, plan.mask)
+    return embed(model.masked(plan.mask), images)
 
 
 def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dataset,

@@ -214,7 +214,7 @@ def _corrected_embeddings(model: NetworkModel, prep: PipelineEval,
     emb = prep.emb_plain.copy()
     if prep.flags.any():
         batch = prep.flagged_median if plan.use_median_filter else prep.flagged
-        emb[prep.flags] = embed(model, batch, plan.mask)
+        emb[prep.flags] = embed(model.masked(plan.mask), batch)
     return emb
 
 

@@ -409,7 +409,7 @@ class TestInvariantSweeps:
                     zb[fj] = 0.0
                     cb[fj] = 0.0
             batch = rng.integers(0, 256, size=(1, 8, 8, 1), dtype=np.uint8)
-            masked, _ = forward_batch(net, batch, mask)
+            masked, _ = forward_batch(net.masked(mask), batch)
             zeroed, _ = forward_batch(build(za, ca, zb, cb), batch)
             assert np.array_equal(masked, zeroed)
 

@@ -15,7 +15,7 @@ from advface.detector import (DetectorModel, MeanReps, load_mean_reps, save_dete
 from advface.featnet import LayerDef, NetworkModel
 from advface.imagecore import Image, read_image, write_image
 from advface.mitigator import load_table
-from advface.synthface import load_dataset
+from advface.synthface import Dataset, load_dataset, save_dataset
 
 from conftest import fnet_bytes, pool_between_convs, relu_pool_relu
 from oracles import sensitivity_loop
@@ -299,6 +299,24 @@ class TestProcessCache:
         assert err == "usage error: --net-seed must be an integer, got 1.0\n"
 
 
+# a config key or value the flags refuse, and the usage error naming it
+_REFUSED_CONFIGS = [
+    ({"net_sed": 1}, "config key 'net_sed' names no flag"),
+    ({"inp": "data"}, "config key 'inp' names no flag"),
+    ({"c_grid": 5}, "--c-grid must be a non-empty list, each a number, got 5"),
+    ({"c_grid": []}, "--c-grid must be a non-empty list, each a number, got []"),
+    ({"eta": 2.5}, "--eta must be an integer, got 2.5"),
+    ({"far": [0.1]}, "--far must be a number, got [0.1]"),
+    ({"subjects": 2.5}, "--subjects must be an integer, got 2.5"),
+    ({"size": None}, "--size must be an integer, got null"),
+    ({"seed": 1.5}, "--seed must be an integer, got 1.5"),
+    ({"seed": "x"}, '--seed must be an integer, got "x"'),
+    ({"no_median": "false"}, '--no-median must be true or false, got "false"'),
+    ({"fraction": True}, "--fraction must be a number, got true"),
+    ({"out": 5}, "--out must be a string, got 5"),
+]
+
+
 class TestConfig:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -350,7 +368,82 @@ class TestConfig:
         assert err == f"usage error: config {cfg} is not a JSON object\n"
 
 
+    @pytest.mark.parametrize("doc, message", _REFUSED_CONFIGS, ids=[
+        ",".join(f"{k}={json.dumps(v)}" for k, v in doc.items()) for doc, _ in _REFUSED_CONFIGS])
+    @pytest.mark.parametrize("command", ["gen-data", "detect", "build-plan", "evaluate"])
+    def test_config_key_or_value_the_flags_refuse_is_usage_error(self, pipeline, tmp_path,
+                                                                 capsys, doc, message, command):
+        # every key is checked whichever subcommand runs, before any work
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {"gen-data": ["--subjects", 2, "--samples", 2, "--out", out],
+                "detect": ["--detector", pipeline["detector"],
+                           "--image", sorted(pipeline["data"].glob("*.pgm"))[0]],
+                "build-plan": ["--table", pipeline["table"], "--eta", 1, "--kappa", 0.25,
+                               "--out", out],
+                "evaluate": ["--net-seed", 1, "--dataset", pipeline["data"],
+                             "--distortion", pipeline["spec"], "--out", out]}[command]
+        assert run("--config", cfg, command, *argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
+        assert not out.exists()
+
+    def test_config_values_parse_as_the_flags_do(self, pipeline, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        # text goes through the flag's type; `in` names --in
+        cfg.write_text(json.dumps({"in": str(pipeline["data"]), "spec": str(pipeline["spec"]),
+                                   "subjects": "2", "samples": 2, "size": " 64 ",
+                                   "out": str(tmp_path / "cfg")}))
+        assert run("--config", cfg, "distort") == 0
+        assert run("--config", cfg, "gen-data") == 0
+        assert run("distort", "--spec", pipeline["spec"], "--in", pipeline["data"],
+                   "--out", tmp_path / "flags") == 0
+        assert run("gen-data", "--subjects", 2, "--samples", 2, "--size", 64,
+                   "--out", tmp_path / "flags") == 0
+        names = sorted(f.name for f in (tmp_path / "flags").iterdir())
+        assert sorted(f.name for f in (tmp_path / "cfg").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "cfg" / name).read_bytes() == \
+                (tmp_path / "flags" / name).read_bytes()
+        # a float flag given integers parses them as --c-grid 1 10 does; a switch takes a bool
+        cfg.write_text(json.dumps({"c_grid": [1, 10], "no_median": True}))
+        common = ["--net-seed", 1, "--mean-reps", pipeline["extracted"] / "mean_reps.mrep",
+                  "--clean", pipeline["data"], "--distorted", pipeline["distorted"]]
+        assert run("--config", cfg, "train-detector", *common, "--out", tmp_path / "d1") == 0
+        assert run("train-detector", *common, "--c-grid", 1, 10, "--out", tmp_path / "d2") == 0
+        assert (tmp_path / "d1" / "detector.json").read_bytes() == \
+            (tmp_path / "d2" / "detector.json").read_bytes()
+        plan = ["--table", pipeline["table"], "--eta", 1, "--kappa", 0.25]
+        assert run("--config", cfg, "build-plan", *plan, "--out", tmp_path / "p1.json") == 0
+        assert run("build-plan", *plan, "--no-median", "--out", tmp_path / "p2.json") == 0
+        assert (tmp_path / "p1.json").read_bytes() == (tmp_path / "p2.json").read_bytes()
+        assert json.loads((tmp_path / "p1.json").read_text())["use_median_filter"] is False
+
+
 class TestErrors:
+    def test_sensitivity_of_sets_that_do_not_pair_is_usage_error(self, pipeline, tmp_path,
+                                                                 capsys):
+        other = tmp_path / "other"  # another seed's faces, in the same layout
+        assert run("gen-data", "--subjects", 2, "--samples", 2, "--size", 64,
+                   "--seed", 9, "--out", other) == 0
+        ds = load_dataset(pipeline["distorted"])
+        reordered = tmp_path / "reordered"  # item 0 stays, items 1 and 2 swap
+        save_dataset(Dataset((ds.items[0], ds.items[2], ds.items[1], *ds.items[3:]), ds.seed),
+                     reordered)
+        capsys.readouterr()
+        for distorted, message in [
+                (other, "they come from gen-data seeds 3 and 9"),
+                (reordered, "item 1 is subject 0 sample 1 in --clean but subject 1 sample 0 "
+                            "in --distorted")]:
+            out = tmp_path / "table.json"
+            assert run("sensitivity", "--net-seed", 1, "--clean", pipeline["data"],
+                       "--distorted", distorted, "--out", out) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"usage error: clean and distorted datasets must pair up 1:1: {message}\n")
+            assert not out.exists()
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run("distort", "--spec", tmp_path / "nope.json",
                    "--in", tmp_path, "--out", tmp_path / "o") == 1

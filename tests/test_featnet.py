@@ -176,10 +176,10 @@ class TestForward:
             tap_counts.append(len(taps))
             return emb, taps
 
-        for mask in (None, _random_mask(net43, n)):
-            want = np.vstack([emb for _, (emb, _) in featnet.forward_chunks(net43, images, mask)])
+        for model in (net43, net43.masked(_random_mask(net43, n))):
+            want = np.vstack([emb for _, (emb, _) in featnet.forward_chunks(model, images)])
             monkeypatch.setattr(featnet, "forward_batch", spy)
-            got = featnet.embed(net43, images, mask)
+            got = featnet.embed(model, images)
             monkeypatch.setattr(featnet, "forward_batch", real)
             assert tap_counts == [0] * -(-n // FORWARD_CHUNK)
             tap_counts.clear()
@@ -224,12 +224,12 @@ class TestConvKernel:
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 256, 300])
     def test_default_net_bitwise_equals_tensordot_kernel(self, net43, batch300, plan_mask,
                                                          monkeypatch, n, masked):
-        mask = plan_mask if masked else None
-        got = forward_batch(net43, batch300[:n], mask)
+        model = net43.masked(plan_mask) if masked else net43
+        got = forward_batch(model, batch300[:n])
         # the kernel gets each block already padded, so the adapter pads nothing
         monkeypatch.setattr(featnet, "_conv2d", lambda xp, layer, col, out: np.copyto(
             out, tensordot_conv(xp, layer.weights, layer.bias, layer.stride, 0)))
-        want = forward_batch(net43, batch300[:n], mask)
+        want = forward_batch(model, batch300[:n])
         assert np.array_equal(got[0], want[0])
         assert len(got[1]) == len(want[1]) == 5  # four post-ReLU conv maps, then dense
         for g, w in zip(got[1], want[1]):
@@ -330,17 +330,16 @@ class TestDepthFirst:
                                       "relu-pool-relu", "pool-between-convs", "dense-tail"])
     def test_bitwise_equals_layerwise_forward(self, batch300, monkeypatch, name, n):
         model = _depth_first_net(name)
-        for mask in (None, _random_mask(model, n)):
-            want_emb, want_taps = layerwise_forward(model, batch300[:n], mask)
-            for workers in (1, 2):
-                monkeypatch.setattr(featnet, "_WORKERS", workers)
-                emb, taps = forward_batch(model, batch300[:n], mask)
-                assert emb.dtype == want_emb.dtype and emb.shape == want_emb.shape
-                assert np.array_equal(emb, want_emb)
-                assert len(taps) == len(want_taps) == model.n_taps
-                for g, w in zip(taps, want_taps):
-                    assert g.dtype == w.dtype and g.shape == w.shape
-                    assert np.array_equal(g, w)
+        want_emb, want_taps = layerwise_forward(model, batch300[:n])
+        for workers in (1, 2):
+            monkeypatch.setattr(featnet, "_WORKERS", workers)
+            emb, taps = forward_batch(model, batch300[:n])
+            assert emb.dtype == want_emb.dtype and emb.shape == want_emb.shape
+            assert np.array_equal(emb, want_emb)
+            assert len(taps) == len(want_taps) == model.n_taps
+            for g, w in zip(taps, want_taps):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("n", [1, 9, 256])
     def test_one_parallel_pass_with_bounded_scratch(self, net43, batch300, monkeypatch, n):
@@ -543,11 +542,11 @@ class TestWorkers:
     @pytest.mark.parametrize("n", WORKER_SIZES)
     def test_forward_bitwise_for_any_worker_count(self, net43, batch300, plan_mask,
                                                   monkeypatch, n, masked):
-        mask = plan_mask if masked else None
+        model = net43.masked(plan_mask) if masked else net43
         outs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(featnet, "_WORKERS", workers)
-            emb, taps = forward_batch(net43, batch300[:n], mask)
+            emb, taps = forward_batch(model, batch300[:n])
             outs.append([emb, *taps])
         assert len(outs[0]) == 1 + 5
         for other in outs[1:]:
@@ -701,16 +700,62 @@ class TestMasking:
         )
         mask = FilterMask(pairs)
         batch = rng.integers(0, 256, size=(2, 8, 8, 1), dtype=np.uint8)
-        emb_masked, taps_masked = forward_batch(model, batch, mask)
+        emb_masked, taps_masked = forward_batch(model.masked(mask), batch)
         emb_zeroed, taps_zeroed = forward_batch(self._literally_zeroed(model, mask), batch)
         assert np.array_equal(emb_masked, emb_zeroed)
         for tm, tz in zip(taps_masked, taps_zeroed):
             assert np.array_equal(tm, tz)
 
-    def test_invalid_mask_rejected(self, default_model):
-        with pytest.raises(ValueError, match="references no conv filter"):
-            forward_batch(default_model, np.zeros((1, 64, 64, 1), dtype=np.uint8),
-                          FilterMask(frozenset({(0, 99)})))
+    @pytest.mark.parametrize("entry", [(0, 99), (0, 8), (0, -1), (4, 0), (-1, 0)])
+    def test_invalid_mask_rejected(self, default_model, entry):
+        with pytest.raises(ValueError, match=rf"mask entry \({entry[0]}, {entry[1]}\) "
+                                             "references no conv filter"):
+            default_model.masked(FilterMask(frozenset({(0, 1), entry})))
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 256, 300])
+    @pytest.mark.parametrize("name", ["default", "conv-taps", "cut-at-responses",
+                                      "relu-pool-relu", "pool-between-convs", "dense-tail"])
+    def test_masked_network_bitwise_equals_layerwise_masking(self, batch300, monkeypatch,
+                                                             name, n):
+        # the oracle zeroes the disabled channels after each conv
+        model = _depth_first_net(name)
+        mask = _random_mask(model, n)
+        want_emb, want_taps = layerwise_forward(model, batch300[:n], mask)
+        masked = model.masked(mask)
+        for workers in (1, 2):
+            monkeypatch.setattr(featnet, "_WORKERS", workers)
+            emb, taps = forward_batch(masked, batch300[:n])
+            assert emb.dtype == want_emb.dtype and emb.shape == want_emb.shape
+            assert np.array_equal(emb, want_emb)
+            assert len(taps) == len(want_taps) == model.n_taps
+            for g, w in zip(taps, want_taps):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
+
+    def test_masked_copies_masked_layers_and_shares_the_rest(self, net43, plan_mask):
+        before = [(l.weights.copy(), l.bias.copy()) for l in net43.layers if l.kind == "conv"]
+        masked = net43.masked(plan_mask)
+        assert (masked.tap_points, masked.input_spec) == (net43.tap_points, net43.input_spec)
+        convs = net43.conv_ordinals
+        hit = {convs[li] for li, _ in plan_mask.disabled}
+        assert 0 < len(hit) < len(convs)
+        for i, (src, got) in enumerate(zip(net43.layers, masked.layers)):
+            assert (got is src) == (i not in hit)
+        for li, (i, (w, b)) in enumerate(zip(convs, before)):
+            src, got = net43.layers[i], masked.layers[i]
+            assert np.array_equal(src.weights, w) and np.array_equal(src.bias, b)
+            off = sorted(fj for lj, fj in plan_mask.disabled if lj == li)
+            on = [j for j in range(len(b)) if j not in off]
+            assert not got.weights.flags.writeable and not got.bias.flags.writeable
+            assert (got.weights[off] == 0).all() and (got.bias[off] == 0).all()
+            assert np.array_equal(got.weights[on], w[on]) and np.array_equal(got.bias[on], b[on])
+
+    def test_empty_mask_forwards_like_the_plain_network(self, net43, batch300):
+        masked = net43.masked(FilterMask())
+        assert all(a is b for a, b in zip(masked.layers, net43.layers))
+        got, want = forward_batch(masked, batch300[:9]), forward_batch(net43, batch300[:9])
+        for g, w in zip([got[0], *got[1]], [want[0], *want[1]]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def test_mask_json_list_sorted(self):
         mask = FilterMask(frozenset({(2, 1), (0, 3), (2, 0)}))

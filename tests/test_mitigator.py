@@ -289,7 +289,7 @@ class TestMitigate:
         batch = small_dataset.pixel_batch()[:2]
         mask = FilterMask(frozenset({(0, 1)}))
         emb = mitigate_batch(default_model, MitigationPlan(1, 0.1, mask), batch)
-        expected, _ = forward_batch(default_model, median_filter_array(batch, 5), mask)
+        expected, _ = forward_batch(default_model.masked(mask), median_filter_array(batch, 5))
         assert np.array_equal(emb, expected)
 
     def test_embedding_unit_norm_or_zero(self, default_model, small_dataset):

@@ -231,9 +231,10 @@ class TestProtocol:
         counts = {"plain": 0, "masked": 0}
         real = featnet.forward_batch
 
-        def counting(model, images, mask=None, **kw):
-            counts["plain" if mask is None else "masked"] += images.shape[0]
-            return real(model, images, mask, **kw)
+        def counting(model, images):
+            plain = all(a is b for a, b in zip(model.layers, default_model.layers))
+            counts["plain" if plain else "masked"] += images.shape[0]
+            return real(model, images)
 
         monkeypatch.setattr(featnet, "forward_batch", counting)
         run_protocol(small_dataset, default_model, spec, det=det, plan=plan,
@@ -251,14 +252,14 @@ class TestProtocol:
         plan = MitigationPlan(1, 0.25, FilterMask({(0, 0), (1, 3)}))
         spec = DistortionSpec("grids", seed=4)
         mixed = verifybench._distorted_copy(ds, spec, 0.5, 2)
-        want = forward_batch(default_model, median_filter_array(mixed, 5), plan.mask)[0]
+        want = forward_batch(default_model.masked(plan.mask), median_filter_array(mixed, 5))[0]
         masked = []
         real = featnet.forward_batch
 
-        def counting(model, images, mask=None):
-            if mask is not None:
+        def counting(model, images):
+            if any(a is not b for a, b in zip(model.layers, default_model.layers)):
                 masked.append(len(images))
-            return real(model, images, mask)
+            return real(model, images)
 
         monkeypatch.setattr(featnet, "forward_batch", counting)
         assert np.array_equal(mitigator.mitigate_batch(default_model, plan, mixed), want)
