@@ -128,7 +128,7 @@ def _cmd_build_plan(args):
 
 def _cmd_mitigate(args):
     model = _load_network(args)
-    plan = _load_plan(args.plan, model)
+    plan = mitigator.MitigationPlan.from_json_file(args.plan)
     emb = mitigator.mitigate_batch(model, plan, read_image(args.image).pixels[None])[0]
     Path(args.out).write_text(json.dumps([float(v) for v in emb]))
     print(f"embedding ({len(emb)}-d) -> {args.out}")

@@ -149,9 +149,11 @@ def build_plan(table: SensitivityTable, eta: int, kappa: float,
 
 def mitigate_batch(model: NetworkModel, plan: MitigationPlan, images: np.ndarray) -> np.ndarray:
     """Embeddings of a (N, H, W, C) uint8 batch, median filtered, by the plan's masked network."""
+    with reading("mitigation plan"):  # finds a filter the network lacks before any forward
+        masked = model.masked(plan.mask)
     if plan.use_median_filter:
         images = median_filter_array(images, MEDIAN_WINDOW)
-    return embed(model.masked(plan.mask), images)
+    return embed(masked, images)
 
 
 def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dataset,
@@ -173,22 +175,20 @@ def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dat
     specs = list(distortion_specs)
     if not eta_grid or not kappa_grid or not specs:
         raise ValueError("grids and distortion list must be non-empty")
-    verifybench.pair_counts([it.subject_id for it in train_ds.items], "training dataset")
+    ids = np.array([it.subject_id for it in train_ds.items])
+    verifybench.pair_counts(ids, "training dataset")
     if not 0 < far_target < 1:
         raise ValueError("far_target must be in (0, 1)")
     missing = sorted({spec.kind for spec in specs} - set(det))
     if missing:
         raise ValueError(f"no detector for distortion kinds {missing}")
     plans = [build_plan(table, eta, kappa) for kappa in kappa_grid for eta in eta_grid]
-
-    prepared = [verifybench.prepare_pipeline_eval(model, train_ds, spec, det[spec.kind],
-                                                  fraction=0.5, seed=seed) for spec in specs]
-
-    def mean_gar(plan: MitigationPlan) -> float:
-        return float(np.mean([verifybench.finish_pipeline_eval(model, prep, plan, far_target)
-                              for prep in prepared]))
-
-    return max(plans, key=mean_gar)
+    gars = [[verifybench._gar_from_embeddings(emb, ids, far_target)
+             for emb in verifybench.defended_embeddings(model, train_ds, spec, det[spec.kind],
+                                                        plans, fraction=0.5, seed=seed)[1]]
+            for spec in specs]
+    means = [float(np.mean(per_spec)) for per_spec in zip(*gars)]
+    return plans[means.index(max(means))]
 
 
 def save_table(table: SensitivityTable, path) -> None:

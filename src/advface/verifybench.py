@@ -4,13 +4,12 @@ All-vs-all matching: every image is compared with every other, self-matches
 excluded. The protocol evaluates three conditions — original, distorted
 (a fraction of images corrupted, no defense), and corrected (the corrupted
 set run through detect-then-mitigate). The corrected condition has one
-implementation, `PipelineEval`, which the mitigation plan search shares.
+implementation, `defended_embeddings`, which the mitigation plan search shares.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +127,30 @@ def _gar_from_embeddings(emb: np.ndarray, ids: np.ndarray, far_target: float) ->
     return gar_at_far(roc(score_matrix(emb, ids)), far_target)
 
 
+def defended_embeddings(model: NetworkModel, ds: Dataset, spec: distortions.DistortionSpec,
+                        det, plans, fraction: float = 0.5,
+                        seed: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Embeddings of the distorted set, plain and corrected under each plan.
+
+    The distorted set is forwarded once, for its embeddings and the
+    detector's features together. Each corrected matrix is the plain one
+    with every flagged row replaced by the plan's mitigated embedding; the
+    flagged images are median filtered at most once, whatever the plans.
+    """
+    mixed = _distorted_copy(ds, spec, fraction, seed)
+    emb_plain, feats = embed_and_features(model, det.mean_reps, mixed)
+    flags = det.decision(feats) > 0
+    corrected = [emb_plain.copy() for _ in plans]
+    if flags.any():
+        flagged = mixed[flags]
+        median = (median_filter_array(flagged, MEDIAN_WINDOW)
+                  if any(plan.use_median_filter for plan in plans) else None)
+        for plan, emb in zip(plans, corrected):
+            emb[flags] = embed(model.masked(plan.mask),
+                               median if plan.use_median_filter else flagged)
+    return emb_plain, corrected
+
+
 def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionSpec,
                  det=None, plan: MitigationPlan | None = None,
                  fraction: float = 0.5, seed: int = 0,
@@ -135,8 +158,8 @@ def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionS
     """Original / distorted / corrected GAR@FAR rows for one distortion.
 
     With a detector and a plan, the distorted and corrected conditions come
-    from the same PipelineEval the plan search scores its candidates on;
-    only one of the two, or a far_target or fraction out of range, is a
+    from defended_embeddings, which the plan search scores its candidates
+    on; only one of the two, or a far_target or fraction out of range, is a
     ValueError, a set with no genuine pair a ProtocolError, and a detector
     whose mean reps do not fit the network a FormatError, raised before any
     forward pass.
@@ -149,11 +172,11 @@ def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionS
     ids = np.array([it.subject_id for it in ds.items])
     n_gen, n_imp = pair_counts(ids)  # the same for every condition
     # first: it refuses mean reps that do not fit before any forward pass
-    prep = None if det is None else prepare_pipeline_eval(model, ds, spec, det, fraction, seed)
+    defended = (None if det is None
+                else defended_embeddings(model, ds, spec, det, [plan], fraction, seed))
     conditions = {"original": embed(model, ds.pixel_batch())}
-    if prep is not None:
-        conditions["distorted"] = prep.emb_plain
-        conditions["corrected"] = _corrected_embeddings(model, prep, plan)
+    if defended is not None:
+        conditions["distorted"], (conditions["corrected"],) = defended
     else:
         conditions["distorted"] = embed(model, _distorted_copy(ds, spec, fraction, seed))
     return [{"condition": condition, "distortion": spec.kind,
@@ -172,53 +195,3 @@ def write_report(rows, path) -> None:
             writer.writerow([r["condition"], r["distortion"],
                              f"{r['gar_at_far']:.6f}", f"{r['far_target']:.6f}",
                              r["n_genuine"], r["n_impostor"], r["seed"]])
-
-
-# ---------------------------------------------------------------------------
-# Split evaluation: the protocol's corrected condition and the plan search
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PipelineEval:
-    """Plan-independent state of the corrected condition on one distorted set."""
-
-    ids: np.ndarray              # subject id per image
-    emb_plain: np.ndarray        # undefended embeddings
-    flags: np.ndarray            # detector verdict per image, True = distorted
-    flagged: np.ndarray          # pixels of the flagged images
-
-    @functools.cached_property
-    def flagged_median(self) -> np.ndarray:
-        """The flagged pixels median filtered as a plan does it; computed on first use."""
-        return median_filter_array(self.flagged, MEDIAN_WINDOW)
-
-
-def prepare_pipeline_eval(model: NetworkModel, ds: Dataset,
-                          spec: distortions.DistortionSpec, det,
-                          fraction: float = 0.5, seed: int = 0) -> PipelineEval:
-    """Plan-independent state for repeated corrected-GAR evaluations.
-
-    The distorted set is forwarded once, for its embeddings and the
-    detector's features together.
-    """
-    mixed = _distorted_copy(ds, spec, fraction, seed)
-    emb_plain, feats = embed_and_features(model, det.mean_reps, mixed)
-    flags = det.decision(feats) > 0
-    ids = np.array([it.subject_id for it in ds.items])
-    return PipelineEval(ids, emb_plain, flags, mixed[flags])
-
-
-def _corrected_embeddings(model: NetworkModel, prep: PipelineEval,
-                          plan: MitigationPlan) -> np.ndarray:
-    """Embeddings with each flagged image replaced by its mitigated embedding."""
-    emb = prep.emb_plain.copy()
-    if prep.flags.any():
-        batch = prep.flagged_median if plan.use_median_filter else prep.flagged
-        emb[prep.flags] = embed(model.masked(plan.mask), batch)
-    return emb
-
-
-def finish_pipeline_eval(model: NetworkModel, prep: PipelineEval, plan: MitigationPlan,
-                         far_target: float) -> float:
-    """Corrected-condition GAR@FAR for one candidate plan."""
-    return _gar_from_embeddings(_corrected_embeddings(model, prep, plan), prep.ids, far_target)

@@ -151,6 +151,20 @@ class TestSubcommands:
         emb = json.loads(out.read_text())
         assert len(emb) == 64
 
+    def test_mitigate_builds_one_masked_network(self, pipeline, tmp_path, monkeypatch):
+        calls = []
+        real = NetworkModel.masked
+
+        def counting(self, mask):
+            calls.append(mask)
+            return real(self, mask)
+
+        monkeypatch.setattr(NetworkModel, "masked", counting)
+        img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
+        assert run("mitigate", "--net-seed", 1, "--plan", pipeline["plan"],
+                   "--image", img, "--out", tmp_path / "emb.json") == 0
+        assert len(calls) == 1
+
     def test_evaluate_emits_three_condition_rows(self, pipeline, tmp_path):
         report = tmp_path / "report.csv"
         assert run("evaluate", "--net-seed", 1, "--dataset", pipeline["data"],

@@ -481,12 +481,28 @@ class TestBatchInvariance:
             model, batch, (0, block - 1, block, FORWARD_CHUNK - 1, FORWARD_CHUNK + 1))
 
     def test_blas_thread_count_gives_same_bytes(self):
+        # the forward of 300 images, then a detector, a sensitivity table and
+        # the protocol rows with that detector and a plan, on 60 faces
         script = (
             "import hashlib, numpy as np\n"
+            "from advface import detector, distortions, mitigator, synthface, verifybench\n"
             "from advface.featnet import default_network, forward_batch\n"
             "b = np.random.default_rng(3).integers(0, 256, (300, 64, 64, 1), np.uint8)\n"
             "e, t = forward_batch(default_network(43), b)\n"
-            "print(hashlib.sha256(b''.join(a.tobytes() for a in [e, *t])).hexdigest())\n")
+            "net = default_network(0)\n"
+            "ds = synthface.generate_dataset(15, 4, 64, seed=5)\n"
+            "spec = distortions.DistortionSpec('grids', seed=6)\n"
+            "dist = [distortions.apply(distortions.per_image_spec(spec, i), it.image,\n"
+            "                          it.landmarks)[0] for i, it in enumerate(ds.items)]\n"
+            "clean = ds.pixel_batch()\n"
+            "det = detector.train_detector(net, detector.compute_mean_reps(net, clean), clean,\n"
+            "                              np.stack([d.pixels for d in dist]), seed=1)\n"
+            "table = mitigator.compute_sensitivity(net, zip(dist, (it.image for it in ds.items)))\n"
+            "rows = verifybench.run_protocol(ds, net, spec, det=det,\n"
+            "                                plan=mitigator.build_plan(table, 2, 0.25), seed=2)\n"
+            "parts = [e, *t, det.w, np.float64(det.b), *table.eps]\n"
+            "print(hashlib.sha256(b''.join(a.tobytes() for a in parts)\n"
+            "                     + repr(rows).encode()).hexdigest())\n")
         src = str(Path(advface.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):

@@ -387,15 +387,17 @@ class TestGridSearch:
         assert (plan.eta, plan.kappa) in {(e, k) for e in (1, 2)
                                           for k in (0.0, 0.1, 0.5)}
         baseline = build_plan(table, 1, 0.0)
-        preps = [verifybench.prepare_pipeline_eval(default_model, small_dataset,
-                                                   s, det, seed=3) for s in specs]
-        assert all(isinstance(pr, verifybench.PipelineEval) for pr in preps)
+        ids = np.array([it.subject_id for it in small_dataset.items])
+        corrected = [verifybench.defended_embeddings(default_model, small_dataset,
+                                                     s, det, [plan, baseline], seed=3)[1]
+                     for s in specs]
+        assert all(len(per_plan) == 2 for per_plan in corrected)
 
-        def mean_gar(p):
-            return np.mean([verifybench.finish_pipeline_eval(default_model, pr, p, 0.01)
-                            for pr in preps])
+        def mean_gar(k):
+            return np.mean([verifybench._gar_from_embeddings(per_plan[k], ids, 0.01)
+                            for per_plan in corrected])
 
-        assert mean_gar(plan) >= mean_gar(baseline)
+        assert mean_gar(0) >= mean_gar(1)
 
     @pytest.mark.parametrize("etas, kappas", [([1], [0.1]), ([1, 2, 3], [0.0, 0.1, 0.5])],
                              ids=["1x1", "3x3"])

@@ -265,12 +265,13 @@ class TestProtocol:
         assert np.array_equal(mitigator.mitigate_batch(default_model, plan, mixed), want)
         rows = run_protocol(ds, default_model, spec, det=flag_all, plan=plan,
                             fraction=0.5, seed=2)
-        prep = verifybench.prepare_pipeline_eval(default_model, ds, spec, flag_all, 0.5, 2)
-        assert prep.flags.all()
-        assert np.array_equal(verifybench._corrected_embeddings(default_model, prep, plan),
-                              want)
+        plain, (corrected,) = verifybench.defended_embeddings(default_model, ds, spec, flag_all,
+                                                              [plan], 0.5, 2)
+        assert (corrected != plain).any(axis=1).all()  # every image flagged and replaced
+        assert np.array_equal(corrected, want)
         assert masked == [16, 16, 8] * 3
-        assert rows[2]["gar_at_far"] == verifybench._gar_from_embeddings(want, prep.ids, 0.01)
+        ids = np.array([it.subject_id for it in ds.items])
+        assert rows[2]["gar_at_far"] == verifybench._gar_from_embeddings(want, ids, 0.01)
 
     @staticmethod
     def _half_flagging_detector(model, ds, spec):
@@ -294,13 +295,33 @@ class TestProtocol:
         plan = MitigationPlan(1, 0.25, FilterMask({(0, 0), (1, 3)}), use_median)
         rows = run_protocol(small_dataset, default_model, spec, det=det, plan=plan,
                             fraction=0.5, seed=2, far_target=0.05)
-        prep = verifybench.prepare_pipeline_eval(default_model, small_dataset, spec, det,
-                                                 fraction=0.5, seed=2)
+        plain, (corrected,) = verifybench.defended_embeddings(
+            default_model, small_dataset, spec, det, [plan], fraction=0.5, seed=2)
+        ids = np.array([it.subject_id for it in small_dataset.items])
         assert rows[2]["condition"] == "corrected"
-        assert rows[2]["gar_at_far"] == verifybench.finish_pipeline_eval(
-            default_model, prep, plan, 0.05)
-        distorted = verifybench._gar_from_embeddings(prep.emb_plain, prep.ids, 0.05)
+        assert rows[2]["gar_at_far"] == verifybench._gar_from_embeddings(corrected, ids, 0.05)
+        distorted = verifybench._gar_from_embeddings(plain, ids, 0.05)
         assert rows[1]["gar_at_far"] == distorted
+
+    def test_each_plan_of_one_call_is_its_one_plan_call(self, default_model, small_dataset):
+        # the plan search scores all its plans in one call: each matrix is
+        # bitwise what run_protocol reports for that plan alone
+        spec = DistortionSpec("grids", seed=4)
+        det, flagged = self._half_flagging_detector(default_model, small_dataset, spec)
+        assert 0 < flagged < len(small_dataset)
+        plans = [MitigationPlan(1, 0.25, FilterMask({(0, 0), (1, 3)})),
+                 MitigationPlan(1, 0.0, FilterMask(), False),
+                 MitigationPlan(2, 0.5, FilterMask({(0, 1), (2, 5), (3, 31)}), False),
+                 MitigationPlan(1, 0.1, FilterMask({(1, 0)}))]
+        args = (default_model, small_dataset, spec, det)
+        plain, corrected = verifybench.defended_embeddings(*args, plans, fraction=0.5, seed=2)
+        assert len(corrected) == len(plans)
+        assert len({m.tobytes() for m in corrected}) == len(plans)
+        for plan, emb in zip(plans, corrected):
+            one_plain, (one,) = verifybench.defended_embeddings(*args, [plan],
+                                                                fraction=0.5, seed=2)
+            assert np.array_equal(one_plain, plain)
+            assert np.array_equal(one, emb)
 
     @pytest.mark.parametrize("use_median", [True, False], ids=["median", "no-median"])
     def test_median_runs_only_for_a_median_plan(self, default_model, small_dataset,
