@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import detector as det_mod
 from . import distortions, featnet, mitigator, synthface, verifybench
-from .imagecore import FormatError, read_image, reading
+from .imagecore import FormatError, read_image
 
 
 @functools.lru_cache(maxsize=8)
@@ -31,13 +31,6 @@ def _load_network(args) -> featnet.NetworkModel:
     if getattr(args, "weights", None):
         return featnet.load_weights(args.weights)
     return _seeded_network(args.net_seed)
-
-
-def _load_plan(path, model: featnet.NetworkModel) -> mitigator.MitigationPlan:
-    plan = mitigator.MitigationPlan.from_json_file(path)
-    with reading("mitigation plan"):  # finds a filter the network lacks before any forward
-        model.masked(plan.mask)
-    return plan
 
 
 def _cmd_gen_data(args):
@@ -139,7 +132,7 @@ def _cmd_evaluate(args):
     ds = synthface.load_dataset(args.dataset)
     spec = distortions.DistortionSpec.from_json_file(args.distortion)
     det = det_mod.load_detector(args.detector) if args.detector else None
-    plan = _load_plan(args.plan, model) if args.plan else None
+    plan = mitigator.MitigationPlan.from_json_file(args.plan) if args.plan else None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     open(out, "a").close()  # an unwritable --out fails here, before any forward pass

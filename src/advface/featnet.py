@@ -130,13 +130,14 @@ class NetworkModel:
         return tuple(math.prod(self.shapes[t + 1]) for t in self.tap_points)
 
     def masked(self, mask: FilterMask) -> NetworkModel:
-        """A copy with each disabled filter's conv weights and bias zeroed; it shares the rest."""
+        """A copy with each disabled filter's conv weights and bias zeroed; it shares the rest.
+        An entry naming no conv filter is a FormatError: the one check that a mask fits."""
         layers, convs, counts = list(self.layers), self.conv_ordinals, self.conv_filter_counts()
         off: dict[int, list[int]] = {}  # layer index -> disabled filters
-        for layer_i, filt_j in mask.disabled:
-            if not 0 <= layer_i < len(counts) or not 0 <= filt_j < counts[layer_i]:
-                raise ValueError(f"mask entry ({layer_i}, {filt_j}) references no conv filter")
-            off.setdefault(convs[layer_i], []).append(filt_j)
+        for i, j in mask.disabled:
+            if not 0 <= i < len(counts) or not 0 <= j < counts[i]:
+                raise FormatError(f"mitigation plan: mask entry {(i, j)} references no conv filter")
+            off.setdefault(convs[i], []).append(j)
         for i, filters in off.items():  # each masked layer copied once
             w, b = layers[i].weights.copy(), layers[i].bias.copy()
             w[filters] = b[filters] = 0.0

@@ -149,8 +149,7 @@ def build_plan(table: SensitivityTable, eta: int, kappa: float,
 
 def mitigate_batch(model: NetworkModel, plan: MitigationPlan, images: np.ndarray) -> np.ndarray:
     """Embeddings of a (N, H, W, C) uint8 batch, median filtered, by the plan's masked network."""
-    with reading("mitigation plan"):  # finds a filter the network lacks before any forward
-        masked = model.masked(plan.mask)
+    masked = model.masked(plan.mask)  # first: a mask that does not fit fails before the median
     if plan.use_median_filter:
         images = median_filter_array(images, MEDIAN_WINDOW)
     return embed(masked, images)
@@ -165,8 +164,8 @@ def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dat
     on a 50%-distorted copy of train_ds and computing GAR at far_target,
     averaged across distortions; `det` maps each kind to its detector. The
     first maximum wins, so ties prefer smaller kappa, then smaller eta. The
-    grids, far_target, the detectors' kinds and the set's genuine pairs are
-    checked before any forward pass.
+    grids, far_target, the detectors' kinds, the set's genuine pairs and the
+    plans' masks are checked before any forward pass.
     """
     from . import verifybench  # local import: verifybench depends on this module
 

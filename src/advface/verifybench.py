@@ -16,7 +16,7 @@ import numpy as np
 
 from . import distortions
 from .detector import embed_and_features
-from .featnet import NetworkModel, embed
+from .featnet import NetworkModel, embed, l2_normalize
 from .mitigator import MEDIAN_WINDOW, MitigationPlan
 from .imagecore import median_filter_array
 from .synthface import Dataset, split_protocol
@@ -55,8 +55,7 @@ class RocCurve:
 
 
 def _cosine_matrix(emb: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(emb, axis=1, keepdims=True)
-    unit = np.divide(emb, norms, out=np.zeros_like(emb), where=norms > 0)
+    unit = l2_normalize(emb)
     return unit @ unit.T
 
 
@@ -132,11 +131,13 @@ def defended_embeddings(model: NetworkModel, ds: Dataset, spec: distortions.Dist
                         seed: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
     """Embeddings of the distorted set, plain and corrected under each plan.
 
-    The distorted set is forwarded once, for its embeddings and the
-    detector's features together. Each corrected matrix is the plain one
-    with every flagged row replaced by the plan's mitigated embedding; the
-    flagged images are median filtered at most once, whatever the plans.
+    Each plan's masked network is built first: a mask that does not fit is a
+    FormatError before any forward, flagged or not. The distorted set is
+    forwarded once, for its embeddings and the detector's features. Each
+    corrected matrix is the plain one with every flagged row replaced by the
+    plan's mitigated embedding; the flagged images are median filtered once.
     """
+    masked = [model.masked(plan.mask) for plan in plans]
     mixed = _distorted_copy(ds, spec, fraction, seed)
     emb_plain, feats = embed_and_features(model, det.mean_reps, mixed)
     flags = det.decision(feats) > 0
@@ -145,9 +146,8 @@ def defended_embeddings(model: NetworkModel, ds: Dataset, spec: distortions.Dist
         flagged = mixed[flags]
         median = (median_filter_array(flagged, MEDIAN_WINDOW)
                   if any(plan.use_median_filter for plan in plans) else None)
-        for plan, emb in zip(plans, corrected):
-            emb[flags] = embed(model.masked(plan.mask),
-                               median if plan.use_median_filter else flagged)
+        for plan, net, emb in zip(plans, masked, corrected):
+            emb[flags] = embed(net, median if plan.use_median_filter else flagged)
     return emb_plain, corrected
 
 
@@ -160,9 +160,9 @@ def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionS
     With a detector and a plan, the distorted and corrected conditions come
     from defended_embeddings, which the plan search scores its candidates
     on; only one of the two, or a far_target or fraction out of range, is a
-    ValueError, a set with no genuine pair a ProtocolError, and a detector
-    whose mean reps do not fit the network a FormatError, raised before any
-    forward pass.
+    ValueError, a set with no genuine pair a ProtocolError, and a plan's mask
+    or a detector's mean reps that do not fit the network a FormatError, all
+    raised before any forward pass.
     """
     if not 0 < far_target < 1 or not 0 <= fraction <= 1:
         raise ValueError("far_target must be in (0, 1) and fraction in [0, 1]")
@@ -171,7 +171,7 @@ def run_protocol(ds: Dataset, model: NetworkModel, spec: distortions.DistortionS
                          f"got only the {'plan' if det is None else 'detector'}")
     ids = np.array([it.subject_id for it in ds.items])
     n_gen, n_imp = pair_counts(ids)  # the same for every condition
-    # first: it refuses mean reps that do not fit before any forward pass
+    # first: it refuses a mask or mean reps that do not fit before any forward pass
     defended = (None if det is None
                 else defended_embeddings(model, ds, spec, det, [plan], fraction, seed))
     conditions = {"original": embed(model, ds.pixel_batch())}

@@ -151,7 +151,9 @@ class TestSubcommands:
         emb = json.loads(out.read_text())
         assert len(emb) == 64
 
-    def test_mitigate_builds_one_masked_network(self, pipeline, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["mitigate", "evaluate"])
+    def test_mitigate_builds_one_masked_network(self, pipeline, tmp_path, monkeypatch,
+                                                command):
         calls = []
         real = NetworkModel.masked
 
@@ -161,8 +163,10 @@ class TestSubcommands:
 
         monkeypatch.setattr(NetworkModel, "masked", counting)
         img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
-        assert run("mitigate", "--net-seed", 1, "--plan", pipeline["plan"],
-                   "--image", img, "--out", tmp_path / "emb.json") == 0
+        args = {"mitigate": ["--image", img, "--out", tmp_path / "emb.json"],
+                "evaluate": ["--dataset", pipeline["data"], "--distortion", pipeline["spec"],
+                             "--detector", pipeline["detector"], "--out", tmp_path / "r.csv"]}
+        assert run(command, "--net-seed", 1, "--plan", pipeline["plan"], *args[command]) == 0
         assert len(calls) == 1
 
     def test_evaluate_emits_three_condition_rows(self, pipeline, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advface import featnet, mitigator
-from advface.detector import DetectorModel, compute_mean_reps
+from advface.detector import DetectorModel, compute_mean_reps, train_detector
 from advface.distortions import DistortionSpec, apply_grids, apply_xmsb
 from advface.featnet import FilterMask, LayerDef, NetworkModel, default_network, forward_batch
 from advface.imagecore import FormatError, Image, median_filter_array
@@ -455,6 +456,27 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=message):
             grid_search_plan(default_model, table, small_dataset, [DistortionSpec("grids")],
                              {"grids": det}, *grids, far_target=far)
+        assert forwarded == []
+
+    @pytest.mark.parametrize("flags", ["trained", "no-image"])
+    def test_table_of_another_network_rejected_before_any_forward(
+            self, default_model, small_dataset, monkeypatch, flags):
+        # a table of 64 filters per conv names filters the default network lacks
+        table = table_from([[1.0] * 64] * 4)
+        spec = DistortionSpec("grids", seed=1)
+        clean = small_dataset.pixel_batch()
+        reps = compute_mean_reps(default_model, clean)
+        distorted = np.stack([apply_grids(it.image, 8, i)[0].pixels
+                              for i, it in enumerate(small_dataset.items)])
+        det = train_detector(default_model, reps, clean, distorted, seed=0)
+        if flags == "no-image":
+            det = dataclasses.replace(det, b=-1e6)
+        forwarded = []
+        monkeypatch.setattr(featnet, "forward_batch", lambda *args: forwarded.append(args))
+        with pytest.raises(FormatError, match=r"^mitigation plan: mask entry \(0, \d+\) "
+                                              "references no conv filter$"):
+            grid_search_plan(default_model, table, small_dataset, [spec], {spec.kind: det},
+                             [1], [0.5])
         assert forwarded == []
 
     def test_missing_detector_kind_checked_before_any_forward(self, default_model,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from advface import detector, featnet, mitigator, verifybench
 from advface.detector import DetectorModel, MeanReps, compute_mean_reps, detect_scores
 from advface.distortions import DistortionSpec
 from advface.featnet import FilterMask, forward_batch
-from advface.imagecore import median_filter_array
+from advface.imagecore import FormatError, median_filter_array
 from advface.mitigator import MitigationPlan
 from advface.synthface import Dataset, DatasetItem, generate_dataset
 from advface.verifybench import (
@@ -359,6 +360,23 @@ class TestProtocol:
         monkeypatch.setattr(featnet, "forward_batch", lambda *args: forwarded.append(args))
         with pytest.raises(ProtocolError, match="need at least one genuine and one impostor"):
             run_protocol(ds, default_model, DistortionSpec("grids"), **defence)
+        assert forwarded == []
+
+    @pytest.mark.parametrize("flags", ["every-image", "no-image"])
+    def test_plan_mask_the_network_lacks_rejected_before_any_forward(
+            self, default_model, small_dataset, monkeypatch, flags):
+        # the mask is checked whether or not any image is flagged for correction
+        reps = compute_mean_reps(default_model, small_dataset.pixel_batch())
+        n = len(reps.means)
+        det = DetectorModel(np.zeros(n), 1.0, 1.0, np.zeros(n), np.ones(n), reps)
+        if flags == "no-image":
+            det = dataclasses.replace(det, b=-1e6)
+        forwarded = []
+        monkeypatch.setattr(featnet, "forward_batch", lambda *args: forwarded.append(args))
+        with pytest.raises(FormatError, match=r"^mitigation plan: mask entry \(9, 0\) "
+                                              "references no conv filter$"):
+            run_protocol(small_dataset, default_model, DistortionSpec("grids", seed=4),
+                         det=det, plan=MitigationPlan(1, 0.1, FilterMask({(9, 0)})))
         assert forwarded == []
 
     def test_single_subject_dataset_rejected(self, default_model, small_dataset):
