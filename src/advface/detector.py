@@ -66,8 +66,6 @@ class DetectorModel:
 def compute_mean_reps(model: NetworkModel, clean_images: np.ndarray) -> MeanReps:
     """Elementwise average of tapped activations over a (N, H, W, C) uint8 clean batch."""
     n = clean_images.shape[0]
-    if n < 1:
-        raise ValueError("need at least one clean image")
     sums = None
     for _, (_, taps) in featnet.forward_chunks(model, clean_images):
         part = [t.sum(axis=0, dtype=np.float64) for t in taps]
@@ -124,8 +122,6 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps,
     the one a plain chunked forward pass gives. Mean reps whose tap count or
     tap lengths differ from the network's are a FormatError, before any forward.
     """
-    if images.shape[0] < 1:
-        raise ValueError("need at least one image")
     if len(mean_reps.means) != model.n_taps:
         # zipping taps with means would silently drop the unmatched ones
         raise FormatError(f"mean reps hold {len(mean_reps.means)} taps, "
@@ -225,19 +221,21 @@ def train_detector(model: NetworkModel, mean_reps: MeanReps, clean, distorted,
     """Fit the clean/distorted classifier with 5-fold cross-validated C.
 
     `features` optionally supplies precomputed (clean, distorted) Canberra
-    feature matrices to skip the forward passes. The smallest C with the best
-    mean accuracy over the usable folds wins.
+    feature matrices, one column per tap of `mean_reps`, to skip the forward
+    passes; an empty batch of images is refused by featnet.forward_chunks. The
+    smallest C with the best mean accuracy over the usable folds wins.
     """
     C_grid = sorted(C_grid)
     if not C_grid or not all(np.isfinite(C) and C > 0 for C in C_grid):
         raise ValueError(f"C grid must be non-empty, every C finite and above 0, got {C_grid}")
-    if features is None and (len(clean) == 0 or len(distorted) == 0):
-        raise ValueError("both classes must be non-empty")
     fc, fd = features if features is not None else [
         canberra_features_batch(model, mean_reps, imgs) for imgs in (clean, distorted)]
     if fc.shape[0] == 0 or fd.shape[0] == 0:
         raise ValueError("both classes must be non-empty")
     for name, f in (("clean", fc), ("distorted", fd)):
+        if f.shape[1:] != (len(mean_reps.means),):  # load_detector would refuse the file
+            raise ValueError(f"{name} features have shape {f.shape}, not one column for each "
+                             f"of the mean reps' {len(mean_reps.means)} taps")
         bad = ~np.isfinite(f)
         if bad.any():
             raise ValueError(f"non-finite feature for {name} image "

@@ -79,19 +79,17 @@ def _zero_mask(img: Image, mask: np.ndarray) -> tuple[Image, int]:
     return Image(px), int(mask.sum())
 
 
-def apply_grids(img: Image, rho_grids: int, seed: int) -> tuple[Image, int]:
-    """Draw rho_grids one-pixel-wide black lines between opposite boundaries.
+def apply_grids(img: Image, spec: DistortionSpec) -> tuple[Image, int]:
+    """Draw spec.rho_grids one-pixel-wide black lines between opposite boundaries.
 
     Anchors alternate top (y=0) / left (x=0); the opposite endpoint has the
     complementary coordinate fixed (bottom row / right column) and a uniform
     random free coordinate.
     """
-    if rho_grids < 0:
-        raise ValueError("rho_grids must be >= 0")
     w, h = img.width, img.height
-    rng = rng_from(seed, 0x621D5)
+    rng = rng_from(spec.seed, 0x621D5)
     changed = np.zeros((h, w), dtype=bool)
-    for i in range(rho_grids):
+    for i in range(spec.rho_grids):
         if i % 2 == 0:  # top boundary anchor, endpoint on bottom
             a = Point(int(rng.integers(0, w)), 0)
             b = Point(int(rng.integers(0, w)), h - 1)
@@ -108,7 +106,7 @@ def apply_grids(img: Image, rho_grids: int, seed: int) -> tuple[Image, int]:
 _BIT_MASKS = (128, 64, 32)
 
 
-def apply_xmsb(img: Image, phi, seed: int) -> tuple[Image, int]:
+def apply_xmsb(img: Image, spec: DistortionSpec) -> tuple[Image, int]:
     """Flip the i-th most significant bit on floor(phi_i * W * H) pixels, i in 1..3.
 
     The three pixel sets are drawn independently without replacement within
@@ -116,40 +114,35 @@ def apply_xmsb(img: Image, phi, seed: int) -> tuple[Image, int]:
     a seeded per-plane permutation, so growing phi_i only ever adds pixels
     (affected coverage is monotone in each fraction). Flips hit all channels.
     """
-    phi = tuple(float(p) for p in phi)
-    if len(phi) != 3 or any(not 0 <= p <= 1 for p in phi):
-        raise ValueError("phi must be three fractions in [0, 1]")
     w, h = img.width, img.height
     n = w * h
     px = img.pixels.copy()
     flat = px.reshape(n, img.channels)
     touched = np.zeros(n, dtype=bool)
-    for i, (p, mask) in enumerate(zip(phi, _BIT_MASKS)):
+    for i, (p, mask) in enumerate(zip(spec.phi, _BIT_MASKS)):
         count = int(np.floor(p * n))
         if count == 0:
             continue
-        rng = rng_from(seed, 0xB17, i)
+        rng = rng_from(spec.seed, 0xB17, i)
         idx = rng.permutation(n)[:count]
         flat[idx] ^= mask
         touched[idx] = True
     return Image(px), int(touched.sum())
 
 
-def ero_band(landmarks: LandmarkSet, psi: float, height: int) -> tuple[int, int]:
+def ero_band(landmarks: LandmarkSet, spec: DistortionSpec, height: int) -> tuple[int, int]:
     """Inclusive row range [lo, hi] of the eye-occlusion band, clamped to the image."""
-    if not psi > 0:  # refuses NaN too
-        raise ValueError("psi must be positive")
     d_eye = landmarks.right_eye.x - landmarks.left_eye.x  # LandmarkSet makes it > 0
     y_e = int(round((landmarks.left_eye.y + landmarks.right_eye.y) / 2))
-    half = d_eye / psi  # inf for a subnormal psi: the ends are clamped before int()
+    half = d_eye / spec.psi  # inf for a subnormal psi: the ends are clamped before int()
     lo = int(max(0, np.ceil(y_e - half)))
     hi = int(min(height - 1, np.floor(y_e + half)))
     return lo, hi
 
 
-def apply_ero(img: Image, landmarks: LandmarkSet, psi: float) -> tuple[Image, int]:
-    """Zero a horizontal band around the eye line; band half-width = d_eye / psi."""
-    lo, hi = ero_band(landmarks, psi, img.height)
+def apply_ero(img: Image, landmarks: LandmarkSet, spec: DistortionSpec) -> tuple[Image, int]:
+    """Zero a horizontal band around the eye line; band half-width = d_eye / spec.psi."""
+    lo, hi = ero_band(landmarks, spec, img.height)
     px = img.pixels.copy()
     px[lo:hi + 1, :, :] = 0
     return Image(px), max(0, hi - lo + 1) * img.width
@@ -174,11 +167,11 @@ def apply(spec: DistortionSpec, img: Image,
     if spec.kind in ("ero", "fhbo", "beard") and landmarks is None:
         raise ValueError(f"{spec.kind} requires landmarks")
     if spec.kind == "grids":
-        return apply_grids(img, spec.rho_grids, spec.seed)
+        return apply_grids(img, spec)
     if spec.kind == "xmsb":
-        return apply_xmsb(img, spec.phi, spec.seed)
+        return apply_xmsb(img, spec)
     if spec.kind == "ero":
-        return apply_ero(img, landmarks, spec.psi)
+        return apply_ero(img, landmarks, spec)
     if spec.kind == "fhbo":
         return apply_fhbo(img, landmarks)
     return apply_beard(img, landmarks)

@@ -288,9 +288,13 @@ def _maxpool(x: np.ndarray, layer: LayerDef, out: np.ndarray) -> None:
 
 
 def l2_normalize(x: np.ndarray) -> np.ndarray:
-    """Row-wise L2 normalization; all-zero rows pass through unchanged."""
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return np.where(norms > 0, x / np.where(norms > 0, norms, 1.0), x)
+    """Row-wise L2 normalization; all-zero rows pass through unchanged. A row whose
+    norm is not finite (a network whose output overflows float32) is a FormatError."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise FormatError("network output overflows float32: a row's L2 norm is not finite")
+    return x / np.where(norms > 0, norms, 1.0)
 
 
 def _homes(model: NetworkModel, split: int) -> dict:
@@ -416,7 +420,10 @@ def forward_batch(model: NetworkModel, images: np.ndarray):
 
 def forward_chunks(model: NetworkModel, images: np.ndarray):
     """Yield (lo, forward_batch(model, images[lo : lo + FORWARD_CHUNK])) in order; a chunk's taps
-    are freed before the next forward unless the caller keeps a tap or an emb sharing one."""
+    are freed before the next forward unless the caller keeps a tap or an emb sharing one.
+    An empty batch is a ValueError, raised before any forward."""
+    if images.shape[0] < 1:
+        raise ValueError("need at least one image")
     for lo in range(0, images.shape[0], FORWARD_CHUNK):
         emb, taps = forward_batch(model, images[lo : lo + FORWARD_CHUNK])
         yield lo, (emb, taps)

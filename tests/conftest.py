@@ -74,6 +74,17 @@ def fnet_bytes(conv_w=None, conv_in=1, window=2, pool_stride=2, dense_in=8,
     ])
 
 
+def overflowing_network(model):
+    """model with its first conv's weights scaled by 1e36: finite, so NetworkModel and
+    FNET1's loader accept it, but its embeddings' L2 norms overflow float32."""
+    import dataclasses
+
+    first = model.layers[0]
+    return dataclasses.replace(model, layers=(
+        dataclasses.replace(first, weights=first.weights * np.float32(1e36)),
+        *model.layers[1:]))
+
+
 def conv_layer(rng, o, c):
     from advface.featnet import LayerDef
 

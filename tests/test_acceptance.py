@@ -154,7 +154,8 @@ class TestFormulaOracles:
             px = rng.integers(0, 256, size=(h, w, 1), dtype=np.uint8)
             phi = tuple(rng.uniform(0, 1, size=3))
             seed = int(rng.integers(0, 2**31))
-            out, _ = distortions.apply_xmsb(Image(px), phi, seed=seed)
+            spec = distortions.DistortionSpec("xmsb", phi=phi, seed=seed)
+            out, _ = distortions.apply_xmsb(Image(px), spec)
             expected = [[int(v) for v in row] for row in px[:, :, 0]]
             for plane, (frac, mask) in enumerate(zip(phi, (128, 64, 32))):
                 count = int(np.floor(frac * h * w))
@@ -172,7 +173,7 @@ class TestFormulaOracles:
             size = int(rng.integers(24, 64))
             lms = random_landmarks(rng, size)
             psi = float(rng.uniform(0.5, 20))
-            lo, hi = distortions.ero_band(lms, psi, size)
+            lo, hi = distortions.ero_band(lms, distortions.DistortionSpec("ero", psi=psi), size)
             rows = ero_rows(lms.left_eye.x, lms.left_eye.y,
                             lms.right_eye.x, lms.right_eye.y, psi, size)
             assert list(range(lo, hi + 1)) == rows

@@ -17,7 +17,7 @@ from advface.imagecore import Image, read_image, write_image
 from advface.mitigator import load_table
 from advface.synthface import Dataset, load_dataset, save_dataset
 
-from conftest import fnet_bytes, pool_between_convs, relu_pool_relu
+from conftest import fnet_bytes, overflowing_network, pool_between_convs, relu_pool_relu
 from oracles import sensitivity_loop
 
 
@@ -803,6 +803,17 @@ class TestOutOfRangeInputs:
         assert run("detect", "--net-seed", 1, "--detector", tmp_path / "detector.json",
                    "--image", img) == 2
         self._one_line(capsys, "error: detector: a score is not finite")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_network_whose_output_overflows_is_data_error(self, pipeline, tmp_path, capsys):
+        # its finite weights load; every embedding would be all zero and GAR read 0
+        featnet.save_weights(overflowing_network(featnet.default_network(0)),
+                             tmp_path / "bad.fnet")
+        assert run("evaluate", "--weights", tmp_path / "bad.fnet", "--dataset",
+                   pipeline["data"], "--distortion", pipeline["spec"],
+                   "--out", tmp_path / "r.csv") == 2
+        assert capsys.readouterr().err == \
+            "error: network output overflows float32: a row's L2 norm is not finite\n"
 
     @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
     def test_detector_c_is_data_error(self, pipeline, tmp_path, capsys, c):

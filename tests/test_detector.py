@@ -24,7 +24,8 @@ from advface.detector import (
     train_detector,
 )
 from advface import detector, featnet
-from advface.featnet import forward_batch
+from advface.featnet import FilterMask, forward_batch
+from advface.mitigator import MitigationPlan, mitigate_batch
 from advface.imagecore import FormatError
 
 from oracles import (_fit_hinge_loop, canberra_loop, canberra_masked, mean_reps_loop,
@@ -65,9 +66,20 @@ class TestMeanReps:
         for a, b in zip(fwd.means, rev.means):
             assert np.abs(a - b).max() < 1e-9
 
-    def test_empty_rejected(self, default_model):
-        with pytest.raises(ValueError, match="at least one"):
-            compute_mean_reps(default_model, np.empty((0, 64, 64, 1), np.uint8))
+    @pytest.mark.parametrize("run", [
+        lambda model, reps, batch: compute_mean_reps(model, batch),
+        lambda model, reps, batch: canberra_features_batch(model, reps, batch),
+        lambda model, reps, batch: featnet.embed(model, batch),
+        lambda model, reps, batch: mitigate_batch(
+            model, MitigationPlan(1, 0.1, FilterMask(frozenset({(0, 1)}))), batch),
+    ], ids=["compute_mean_reps", "canberra_features_batch", "embed", "mitigate_batch"])
+    def test_empty_rejected(self, monkeypatch, default_model, mean_reps, run):
+        # featnet.forward_chunks alone refuses an empty batch, before any forward
+        calls = []
+        monkeypatch.setattr(featnet, "forward_batch", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="^need at least one image$"):
+            run(default_model, mean_reps, np.empty((0, 64, 64, 1), np.uint8))
+        assert calls == []
 
     def test_bitwise_equals_chunked_float64_sums(self, default_model):
         # 300 images cross the 256-image forward chunk
@@ -238,8 +250,9 @@ class TestCanberra:
         assert np.array_equal(feats, canberra_features_batch(default_model, mean_reps, batch))
 
 
-def _toy_reps():
-    return MeanReps((np.zeros(1),), 1)
+def _toy_reps(width: int = 1):
+    """Mean reps of `width` one-value taps: train_detector wants one feature column per tap."""
+    return MeanReps((np.zeros(1),) * width, 1)
 
 
 def _scores(det, feats):
@@ -269,15 +282,15 @@ class TestTraining:
         rng = np.random.default_rng(0)
         fc = rng.normal(0, 1, (25, 3))
         fd = rng.normal(1, 1, (25, 3))
-        d1 = train_detector(None, _toy_reps(), None, None, features=(fc, fd), seed=4)
-        d2 = train_detector(None, _toy_reps(), None, None, features=(fc, fd), seed=4)
+        d1 = train_detector(None, _toy_reps(3), None, None, features=(fc, fd), seed=4)
+        d2 = train_detector(None, _toy_reps(3), None, None, features=(fc, fd), seed=4)
         assert np.array_equal(d1.w, d2.w) and d1.b == d2.b and d1.C == d2.C
 
     def test_final_objective_not_worse_than_zero_model(self):
         rng = np.random.default_rng(1)
         fc = rng.normal(0, 1, (40, 2))
         fd = rng.normal(2, 1, (40, 2))
-        det = train_detector(None, _toy_reps(), None, None, features=(fc, fd), seed=0)
+        det = train_detector(None, _toy_reps(2), None, None, features=(fc, fd), seed=0)
         x = np.vstack([fc, fd])
         xn = (x - det.feat_mean) / det.feat_std
         y = np.concatenate([-np.ones(40), np.ones(40)])
@@ -321,8 +334,19 @@ class TestTraining:
         fc, fd = rng.normal(0, 1, (n, 2)), rng.normal(1, 1, (n, 2))
         message = re.escape(f"C grid up to {C:g} overflows the hinge fit on {2 * n} rows")
         with pytest.raises(ValueError, match=message):
-            train_detector(None, _toy_reps(), None, None, C_grid=(1.0, C),
+            train_detector(None, _toy_reps(2), None, None, C_grid=(1.0, C),
                            features=(fc, fd), seed=0)
+
+    @pytest.mark.parametrize("fc, fd", [(np.ones((6, 3)), np.zeros((6, 5))),
+                                        (np.ones((6, 5)), np.zeros((6, 3)))],
+                             ids=["clean", "distorted"])
+    def test_feature_columns_must_match_the_mean_reps_taps(self, fc, fd):
+        # such a detector would be written, then refused by load_detector
+        name = "clean" if fc.shape[1] == 3 else "distorted"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} features have shape (6, 3), not one column for each of the "
+                "mean reps' 5 taps")):
+            train_detector(None, _toy_reps(5), None, None, features=(fc, fd), seed=0)
 
     def test_feat_std_floored(self):
         fc = np.zeros((5, 1))
@@ -380,7 +404,7 @@ class TestTrainingOracle:
     @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
     def test_bitwise_equals_best_so_far_loop(self, case):
         fc, fd, grid, seed = ORACLE_CASES[case]
-        det = train_detector(None, _toy_reps(), None, None, C_grid=grid, seed=seed,
+        det = train_detector(None, _toy_reps(fc.shape[1]), None, None, C_grid=grid, seed=seed,
                              features=(fc, fd))
         w, b, C, _ = _oracle(case)
         assert det.w.tobytes() == w.tobytes()

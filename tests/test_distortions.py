@@ -107,14 +107,14 @@ def _grid_masks(w, h, seed):
 class TestGrids:
     def test_zero_lines_is_identity(self):
         img = constant_image()
-        out, n = apply_grids(img, 0, seed=1)
+        out, n = apply_grids(img, DistortionSpec("grids", rho_grids=0, seed=1))
         assert out == img
         assert n == 0
 
     def test_lines_match_rasterization_of_drawn_anchors(self):
         # reconstruct the anchor draws with the same derived stream and check
         # the changed-pixel set equals the union of the rasterized lines
-        out, n = apply_grids(constant_image(64), 4, seed=9)
+        out, n = apply_grids(constant_image(64), DistortionSpec("grids", rho_grids=4, seed=9))
         expected = list(itertools.islice(_grid_masks(64, 64, 9), 4))[-1]
         assert np.array_equal(out.pixels[:, :, 0] == 0, expected)
         assert n == int(expected.sum())
@@ -122,7 +122,7 @@ class TestGrids:
 
     def test_all_changed_pixels_are_zero_and_rest_untouched(self):
         img = constant_image(32, value=200)
-        out, n = apply_grids(img, 3, seed=5)
+        out, n = apply_grids(img, DistortionSpec("grids", rho_grids=3, seed=5))
         diff = out.pixels != img.pixels
         assert (out.pixels[diff] == 0).all()
         assert n == int(diff.any(axis=2).sum())
@@ -133,15 +133,16 @@ class TestGrids:
         full = next(n for n, m in enumerate(masks, 1) if m.all())
         img = Image(np.full((h, w, 1), 200, dtype=np.uint8))
         for n in (full - 2, full - 1, full, full + 1, full + 50):
-            out, count = apply_grids(img, n, seed)
+            out, count = apply_grids(img, DistortionSpec("grids", rho_grids=n, seed=seed))
             assert np.array_equal(out.pixels[:, :, 0] == 0, masks[n - 1])
             assert count == int(masks[n - 1].sum())
         # lines past full coverage are never drawn, so a huge count finishes
         script = ("import sys, numpy as np\n"
-                  "from advface.distortions import apply_grids\n"
+                  "from advface.distortions import DistortionSpec, apply_grids\n"
                   "from advface.imagecore import Image\n"
                   "w, h, seed = map(int, sys.argv[1:])\n"
-                  "out, n = apply_grids(Image(np.full((h, w, 1), 200, np.uint8)), 10**12, seed)\n"
+                  "out, n = apply_grids(Image(np.full((h, w, 1), 200, np.uint8)),\n"
+                  "                     DistortionSpec('grids', rho_grids=10**12, seed=seed))\n"
                   "print(n, int(out.pixels.max()))\n")
         env = {**os.environ, "PYTHONPATH": str(Path(advface.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-c", script, str(w), str(h), str(seed)],
@@ -153,19 +154,19 @@ class TestGrids:
 class TestXmsb:
     def test_zero_fractions_identity(self):
         img = constant_image(16)
-        out, n = apply_xmsb(img, (0, 0, 0), seed=1)
+        out, n = apply_xmsb(img, DistortionSpec("xmsb", phi=(0, 0, 0), seed=1))
         assert out == img
         assert n == 0
 
     def test_single_pixel_msb_flip(self):
         img = Image(np.array([[200]], dtype=np.uint8))
-        out, _ = apply_xmsb(img, (1.0, 0, 0), seed=0)
+        out, _ = apply_xmsb(img, DistortionSpec("xmsb", phi=(1.0, 0, 0), seed=0))
         assert int(out.pixels[0, 0, 0]) == 72  # 200 with the top bit cleared
 
     def test_full_fractions_match_arithmetic_bit_oracle(self):
         rng = np.random.default_rng(4)
         px = rng.integers(0, 256, size=(9, 7, 1), dtype=np.uint8)
-        out, n = apply_xmsb(Image(px), (1, 1, 1), seed=2)
+        out, n = apply_xmsb(Image(px), DistortionSpec("xmsb", phi=(1, 1, 1), seed=2))
         for y in range(9):
             for x in range(7):
                 v = int(px[y, x, 0])
@@ -177,14 +178,14 @@ class TestXmsb:
     def test_all_channels_flipped_together(self):
         rng = np.random.default_rng(8)
         px = rng.integers(0, 256, size=(6, 6, 3), dtype=np.uint8)
-        out, _ = apply_xmsb(Image(px), (0.5, 0, 0), seed=3)
+        out, _ = apply_xmsb(Image(px), DistortionSpec("xmsb", phi=(0.5, 0, 0), seed=3))
         changed = (out.pixels != px).any(axis=2)
         for y, x in zip(*np.nonzero(changed)):
             assert (out.pixels[y, x] == (px[y, x] ^ 128)).all()
 
     def test_set_sizes_use_floor(self):
         img = constant_image(5)  # 25 pixels; 0.1 * 25 = 2.5 -> 2
-        _, n = apply_xmsb(img, (0.1, 0, 0), seed=1)
+        _, n = apply_xmsb(img, DistortionSpec("xmsb", phi=(0.1, 0, 0), seed=1))
         assert n == 2
 
     @settings(max_examples=200)
@@ -194,17 +195,17 @@ class TestXmsb:
         img = constant_image(12)
         lo = (phi1, phi2, 0.2)
         hi = (min(phi1 + delta, 1.0), phi2, 0.2)
-        _, n_lo = apply_xmsb(img, lo, seed=seed)
-        _, n_hi = apply_xmsb(img, hi, seed=seed)
+        _, n_lo = apply_xmsb(img, DistortionSpec("xmsb", phi=lo, seed=seed))
+        _, n_hi = apply_xmsb(img, DistortionSpec("xmsb", phi=hi, seed=seed))
         assert n_hi >= n_lo
 
 
 class TestEro:
     def test_frozen_band_example(self):
         lms = make_landmarks(16, 32, 48, 32)
-        assert ero_band(lms, 8.0, 64) == (28, 36)
+        assert ero_band(lms, DistortionSpec("ero", psi=8.0), 64) == (28, 36)
         img = constant_image(64)
-        out, n = apply_ero(img, lms, 8.0)
+        out, n = apply_ero(img, lms, DistortionSpec("ero", psi=8.0))
         assert (out.pixels[28:37] == 0).all()
         assert (out.pixels[:28] == 255).all()
         assert (out.pixels[37:] == 255).all()
@@ -212,33 +213,33 @@ class TestEro:
 
     def test_huge_psi_collapses_to_single_row(self):
         lms = make_landmarks()
-        assert ero_band(lms, 1e6, 64) == (32, 32)
+        assert ero_band(lms, DistortionSpec("ero", psi=1e6), 64) == (32, 32)
 
     def test_band_clamped_at_image_top(self):
         lms = make_landmarks(16, 2, 48, 2)
-        lo, hi = ero_band(lms, 4.0, 64)
+        lo, hi = ero_band(lms, DistortionSpec("ero", psi=4.0), 64)
         assert lo == 0 and hi == 10
 
     def test_band_matches_float_oracle(self):
         for psi in (2.0, 3.7, 6.0, 11.5):
             lms = make_landmarks(13, 30, 51, 34)
-            lo, hi = ero_band(lms, psi, 64)
+            lo, hi = ero_band(lms, DistortionSpec("ero", psi=psi), 64)
             assert list(range(lo, hi + 1)) == ero_rows(13, 30, 51, 34, psi, 64)
 
     def test_subnormal_psi_covers_every_row(self):
         # d_eye / 5e-324 is inf: the band ends are clamped before they become ints
-        assert ero_band(make_landmarks(), 5e-324, 64) == (0, 63)
-        out, n = apply_ero(constant_image(64), make_landmarks(), 5e-324)
+        assert ero_band(make_landmarks(), DistortionSpec("ero", psi=5e-324), 64) == (0, 63)
+        out, n = apply_ero(constant_image(64), make_landmarks(), DistortionSpec("ero", psi=5e-324))
         assert (out.pixels == 0).all() and n == 64 * 64
 
     def test_psi_validated(self):
         with pytest.raises(ValueError, match="psi"):
-            ero_band(make_landmarks(), -1.0, 64)
+            DistortionSpec("ero", psi=-1.0)
 
     def test_nan_psi_rejected(self):
         # a NaN band end would otherwise clamp to the whole image
         with pytest.raises(ValueError, match="psi must be positive"):
-            ero_band(make_landmarks(), float("nan"), 64)
+            DistortionSpec("ero", psi=float("nan"))
         with pytest.raises(FormatError, match="^distortion spec: psi must be positive"):
             DistortionSpec.from_json_dict({"kind": "ero", "psi": float("nan")})
 

@@ -32,7 +32,7 @@ from advface.imagecore import FormatError
 from advface.mitigator import SensitivityTable, build_plan
 from advface.verifybench import score_matrix
 
-from conftest import fnet_bytes, pool_between_convs, relu_pool_relu
+from conftest import fnet_bytes, overflowing_network, pool_between_convs, relu_pool_relu
 from oracles import layerwise_forward, naive_conv, naive_maxpool, tensordot_conv
 
 
@@ -81,6 +81,14 @@ class TestDefaultNetwork:
         for t in taps:
             assert (t == 0).all()
         assert (emb == 0).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_output_that_overflows_float32_is_format_error(self, default_model):
+        # l2_normalize would divide each row by an inf norm, to an all-zero embedding
+        batch = np.random.default_rng(4).integers(0, 256, size=(3, 64, 64, 1), dtype=np.uint8)
+        with pytest.raises(FormatError, match="^network output overflows float32: "
+                                              "a row's L2 norm is not finite$"):
+            featnet.embed(overflowing_network(default_model), batch)
 
 
 class TestForward:
@@ -962,3 +970,11 @@ class TestCosine:
         out = l2_normalize(x)
         assert np.array_equal(out[0], [0.0, 0.0])
         assert np.allclose(out[1], [0.6, 0.8])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("row", [[3e38, 3e38], [np.inf, 0.0], [np.nan, 1.0]],
+                             ids=["overflow", "inf", "nan"])
+    def test_l2_normalize_non_finite_norm_is_format_error(self, row):
+        x = np.array([[3.0, 4.0], row], dtype=np.float32)
+        with pytest.raises(FormatError, match="a row's L2 norm is not finite"):
+            l2_normalize(x)

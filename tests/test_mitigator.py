@@ -42,8 +42,9 @@ def table_from(rows, n_dis=1):
 @pytest.fixture(scope="module")
 def pairs_300():
     clean = generate_dataset(30, 10, 64, seed=21)
-    return [((apply_grids(it.image, 4, seed=i) if i % 2
-              else apply_xmsb(it.image, (0.05, 0.05, 0.1), seed=i))[0], it.image)
+    return [((apply_grids(it.image, DistortionSpec("grids", rho_grids=4, seed=i)) if i % 2
+              else apply_xmsb(it.image, DistortionSpec("xmsb", phi=(0.05, 0.05, 0.1),
+                                                       seed=i)))[0], it.image)
             for i, it in enumerate(clean.items)]
 
 
@@ -119,8 +120,9 @@ class TestSensitivity:
         clean = generate_dataset(40, 4, 64, seed=21)
         pairs = []
         for i, it in enumerate(clean.items):
-            dist = (apply_grids(it.image, 4, seed=i) if i % 2
-                    else apply_xmsb(it.image, (0.05, 0.05, 0.1), seed=i))[0]
+            dist = (apply_grids(it.image, DistortionSpec("grids", rho_grids=4, seed=i)) if i % 2
+                    else apply_xmsb(it.image, DistortionSpec("xmsb", phi=(0.05, 0.05, 0.1),
+                                                             seed=i)))[0]
             pairs.append((dist, it.image))
         assert len(pairs) == 160
         table = compute_sensitivity(model, pairs)
@@ -466,7 +468,8 @@ class TestGridSearch:
         spec = DistortionSpec("grids", seed=1)
         clean = small_dataset.pixel_batch()
         reps = compute_mean_reps(default_model, clean)
-        distorted = np.stack([apply_grids(it.image, 8, i)[0].pixels
+        distorted = np.stack([apply_grids(it.image, DistortionSpec("grids", rho_grids=8,
+                                                                   seed=i))[0].pixels
                               for i, it in enumerate(small_dataset.items)])
         det = train_detector(default_model, reps, clean, distorted, seed=0)
         if flags == "no-image":
