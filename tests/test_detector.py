@@ -337,12 +337,11 @@ class TestTraining:
             train_detector(None, _toy_reps(2), None, None, C_grid=(1.0, C),
                            features=(fc, fd), seed=0)
 
-    @pytest.mark.parametrize("fc, fd", [(np.ones((6, 3)), np.zeros((6, 5))),
-                                        (np.ones((6, 5)), np.zeros((6, 3)))],
-                             ids=["clean", "distorted"])
-    def test_feature_columns_must_match_the_mean_reps_taps(self, fc, fd):
+    @pytest.mark.parametrize("name", ["clean", "distorted"])
+    def test_feature_columns_must_match_the_mean_reps_taps(self, name):
         # such a detector would be written, then refused by load_detector
-        name = "clean" if fc.shape[1] == 3 else "distorted"
+        narrow, wide = np.ones((6, 3)), np.zeros((6, 5))
+        fc, fd = (narrow, wide) if name == "clean" else (wide, narrow)
         with pytest.raises(ValueError, match=re.escape(
                 f"{name} features have shape (6, 3), not one column for each of the "
                 "mean reps' 5 taps")):
