@@ -64,22 +64,31 @@ class DetectorModel:
 
 
 def compute_mean_reps(model: NetworkModel, clean_images: np.ndarray) -> MeanReps:
-    """Elementwise average of tapped activations over a (N, H, W, C) uint8 clean batch."""
+    """Elementwise average of tapped activations over a (N, H, W, C) uint8 clean batch.
+
+    Each chunk's rows are added to its float64 sums one row at a time, in row
+    order (a block waits for its turn), then the chunk sums in order, so the
+    bits do not depend on the worker count.
+    """
+    part = [np.zeros(length) for length in model.tap_lengths()]  # this chunk's sums
+    sums = [np.zeros(length) for length in model.tap_lengths()]
+
+    def add_rows(lo: int, hi: int, taps: dict) -> None:
+        for k, t in taps.items():
+            for row in t:
+                np.add(part[k], row, out=part[k])
+
+    for _ in featnet.forward_chunks(model, clean_images, featnet.InOrder(add_rows)):
+        for s, p in zip(sums, part):
+            s += p
+            p[...] = 0.0
     n = clean_images.shape[0]
-    sums = None
-    for _, (_, taps) in featnet.forward_chunks(model, clean_images):
-        part = [t.sum(axis=0, dtype=np.float64) for t in taps]
-        sums = part if sums is None else [s + p for s, p in zip(sums, part)]
     return MeanReps(tuple(s / n for s in sums), n)
 
 
 def canberra(rows: np.ndarray, b) -> np.ndarray:
     """Canberra distance of each row of an (N, L) matrix to the length-L
     vector `b`, with 0/0 terms counted as 0; returns an (N,) float64 array.
-
-    Rows are reduced in float64 blocks of about _CANBERRA_BLOCK_ELEMS entries
-    (at least one row), run across the process's CPUs; each row is still
-    summed whole, so blocking moves no bit.
 
     The zeros of |b| in the denominator are raised to the smallest positive
     float64, 2**-1074, so the divide needs no mask: where t == b == 0 the term
@@ -89,28 +98,40 @@ def canberra(rows: np.ndarray, b) -> np.ndarray:
     term just under 1.
     """
     rows = np.asarray(rows)
-    b = np.asarray(b, dtype=np.float64).ravel()
+    b, den_b = _canberra_target(b)
     if rows.ndim != 2 or rows.shape[1] != b.shape[0]:
         raise ValueError(f"length mismatch: {rows.shape} vs {b.shape}")
+    out = np.empty(rows.shape[0])
+    _canberra_rows(rows, b, den_b, out)
+    return out
+
+
+def _canberra_target(b) -> tuple[np.ndarray, np.ndarray]:
+    """b as a float64 vector, and |b| with its zeros raised to 2**-1074 (see canberra)."""
+    b = np.asarray(b, dtype=np.float64).ravel()
     den_b = np.abs(b)
     den_b[den_b == 0] = np.nextafter(0.0, 1.0)
-    out = np.empty(rows.shape[0])
-    step = max(1, _CANBERRA_BLOCK_ELEMS // max(1, b.shape[0]))
-    shape = (min(rows.shape[0], step), b.shape[0])
+    return b, den_b
 
-    def block(bufs, lo: int, hi: int) -> None:
-        num, den = (buf[: hi - lo] for buf in bufs)
+
+def _canberra_rows(rows: np.ndarray, b: np.ndarray, den_b: np.ndarray, out: np.ndarray) -> None:
+    """Write into out the Canberra distance of each row of rows to b, den_b
+    from _canberra_target(b). Rows are reduced in float64 blocks of about
+    _CANBERRA_BLOCK_ELEMS entries (at least one row); each row is still
+    summed whole, so blocking moves no bit."""
+    step = max(1, _CANBERRA_BLOCK_ELEMS // max(1, b.shape[0]))
+    num = np.empty((min(rows.shape[0], step), b.shape[0]))
+    den = np.empty_like(num)
+    for lo in range(0, rows.shape[0], step):
+        block = rows[lo : lo + step]
+        nu, de = num[: len(block)], den[: len(block)]
         # one exact cast of the block: mixed float32/float64 ufuncs take NumPy's slower
         # buffered casting loop
-        np.copyto(den, rows[lo:hi])
-        np.abs(np.subtract(den, b, out=num), out=num)
-        np.add(np.abs(den, out=den), den_b, out=den)
-        np.divide(num, den, out=num)
-        out[lo:hi] = num.sum(axis=1)
-
-    featnet._parallel_blocks(rows.shape[0], step,
-                             lambda: (np.empty(shape), np.empty(shape)), block)
-    return out
+        np.copyto(de, block)
+        np.abs(np.subtract(de, b, out=nu), out=nu)
+        np.add(np.abs(de, out=de), den_b, out=de)
+        np.divide(nu, de, out=nu)
+        out[lo : lo + len(block)] = nu.sum(axis=1)
 
 
 def embed_and_features(model: NetworkModel, mean_reps: MeanReps,
@@ -119,8 +140,10 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps,
     (N, H, W, C) uint8 batch, from one pass.
 
     The batch is forwarded in featnet's chunks, so each embedding is bitwise
-    the one a plain chunked forward pass gives. Mean reps whose tap count or
-    tap lengths differ from the network's are a FormatError, before any forward.
+    the one a plain chunked forward pass gives; the features are written
+    block by block as the forward hands over its taps. Mean reps whose tap
+    count or tap lengths differ from the network's are a FormatError, before
+    any forward.
     """
     if len(mean_reps.means) != model.n_taps:
         # zipping taps with means would silently drop the unmatched ones
@@ -130,12 +153,14 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps,
         if len(mu) != length:
             raise FormatError(f"mean reps tap {i} holds {len(mu)} values, "
                               f"the network's tap {i} has {length}")
-    embs = []
-    feats = np.empty((images.shape[0], len(mean_reps.means)))
-    for lo, (emb, taps) in featnet.forward_chunks(model, images):
-        embs.append(emb)
-        for i, (t, mu) in enumerate(zip(taps, mean_reps.means)):
-            feats[lo : lo + t.shape[0], i] = canberra(t, mu)
+    targets = [_canberra_target(mu) for mu in mean_reps.means]
+    feats = np.empty((images.shape[0], len(targets)))
+
+    def features(lo: int, hi: int, taps: dict) -> None:
+        for k, t in taps.items():
+            _canberra_rows(t, *targets[k], feats[lo:hi, k])
+
+    embs = [emb for _, (emb, _) in featnet.forward_chunks(model, images, features)]
     return np.vstack(embs), feats
 
 

@@ -215,7 +215,7 @@ def _threads(n: int, step: int) -> int:
     return max(1, min(_WORKERS, -(-n // step)))
 
 
-def _parallel_blocks(n: int, step: int, alloc, fn) -> None:
+def _parallel_blocks(n: int, step: int, alloc, fn, then=None) -> None:
     """Call fn(scratch, lo, hi) for every block [lo, hi) of range(0, n, step).
 
     The calling thread and up to _WORKERS - 1 threads of a shared pool each
@@ -228,17 +228,40 @@ def _parallel_blocks(n: int, step: int, alloc, fn) -> None:
     alloc() is called in this thread: buffers allocated in a worker land in
     that thread's own malloc arena, which raised peak RSS by over 10%.
     With one thread (one block, or one CPU) the pool is never touched.
+
+    If given, then(scratch, lo, hi) runs right after fn, one block at a time
+    in order of lo, each block waiting for the one before it (claimed earlier,
+    so running). A block that raises ends the pass: no thread claims another
+    block or keeps waiting.
     """
     starts = iter(range(0, n, step))
     take = threading.Lock()
+    turn = threading.Condition()
+    done, failed = 0, False  # the rows whose then has run; whether a block raised
 
     def run(scratch) -> None:
-        while True:
+        nonlocal done, failed
+        while not failed:
             with take:
                 lo = next(starts, None)
             if lo is None:
                 return
-            fn(scratch, lo, min(lo + step, n))
+            hi = min(lo + step, n)
+            try:
+                fn(scratch, lo, hi)
+                if then is not None:
+                    with turn:
+                        turn.wait_for(lambda: done == lo or failed)
+                        if failed:
+                            return
+                        then(scratch, lo, hi)
+                        done = hi
+                        turn.notify_all()
+            except BaseException:
+                with turn:
+                    failed = True
+                    turn.notify_all()
+                raise
 
     scratches = [alloc() for _ in range(_threads(n, step))]
     helpers = [_pool.submit(run, scratch) for scratch in scratches[1:]]
@@ -297,49 +320,70 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
     return x / np.where(norms > 0, norms, 1.0)
 
 
-def _homes(model: NetworkModel, split: int) -> dict:
+def _homes(model: NetworkModel, split: int, reducing: bool) -> dict:
     """Where each stage writes its output, as (kind, stage).
 
     Stage -1 scales the input; stage i runs layer i. An untapped stage other
     than a flatten, feeding a ReLU, writes where that ReLU does, and the ReLU
-    runs in place. Otherwise a tapped stage, and every stage from split - 1
-    on, writes into its rows of an (N, ...) array ("full"); a flatten's array
-    is a view of its input's. Before that, a stage feeding a padded conv
-    writes into the head of the im2col buffer ("col"), which that conv copies
-    into its zero-bordered input before its im2col overwrites it: a maxpool
-    writing straight into that strided interior ran about 1.5x slower. A conv
-    never writes there, as it reads that buffer while it writes. Any other
-    stage gets a block buffer ("buf").
+    runs in place. Every stage from split - 1 on writes into its rows of an
+    (N, ...) array ("full"); a flatten's array is a view of its input's. So
+    does a tapped stage before that, unless the taps go to a reducer: then it
+    writes into a block buffer ("buf"), whose rows the reducer reads after
+    the block's last stage. Before the split, an untapped stage feeding a
+    padded conv writes into the head of the im2col buffer ("col"), which that
+    conv copies into its zero-bordered input before its im2col overwrites
+    it: a maxpool writing straight into that strided interior ran about 1.5x
+    slower. A conv never writes there, as it reads that buffer while it
+    writes. Any other stage gets a block buffer.
     """
     layers = model.layers
     home = {}
     for i in range(len(layers) - 1, -2, -1):
         kind = layers[i].kind if i >= 0 else "input"
         nxt = layers[i + 1].kind if i + 1 < len(layers) else None
-        if nxt == "relu" and kind != "flatten" and i not in model.tap_points:
+        tapped = i in model.tap_points
+        if nxt == "relu" and kind != "flatten" and not tapped:
             home[i] = home[i + 1]
-        elif i >= split - 1 or i in model.tap_points:
+        elif i >= split - 1 or (tapped and not reducing):
             home[i] = ("full", i)
-        elif nxt == "conv" and layers[i + 1].pad and kind != "conv":
+        elif nxt == "conv" and layers[i + 1].pad and kind != "conv" and not tapped:
             home[i] = ("col", i)
         else:
             home[i] = ("buf", i)
     return home
 
 
-def forward_batch(model: NetworkModel, images: np.ndarray):
+@dataclass(frozen=True)
+class InOrder:
+    """A forward_batch reducer whose block calls run one at a time in row order;
+    a plain function's block calls run concurrently."""
+
+    fn: object  # fn(lo, hi, taps)
+
+    def __call__(self, lo: int, hi: int, taps: dict) -> None:
+        self.fn(lo, hi, taps)
+
+
+def forward_batch(model: NetworkModel, images: np.ndarray, reduce=None):
     """Run the network on a (N, H, W, C) uint8 batch.
 
     Returns (embeddings (N, D), taps: list of (N, lambda_i) float arrays, one
-    per tap point).
+    per tap point). With a reducer the list is empty and no tap is kept: each
+    goes to reduce(lo, hi, taps), taps a dict from tap ordinal to the float32
+    rows [lo, hi), valid during the call only. Taps before the split (the
+    first flatten or dense) come block by block, from the block's worker
+    thread while it is still in cache, concurrently unless reduce is an
+    InOrder; the rest come in one call for all N rows after the tail. A
+    reducer calls no public advface function: the benchmark's tracer wraps
+    those, and its span stack is not thread-safe.
 
     Depth-first: every stage, input scaling first, runs in one loop over a
     block of rows, writing where _homes places it. One _parallel_blocks call
-    runs each _CONV_BLOCK-image block through every stage before the first
-    flatten or dense; the stages from there on then run as one block of the
-    whole batch in the calling thread. Per thread the scratch is one im2col
-    buffer, one zero-bordered input buffer per padded conv and a block buffer
-    for any output that _homes places in neither.
+    runs each _CONV_BLOCK-image block through every stage before the split;
+    the stages from there on then run as one block of the whole batch in the
+    calling thread. Per thread the scratch is one im2col buffer, one
+    zero-bordered input buffer per padded conv and a block buffer for any
+    output that _homes places in neither.
     """
     w_in, h_in, c_in = model.input_spec
     if images.ndim != 4 or images.shape[1:] != (h_in, w_in, c_in):
@@ -350,7 +394,7 @@ def forward_batch(model: NetworkModel, images: np.ndarray):
     shapes = dict(enumerate(model.shapes, -1))  # -1: the input
     split = next((i for i, l in enumerate(layers) if l.kind in ("flatten", "dense")),
                  len(layers))
-    home = _homes(model, split)
+    home = _homes(model, split, reduce is not None)
     sizes = {i: math.prod(shape) for i, shape in shapes.items()}
     b = min(n, _CONV_BLOCK)
     col_len = b * max([layer.weights[0].size * shapes[i][1] * shapes[i][2]
@@ -379,20 +423,20 @@ def forward_batch(model: NetworkModel, images: np.ndarray):
         full[j] = (full[home[j - 1][1]].reshape(n, -1) if j >= 0 and layers[j].kind == "flatten"
                    else np.empty((n, *shapes[j]), np.float32))
 
+    def out(scratch, lo: int, hi: int, i: int) -> np.ndarray:
+        """Rows [lo, hi) of stage i's output."""
+        kind, j = home[i]
+        if kind == "full":
+            return full[j][lo:hi]
+        flat = scratch[0] if kind == "col" else scratch[2][j]
+        return flat[: (hi - lo) * sizes[j]].reshape(hi - lo, *shapes[j])
+
     def run(scratch, lo: int, hi: int, stages=range(-1, split)) -> None:
-        col, pads, bufs = scratch
+        col, pads, _ = scratch
         nb = hi - lo
-
-        def out(i: int) -> np.ndarray:
-            kind, j = home[i]
-            if kind == "full":
-                return full[j][lo:hi]
-            flat = col if kind == "col" else bufs[j]
-            return flat[: nb * sizes[j]].reshape(nb, *shapes[j])
-
-        x = images[lo:hi] if stages.start < 0 else out(stages.start - 1)
+        x = images[lo:hi] if stages.start < 0 else out(scratch, lo, hi, stages.start - 1)
         for i in stages:
-            layer, y = layers[i] if i >= 0 else None, out(i)
+            layer, y = layers[i] if i >= 0 else None, out(scratch, lo, hi, i)
             kind = "input" if layer is None else layer.kind
             if kind == "input":
                 np.divide(np.moveaxis(x, 3, 1), 255.0, out=y, dtype=np.float32)
@@ -413,22 +457,46 @@ def forward_batch(model: NetworkModel, images: np.ndarray):
                 y[...] = l2_normalize(x)
             x = y  # a flatten's y is already a view of x
 
-    _parallel_blocks(n, _CONV_BLOCK, scratches.pop, run)
-    run((None, {}, {}), 0, n, range(split, len(layers)))  # every home here is "full"
-    return full[len(layers) - 1], [full[t].reshape(n, -1) for t in model.tap_points]
+    def hand_over(scratch, lo: int, hi: int, late: bool = False) -> None:
+        reduce(lo, hi, {k: out(scratch, lo, hi, t).reshape(hi - lo, -1)
+                        for k, t in enumerate(model.tap_points) if (t >= split) == late})
+
+    def block(scratch, lo: int, hi: int) -> None:
+        run(scratch, lo, hi)
+        if reduce is not None and not isinstance(reduce, InOrder):
+            hand_over(scratch, lo, hi)
+
+    _parallel_blocks(n, _CONV_BLOCK, scratches.pop, block,
+                     hand_over if isinstance(reduce, InOrder) else None)
+    tail = (None, {}, {})  # every home from the split on is "full"
+    run(tail, 0, n, range(split, len(layers)))
+    if reduce is None:
+        return full[len(layers) - 1], [full[t].reshape(n, -1) for t in model.tap_points]
+    if model.tap_points and model.tap_points[-1] >= split:
+        hand_over(tail, 0, n, late=True)
+    return full[len(layers) - 1], []
 
 
-def forward_chunks(model: NetworkModel, images: np.ndarray):
-    """Yield (lo, forward_batch(model, images[lo : lo + FORWARD_CHUNK])) in order; a chunk's taps
-    are freed before the next forward unless the caller keeps a tap or an emb sharing one.
+def forward_chunks(model: NetworkModel, images: np.ndarray, reduce=None):
+    """Yield (lo, forward_batch(model, images[lo : lo + FORWARD_CHUNK], reduce)) in order; a
+    chunk's taps are freed before the next forward unless the caller keeps a tap or an emb
+    sharing one. A reducer's rows count from the start of images, not of the chunk.
     An empty batch is a ValueError, raised before any forward."""
     if images.shape[0] < 1:
         raise ValueError("need at least one image")
     for lo in range(0, images.shape[0], FORWARD_CHUNK):
-        emb, taps = forward_batch(model, images[lo : lo + FORWARD_CHUNK])
+        part = None if reduce is None else _shifted(reduce, lo)
+        emb, taps = forward_batch(model, images[lo : lo + FORWARD_CHUNK], part)
         yield lo, (emb, taps)
         taps.clear()
         del emb
+
+
+def _shifted(reduce, by: int):
+    """The reducer that passes rows [lo, hi) on to reduce as [by + lo, by + hi)."""
+    def shifted(lo: int, hi: int, taps: dict) -> None:
+        reduce(by + lo, by + hi, taps)
+    return InOrder(shifted) if isinstance(reduce, InOrder) else shifted
 
 
 def embed(model: NetworkModel, images: np.ndarray) -> np.ndarray:

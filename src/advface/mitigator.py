@@ -96,9 +96,12 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
 
     A conv's response is the ReLU right after it, or the conv itself when no
     ReLU follows; the forward pass taps exactly those layers and stops at the
-    last. Each distorted image is stacked right before its clean pair, so any
-    even chunk keeps the pairs whole. The pair norms are added in order within
-    each _SUM_PAIRS group, then the group totals in order, whatever the chunk.
+    last. Each distorted image is stacked right before its clean pair, and the
+    forward hands over the responses block by block, each block starting at
+    an even row of the even-length batch, so no block splits a pair; each
+    block's pair norms are written as it comes. The pair norms are then added
+    in order within each _SUM_PAIRS group, then the group totals in order,
+    whatever the chunk.
     """
     pairs = list(pairs)
     if not pairs:
@@ -108,9 +111,13 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
     responses = NetworkModel(model.layers[: max(taps, default=-1) + 1], taps, model.input_spec)
     images = np.stack([p[k].pixels for p in pairs for k in (0, 1)])
     norms = [np.empty((len(pairs), n)) for n in model.conv_filter_counts()]
-    for lo, (_, maps) in forward_chunks(responses, images):
-        for out, t in zip(norms, maps):
-            _pair_norms(t, out[lo // 2 : (lo + len(t)) // 2])
+
+    def pair_norms(lo: int, hi: int, maps: dict) -> None:
+        for k, t in maps.items():
+            _pair_norms(t, norms[k][lo // 2 : hi // 2])
+
+    for _ in forward_chunks(responses, images, pair_norms):
+        pass  # the reducer fills norms
     sums = (sum(a[g : g + _SUM_PAIRS].sum(axis=0) for g in range(0, len(a), _SUM_PAIRS))
             for a in norms)
     return SensitivityTable(tuple(sums), len(pairs))
@@ -118,9 +125,8 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
 
 def _pair_norms(t: np.ndarray, out: np.ndarray) -> None:
     """Write into out's rows the (O,) L2 norm of each filter's response difference,
-    one pair per row, from a flat (2N, O*H'*W') tap of N (distorted, clean) row pairs."""
-    if len(t) % 2:
-        raise ValueError(f"a chunk of {len(t)} responses splits a pair")
+    one pair per row, from a flat (2N, O*H'*W') tap block of N (distorted, clean) row
+    pairs."""
     # channels-last views: the position sum then accumulates each filter's
     # squares in row-major (h, w) order, one add at a time
     m = t.reshape(len(t), out.shape[1], -1).transpose(0, 2, 1)

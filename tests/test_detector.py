@@ -1,6 +1,9 @@
 import functools
 import json
 import re
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ from advface.detector import (
     train_detector,
 )
 from advface import detector, featnet
-from advface.featnet import FilterMask, forward_batch
+from advface.featnet import (FORWARD_CHUNK, FilterMask, LayerDef, NetworkModel,
+                             default_network, forward_batch)
 from advface.mitigator import MitigationPlan, mitigate_batch
 from advface.imagecore import FormatError
 
@@ -40,6 +44,23 @@ def images(small_dataset):
 @pytest.fixture(scope="module")
 def mean_reps(default_model, images):
     return compute_mean_reps(default_model, images)
+
+
+@pytest.fixture(scope="module")
+def order_sensitive():
+    """A net, a batch and its mean reps whose bits depend on the order of the rows.
+
+    A few dozen of the default net's float32 rows sum exactly in float64, so
+    their order never shows; this conv's taps mix 2**30-scale values, which
+    cancel, with values near 1/255."""
+    w = np.array([[[[2.0**30, -2.0**30], [1.0, 0.0]]]], np.float32)
+    model = NetworkModel((LayerDef("conv", w, np.zeros(1, np.float32)),), (0,), (64, 64, 1))
+    batch = np.random.default_rng(5).integers(0, 3, size=(40, 64, 64, 1), dtype=np.uint8)
+    (taps,) = forward_batch(model, batch)[1]
+    want = mean_reps_loop([taps], FORWARD_CHUNK)[0]
+    block_1_first = mean_reps_loop([taps[np.r_[8:16, 0:8, 16:40]]], FORWARD_CHUNK)[0]
+    assert not np.array_equal(block_1_first, want)
+    return model, batch, want
 
 
 class TestMeanReps:
@@ -92,6 +113,58 @@ class TestMeanReps:
         for got, want in zip(reps.means, mean_reps_loop(taps, chunk=256)):
             assert got.dtype == np.float64
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 255, 256, 257, 300])
+    def test_reduced_taps_bitwise_equal_the_oracles(self, mean_reps, monkeypatch, n):
+        model = default_network(43)
+        batch = np.random.default_rng(n).integers(0, 256, size=(n, 64, 64, 1), dtype=np.uint8)
+        # the taps-returning forward, one chunk at a time
+        chunks = [forward_batch(model, batch[lo : lo + FORWARD_CHUNK])
+                  for lo in range(0, n, FORWARD_CHUNK)]
+        want_emb = np.vstack([emb for emb, _ in chunks])
+        taps = [np.vstack(layer) for layer in zip(*(t for _, t in chunks))]
+        want_means = mean_reps_loop(taps, FORWARD_CHUNK)
+        want_feats = np.stack([canberra(t, mu) for t, mu in zip(taps, mean_reps.means)], axis=1)
+        for workers in (1, 2):
+            monkeypatch.setattr(featnet, "_WORKERS", workers)
+            reps = compute_mean_reps(model, batch)
+            assert reps.n_train == n
+            for got, want in zip(reps.means, want_means, strict=True):
+                assert got.dtype == np.float64 and np.array_equal(got, want)
+            emb, feats = embed_and_features(model, mean_reps, batch)
+            assert np.array_equal(emb, want_emb)
+            assert feats.dtype == np.float64 and np.array_equal(feats, want_feats)
+
+    def test_bits_kept_when_block_0_is_reduced_late(self, order_sensitive, monkeypatch):
+        model, batch, want = order_sensitive
+        delayed = []
+
+        class Late(featnet.InOrder):
+            def __call__(self, lo, hi, taps):
+                if lo == 0:
+                    delayed.append(lo)
+                    time.sleep(0.2)  # the other thread's blocks are ready long before
+                super().__call__(lo, hi, taps)
+
+        monkeypatch.setattr(featnet, "_WORKERS", 2)
+        monkeypatch.setattr(featnet, "InOrder", Late)
+        (got,) = compute_mean_reps(model, batch).means
+        assert delayed and np.array_equal(got, want)
+
+    def test_bits_kept_with_more_threads_than_cpus(self, order_sensitive, monkeypatch):
+        model, batch, want = order_sensitive
+        monkeypatch.setattr(featnet, "_WORKERS", 6)
+        pool = ThreadPoolExecutor(5)
+        monkeypatch.setattr(featnet, "_pool", pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often: a lost or reordered add shows
+        try:
+            for _ in range(5):
+                (got,) = compute_mean_reps(model, batch).means
+                assert np.array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
 
     def test_n_train_validated(self):
         with pytest.raises(ValueError, match="n_train"):

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -28,7 +30,8 @@ from advface.featnet import (
     load_weights,
     save_weights,
 )
-from advface.imagecore import FormatError
+from advface import detector, mitigator
+from advface.imagecore import FormatError, Image
 from advface.mitigator import SensitivityTable, build_plan
 from advface.verifybench import score_matrix
 
@@ -360,14 +363,14 @@ class TestDepthFirst:
             items = obj.values() if isinstance(obj, dict) else obj
             return sum(nbytes(o) for o in items)
 
-        def spy(n_rows, step, alloc, fn):
+        def spy(n_rows, step, alloc, fn, *then):
             calls.append((n_rows, step))
 
             def counted():
                 scratch = alloc()
                 scratch_bytes.append(nbytes(scratch))
                 return scratch
-            return real(n_rows, step, counted, fn)
+            return real(n_rows, step, counted, fn, *then)
 
         monkeypatch.setattr(featnet, "_WORKERS", 2)
         monkeypatch.setattr(featnet, "_parallel_blocks", spy)
@@ -412,11 +415,11 @@ class TestDepthFirst:
 
         real = featnet._parallel_blocks
 
-        def spy(n_rows, step, alloc, fn):
+        def spy(n_rows, step, alloc, fn, *then):
             def kept():
                 scratches.append(alloc())
                 return scratches[-1]
-            return real(n_rows, step, kept, fn)
+            return real(n_rows, step, kept, fn, *then)
 
         monkeypatch.setattr(featnet, "_WORKERS", 2)
         monkeypatch.setattr(featnet, "_parallel_blocks", spy)
@@ -433,6 +436,159 @@ class TestDepthFirst:
         assert [when(t.base) for t in taps[:4]] == outputs[:4]
         layer_outputs = iter((n, *shape) for shape in net43.shapes[1:])
         assert all(made[k].shape in layer_outputs for k in outputs)
+
+
+def _reduced(model, images, reduce_of=lambda fn: fn):
+    """forward_batch with a reducer that copies every tap row it is handed into
+    NaN-filled (N, lambda_i) arrays; returns the forward's result, those
+    arrays and the reducer's calls as (lo, hi, tap ordinals), in call order."""
+    got = [np.full((len(images), length), np.nan, np.float32) for length in model.tap_lengths()]
+    calls = []
+
+    def copy(lo, hi, taps):
+        calls.append((lo, hi, sorted(taps)))
+        for k, t in taps.items():
+            got[k][lo:hi] = t
+
+    return forward_batch(model, images, reduce_of(copy)), got, calls
+
+
+class TestReducer:
+    """forward_batch hands each tap row to a reducer once, and keeps no (N, L) tap."""
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 256, 300])
+    @pytest.mark.parametrize("name", ["default", "conv-taps", "cut-at-responses",
+                                      "relu-pool-relu", "pool-between-convs", "dense-tail"])
+    def test_every_tap_row_handed_over_once_bitwise(self, batch300, monkeypatch, name, n):
+        model = _depth_first_net(name)
+        want_emb, want_taps = forward_batch(model, batch300[:n])
+        split = next((i for i, l in enumerate(model.layers) if l.kind in ("flatten", "dense")),
+                     len(model.layers))
+        early = [k for k, t in enumerate(model.tap_points) if t < split]
+        late = [k for k, t in enumerate(model.tap_points) if t >= split]
+        blocks = [(lo, min(lo + 8, n), early) for lo in range(0, n, 8)]
+        for workers in (1, 2):
+            monkeypatch.setattr(featnet, "_WORKERS", workers)
+            for reduce_of in (lambda fn: fn, featnet.InOrder):
+                (emb, taps), got, calls = _reduced(model, batch300[:n], reduce_of)
+                assert taps == []
+                assert emb.dtype == want_emb.dtype and np.array_equal(emb, want_emb)
+                for g, w in zip(got, want_taps):
+                    assert np.array_equal(g, w)
+                # the blocks before the split, then one call for the taps from it on
+                assert sorted(calls[: len(blocks)]) == blocks
+                assert calls[len(blocks):] == ([(0, n, late)] if late else [])
+                if reduce_of is featnet.InOrder:
+                    assert calls[: len(blocks)] == blocks
+
+    def test_forward_chunks_hand_over_rows_of_the_whole_batch(self, net43, batch300,
+                                                             monkeypatch):
+        monkeypatch.setattr(featnet, "FORWARD_CHUNK", 16)
+        got = [np.full((40, length), np.nan, np.float32) for length in net43.tap_lengths()]
+
+        def copy(lo, hi, taps):
+            for k, t in taps.items():
+                got[k][lo:hi] = t
+
+        images = batch300[:40]
+        for reduce in (copy, featnet.InOrder(copy)):
+            starts = [lo for lo, (_, taps) in featnet.forward_chunks(net43, images, reduce)
+                      if taps == []]
+            assert starts == [0, 16, 32]
+            for lo in starts:
+                for g, w in zip(got, forward_batch(net43, images[lo : lo + 16])[1]):
+                    assert np.array_equal(g[lo : lo + 16], w)
+
+    def test_in_order_blocks_wait_for_their_turn(self, net43, batch300, monkeypatch):
+        monkeypatch.setattr(featnet, "_WORKERS", 2)
+        active, most = [], []
+
+        def late_first(fn):
+            def reduce(lo, hi, taps):
+                active.append(lo)
+                most.append(len(active))
+                if lo == 0:
+                    time.sleep(0.2)  # block 1 is ready long before block 0 is reduced
+                fn(lo, hi, taps)
+                active.remove(lo)
+            return featnet.InOrder(reduce)
+
+        _, got, calls = _reduced(net43, batch300[:40], late_first)
+        assert [lo for lo, _, _ in calls] == [0, 8, 16, 24, 32, 0]
+        assert max(most) == 1
+        for g, w in zip(got, forward_batch(net43, batch300[:40])[1]):
+            assert np.array_equal(g, w)
+
+    def test_plain_reducer_blocks_run_concurrently(self, net43, batch300, monkeypatch):
+        monkeypatch.setattr(featnet, "_WORKERS", 2)
+        meet = threading.Barrier(2, timeout=30)  # broken unless two blocks reduce at once
+
+        def reduce(lo, hi, taps):
+            if len(taps) > 1:  # the two blocks, not the dense tap's call
+                meet.wait()
+
+        forward_batch(net43, batch300[:16], reduce)
+
+    @pytest.mark.parametrize("in_order", [False, True])
+    def test_a_failed_reduction_ends_the_pass(self, net43, batch300, monkeypatch, in_order):
+        monkeypatch.setattr(featnet, "_WORKERS", 2)
+        outcome = []
+
+        def reduce(lo, hi, taps):
+            if lo == 0:
+                time.sleep(0.1)  # the other thread has a block ready and waits for its turn
+                raise RuntimeError("reduction failed")
+
+        def forward():
+            try:
+                forward_batch(net43, batch300[:64],
+                              featnet.InOrder(reduce) if in_order else reduce)
+            except RuntimeError as err:
+                outcome.append(str(err))
+
+        thread = threading.Thread(target=forward, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and outcome == ["reduction failed"]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_parallel_blocks_then_runs_in_order_after_its_block(self, monkeypatch, workers):
+        monkeypatch.setattr(featnet, "_WORKERS", workers)
+        computed, order = set(), []
+        delays = np.random.default_rng(workers).random(10) * 0.01
+
+        def fn(scratch, lo, hi):
+            time.sleep(delays[lo // 8])
+            computed.add(lo)
+
+        def then(scratch, lo, hi):
+            assert lo in computed
+            order.append((lo, hi))
+
+        featnet._parallel_blocks(75, 8, lambda: None, fn, then)
+        assert order == [(lo, min(lo + 8, 75)) for lo in range(0, 75, 8)]
+
+
+class TestReducedTapsMemory:
+    """The three callers that reduce taps never hold a chunk of them."""
+
+    @pytest.mark.parametrize("name", ["mean_reps", "features", "sensitivity"])
+    def test_peak_of_256_images_below_a_chunk_of_taps(self, net43, batch300, name):
+        images = batch300[:256]
+        reps = detector.compute_mean_reps(net43, images[:8])
+        pairs = [(Image(images[i]), Image(images[i + 1])) for i in range(0, 256, 2)]
+        run = {"mean_reps": lambda: detector.compute_mean_reps(net43, images),
+               "features": lambda: detector.embed_and_features(net43, reps, images),
+               "sensitivity": lambda: mitigator.compute_sensitivity(net43, pairs)}[name]
+        # one 256-image chunk of the default net's taps is 58 MiB
+        assert sum(net43.tap_lengths()) * 4 * 256 > 58 * 2**20
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestBatchInvariance:

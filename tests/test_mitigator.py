@@ -147,6 +147,17 @@ class TestSensitivity:
         for got, exp in zip(table.eps, want):
             assert np.array_equal(got, exp)
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 255, 256, 257, 300])
+    def test_equals_the_loop_for_any_worker_count(self, response_maps, pairs_300,
+                                                  monkeypatch, n):
+        model, maps_d, maps_c = response_maps
+        want = sensitivity_loop([m[:n] for m in maps_d], [m[:n] for m in maps_c], chunk=128)
+        for workers in (1, 2):
+            monkeypatch.setattr(featnet, "_WORKERS", workers)
+            table = compute_sensitivity(model, pairs_300[:n])
+            for got, exp in zip(table.eps, want, strict=True):
+                assert np.array_equal(got, exp)
+
     def test_pairs_share_full_chunks_of_a_network_cut_at_the_last_response(
             self, pairs_300, monkeypatch):
         forwards = []
@@ -171,11 +182,20 @@ class TestSensitivity:
             for got, exp in zip(table.eps, want):
                 assert np.array_equal(got, exp)
 
-    def test_odd_chunk_size_is_refused_not_mispaired(self, default_model, pairs_300,
-                                                     monkeypatch):
-        monkeypatch.setattr(featnet, "FORWARD_CHUNK", 3)
-        with pytest.raises(ValueError, match="a chunk of 3 responses splits a pair"):
-            compute_sensitivity(default_model, pairs_300[:2])
+    def test_no_block_splits_a_pair(self, default_model, pairs_300, monkeypatch):
+        # blocks of _CONV_BLOCK rows within chunks of FORWARD_CHUNK rows, both even,
+        # start at even rows of the even-length batch
+        assert featnet.FORWARD_CHUNK % 2 == 0 and featnet._CONV_BLOCK % 2 == 0
+        sizes = []
+        real = mitigator._pair_norms
+
+        def spy(t, out):
+            sizes.append((len(t), len(out)))
+            real(t, out)
+
+        monkeypatch.setattr(mitigator, "_pair_norms", spy)
+        compute_sensitivity(default_model, pairs_300[:13])
+        assert sorted(sizes) == [(2, 1)] * 4 + [(8, 4)] * 12
 
     def test_network_without_conv_gives_an_empty_table(self, small_dataset):
         model = NetworkModel((LayerDef("flatten"),), (0,), (64, 64, 1))

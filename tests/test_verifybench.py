@@ -232,10 +232,10 @@ class TestProtocol:
         counts = {"plain": 0, "masked": 0}
         real = featnet.forward_batch
 
-        def counting(model, images):
+        def counting(model, images, *args):
             plain = all(a is b for a, b in zip(model.layers, default_model.layers))
             counts["plain" if plain else "masked"] += images.shape[0]
-            return real(model, images)
+            return real(model, images, *args)
 
         monkeypatch.setattr(featnet, "forward_batch", counting)
         run_protocol(small_dataset, default_model, spec, det=det, plan=plan,
@@ -257,10 +257,10 @@ class TestProtocol:
         masked = []
         real = featnet.forward_batch
 
-        def counting(model, images):
+        def counting(model, images, *args):
             if any(a is not b for a, b in zip(model.layers, default_model.layers)):
                 masked.append(len(images))
-            return real(model, images)
+            return real(model, images, *args)
 
         monkeypatch.setattr(featnet, "forward_batch", counting)
         assert np.array_equal(mitigator.mitigate_batch(default_model, plan, mixed), want)
