@@ -125,8 +125,7 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
 
 def _pair_norms(t: np.ndarray, out: np.ndarray) -> None:
     """Write into out's rows the (O,) L2 norm of each filter's response difference,
-    one pair per row, from a flat (2N, O*H'*W') tap block of N (distorted, clean) row
-    pairs."""
+    one pair per row, from a flat (2N, O*H'*W') tap block of N (distorted, clean) pairs."""
     # channels-last views: the position sum then accumulates each filter's
     # squares in row-major (h, w) order, one add at a time
     m = t.reshape(len(t), out.shape[1], -1).transpose(0, 2, 1)
