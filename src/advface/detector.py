@@ -78,7 +78,7 @@ def compute_mean_reps(model: NetworkModel, clean_images: np.ndarray) -> MeanReps
             for row in t:
                 np.add(part[k], row, out=part[k])
 
-    for _ in featnet.forward_chunks(model, clean_images, featnet.InOrder(add_rows)):
+    for _ in featnet.forward_chunks(model, clean_images, add_rows):
         for s, p in zip(sums, part):
             s += p
             p[...] = 0.0
@@ -102,7 +102,7 @@ def canberra(rows: np.ndarray, b) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != b.shape[0]:
         raise ValueError(f"length mismatch: {rows.shape} vs {b.shape}")
     out = np.empty(rows.shape[0])
-    _canberra_rows(rows, b, den_b, out)
+    _canberra_rows(rows, b, den_b, out, _canberra_scratch(rows.shape[0], [b.shape[0]]))
     return out
 
 
@@ -114,14 +114,27 @@ def _canberra_target(b) -> tuple[np.ndarray, np.ndarray]:
     return b, den_b
 
 
-def _canberra_rows(rows: np.ndarray, b: np.ndarray, den_b: np.ndarray, out: np.ndarray) -> None:
+def _canberra_step(length: int) -> int:
+    """Rows of the given length per float64 block of _canberra_rows: about
+    _CANBERRA_BLOCK_ELEMS entries, at least one row."""
+    return max(1, _CANBERRA_BLOCK_ELEMS // max(1, length))
+
+
+def _canberra_scratch(n: int, lengths) -> np.ndarray:
+    """Flat float64 scratch for _canberra_rows on up to n rows of any of the lengths."""
+    return np.empty(max([2 * min(n, _canberra_step(length)) * length for length in lengths],
+                        default=0))
+
+
+def _canberra_rows(rows: np.ndarray, b: np.ndarray, den_b: np.ndarray, out: np.ndarray,
+                   scratch: np.ndarray) -> None:
     """Write into out the Canberra distance of each row of rows to b, den_b
-    from _canberra_target(b). Rows are reduced in float64 blocks of about
-    _CANBERRA_BLOCK_ELEMS entries (at least one row); each row is still
+    from _canberra_target(b), using scratch from _canberra_scratch. Rows are
+    reduced in float64 blocks of _canberra_step rows; each row is still
     summed whole, so blocking moves no bit."""
-    step = max(1, _CANBERRA_BLOCK_ELEMS // max(1, b.shape[0]))
-    num = np.empty((min(rows.shape[0], step), b.shape[0]))
-    den = np.empty_like(num)
+    step = _canberra_step(b.shape[0])
+    m = min(len(rows), step)
+    num, den = scratch[: 2 * m * b.shape[0]].reshape(2, m, b.shape[0])
     for lo in range(0, rows.shape[0], step):
         block = rows[lo : lo + step]
         nu, de = num[: len(block)], den[: len(block)]
@@ -155,13 +168,15 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps,
                               f"the network's tap {i} has {length}")
     targets = [_canberra_target(mu) for mu in mean_reps.means]
     feats = np.empty((images.shape[0], len(targets)))
+    # made here, not in a worker thread (see featnet._parallel_blocks); the
+    # reducer's calls run one at a time, so one scratch serves them all
+    scratch = _canberra_scratch(min(images.shape[0], featnet.FORWARD_CHUNK), model.tap_lengths())
 
     def features(lo: int, hi: int, taps: dict) -> None:
         for k, t in taps.items():
-            _canberra_rows(t, *targets[k], feats[lo:hi, k])
+            _canberra_rows(t, *targets[k], feats[lo:hi, k], scratch)
 
-    embs = [emb for _, (emb, _) in featnet.forward_chunks(model, images, features)]
-    return np.vstack(embs), feats
+    return np.vstack(list(featnet.forward_chunks(model, images, features))), feats
 
 
 def canberra_features_batch(model: NetworkModel, mean_reps: MeanReps,

@@ -353,17 +353,6 @@ def _homes(model: NetworkModel, split: int, reducing: bool) -> dict:
     return home
 
 
-@dataclass(frozen=True)
-class InOrder:
-    """A forward_batch reducer whose block calls run one at a time in row order;
-    a plain function's block calls run concurrently."""
-
-    fn: object  # fn(lo, hi, taps)
-
-    def __call__(self, lo: int, hi: int, taps: dict) -> None:
-        self.fn(lo, hi, taps)
-
-
 def forward_batch(model: NetworkModel, images: np.ndarray, reduce=None):
     """Run the network on a (N, H, W, C) uint8 batch.
 
@@ -372,10 +361,11 @@ def forward_batch(model: NetworkModel, images: np.ndarray, reduce=None):
     goes to reduce(lo, hi, taps), taps a dict from tap ordinal to the float32
     rows [lo, hi), valid during the call only. Taps before the split (the
     first flatten or dense) come block by block, from the block's worker
-    thread while it is still in cache, concurrently unless reduce is an
-    InOrder; the rest come in one call for all N rows after the tail. A
-    reducer calls no public advface function: the benchmark's tracer wraps
-    those, and its span stack is not thread-safe.
+    thread while it is still in cache, one call at a time in row order; the
+    rest come in one call for all N rows after the tail. So a reducer may
+    reuse one scratch of its own and add rows in order. It calls no public
+    advface function: the benchmark's tracer wraps those, and its span stack
+    is not thread-safe.
 
     Depth-first: every stage, input scaling first, runs in one loop over a
     block of rows, writing where _homes places it. One _parallel_blocks call
@@ -461,13 +451,7 @@ def forward_batch(model: NetworkModel, images: np.ndarray, reduce=None):
         reduce(lo, hi, {k: out(scratch, lo, hi, t).reshape(hi - lo, -1)
                         for k, t in enumerate(model.tap_points) if (t >= split) == late})
 
-    def block(scratch, lo: int, hi: int) -> None:
-        run(scratch, lo, hi)
-        if reduce is not None and not isinstance(reduce, InOrder):
-            hand_over(scratch, lo, hi)
-
-    _parallel_blocks(n, _CONV_BLOCK, scratches.pop, block,
-                     hand_over if isinstance(reduce, InOrder) else None)
+    _parallel_blocks(n, _CONV_BLOCK, scratches.pop, run, None if reduce is None else hand_over)
     tail = (None, {}, {})  # every home from the split on is "full"
     run(tail, 0, n, range(split, len(layers)))
     if reduce is None:
@@ -478,31 +462,24 @@ def forward_batch(model: NetworkModel, images: np.ndarray, reduce=None):
 
 
 def forward_chunks(model: NetworkModel, images: np.ndarray, reduce=None):
-    """Yield (lo, forward_batch(model, images[lo : lo + FORWARD_CHUNK], reduce)) in order; a
-    chunk's taps are freed before the next forward unless the caller keeps a tap or an emb
-    sharing one. A reducer's rows count from the start of images, not of the chunk.
-    An empty batch is a ValueError, raised before any forward."""
+    """Yield the embeddings of forward_batch(model, images[lo : lo + FORWARD_CHUNK], reduce)
+    for each lo in order; without a reducer no tap is computed. A reducer's rows count
+    from the start of images, not of the chunk. An empty batch is a ValueError, raised
+    before any forward."""
     if images.shape[0] < 1:
         raise ValueError("need at least one image")
+    if reduce is None:
+        model = replace(model, tap_points=())
     for lo in range(0, images.shape[0], FORWARD_CHUNK):
-        part = None if reduce is None else _shifted(reduce, lo)
-        emb, taps = forward_batch(model, images[lo : lo + FORWARD_CHUNK], part)
-        yield lo, (emb, taps)
-        taps.clear()
-        del emb
-
-
-def _shifted(reduce, by: int):
-    """The reducer that passes rows [lo, hi) on to reduce as [by + lo, by + hi)."""
-    def shifted(lo: int, hi: int, taps: dict) -> None:
-        reduce(by + lo, by + hi, taps)
-    return InOrder(shifted) if isinstance(reduce, InOrder) else shifted
+        def part(a: int, b: int, taps: dict, lo: int = lo) -> None:
+            reduce(lo + a, lo + b, taps)
+        yield forward_batch(model, images[lo : lo + FORWARD_CHUNK],
+                            None if reduce is None else part)[0]
 
 
 def embed(model: NetworkModel, images: np.ndarray) -> np.ndarray:
     """(N, D) embeddings of a non-empty (N, H, W, C) uint8 batch, one chunk at a time, no taps."""
-    untapped = replace(model, tap_points=())
-    return np.vstack([emb for _, (emb, _) in forward_chunks(untapped, images)])
+    return np.vstack(list(forward_chunks(model, images)))
 
 
 # ---------------------------------------------------------------------------

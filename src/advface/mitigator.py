@@ -111,10 +111,13 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
     responses = NetworkModel(model.layers[: max(taps, default=-1) + 1], taps, model.input_spec)
     images = np.stack([p[k].pixels for p in pairs for k in (0, 1)])
     norms = [np.empty((len(pairs), n)) for n in model.conv_filter_counts()]
+    # one image's float64 difference, made here, not in a worker thread (see
+    # featnet._parallel_blocks); the reducer's calls run one at a time
+    diff = np.empty(max(responses.tap_lengths(), default=0))
 
     def pair_norms(lo: int, hi: int, maps: dict) -> None:
         for k, t in maps.items():
-            _pair_norms(t, norms[k][lo // 2 : hi // 2])
+            _pair_norms(t, norms[k][lo // 2 : hi // 2], diff)
 
     for _ in forward_chunks(responses, images, pair_norms):
         pass  # the reducer fills norms
@@ -123,13 +126,14 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
     return SensitivityTable(tuple(sums), len(pairs))
 
 
-def _pair_norms(t: np.ndarray, out: np.ndarray) -> None:
+def _pair_norms(t: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Write into out's rows the (O,) L2 norm of each filter's response difference,
-    one pair per row, from a flat (2N, O*H'*W') tap block of N (distorted, clean) pairs."""
+    one pair per row, from a flat (2N, O*H'*W') tap block of N (distorted, clean) pairs;
+    scratch is a float64 array of at least O*H'*W' entries."""
     # channels-last views: the position sum then accumulates each filter's
     # squares in row-major (h, w) order, one add at a time
     m = t.reshape(len(t), out.shape[1], -1).transpose(0, 2, 1)
-    diff = np.empty(m.shape[1:])
+    diff = scratch[: t.shape[1]].reshape(m.shape[1:])
     for i, row in enumerate(out):
         np.subtract(m[2 * i], m[2 * i + 1], out=diff, dtype=np.float64)
         np.sqrt(np.square(diff, out=diff).sum(axis=0), out=row)

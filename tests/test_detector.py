@@ -2,6 +2,7 @@ import functools
 import json
 import re
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -135,19 +136,42 @@ class TestMeanReps:
             assert np.array_equal(emb, want_emb)
             assert feats.dtype == np.float64 and np.array_equal(feats, want_feats)
 
+    def test_features_reuse_one_scratch_made_in_the_calling_thread(self, mean_reps,
+                                                                  monkeypatch):
+        # a buffer made in a pool thread lands in that thread's malloc arena
+        batch = np.random.default_rng(3).integers(0, 256, size=(300, 64, 64, 1), dtype=np.uint8)
+        made, used = [], set()
+        real_scratch, real_rows = detector._canberra_scratch, detector._canberra_rows
+
+        def scratch(*args):
+            made.append(threading.get_ident())
+            return real_scratch(*args)
+
+        def rows(t, b, den_b, out, buf):
+            used.add(id(buf))
+            real_rows(t, b, den_b, out, buf)
+
+        monkeypatch.setattr(featnet, "_WORKERS", 2)
+        monkeypatch.setattr(detector, "_canberra_scratch", scratch)
+        monkeypatch.setattr(detector, "_canberra_rows", rows)
+        embed_and_features(default_network(43), mean_reps, batch)
+        assert made == [threading.get_ident()] and len(used) == 1
+
     def test_bits_kept_when_block_0_is_reduced_late(self, order_sensitive, monkeypatch):
         model, batch, want = order_sensitive
         delayed = []
+        real = featnet.forward_batch
 
-        class Late(featnet.InOrder):
-            def __call__(self, lo, hi, taps):
+        def late(model, images, reduce):
+            def slow(lo, hi, taps):
                 if lo == 0:
                     delayed.append(lo)
                     time.sleep(0.2)  # the other thread's blocks are ready long before
-                super().__call__(lo, hi, taps)
+                reduce(lo, hi, taps)
+            return real(model, images, slow)
 
         monkeypatch.setattr(featnet, "_WORKERS", 2)
-        monkeypatch.setattr(featnet, "InOrder", Late)
+        monkeypatch.setattr(featnet, "forward_batch", late)
         (got,) = compute_mean_reps(model, batch).means
         assert delayed and np.array_equal(got, want)
 

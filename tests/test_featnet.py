@@ -131,36 +131,13 @@ class TestForward:
         monkeypatch.setattr(featnet, "FORWARD_CHUNK", 3)
         rng = np.random.default_rng(7)
         batch = rng.integers(0, 256, size=(7, 64, 64, 1), dtype=np.uint8)
-        starts = []
-        # each chunk's taps are only valid inside the loop body
-        for lo, (emb, taps) in featnet.forward_chunks(default_model, batch):
-            starts.append(lo)
-            want = forward_batch(default_model, batch[lo : lo + 3])
-            assert np.array_equal(emb, want[0])
-            assert len(taps) == len(want[1]) == 5
-            for g, w in zip(taps, want[1]):
-                assert np.array_equal(g, w)
-        assert starts == [0, 3, 6]
-
-    def test_forward_chunks_free_a_chunks_taps_before_the_next_forward(self, default_model,
-                                                                        monkeypatch):
-        monkeypatch.setattr(featnet, "FORWARD_CHUNK", 2)
-        refs, alive_at_forward = [], []
-        real = featnet.forward_batch
-
-        def spy(model, images, *args):
-            alive_at_forward.append([r() is not None for r in refs])
-            return real(model, images, *args)
-
-        monkeypatch.setattr(featnet, "forward_batch", spy)
-        batch = np.zeros((5, 64, 64, 1), np.uint8)
-        for _, (_, taps) in featnet.forward_chunks(default_model, batch):
-            refs.extend(weakref.ref(t) for t in taps)  # every tap, the last one too
-        assert alive_at_forward == [[], [False] * 5, [False] * 10]
-        assert all(r() is None for r in refs)
+        embs = list(featnet.forward_chunks(default_model, batch))
+        assert len(embs) == 3
+        for lo, emb in zip([0, 3, 6], embs):
+            assert np.array_equal(emb, forward_batch(default_model, batch[lo : lo + 3])[0])
 
     def test_forward_chunks_drop_the_embedding_before_the_next_forward(self, monkeypatch):
-        # a network cut at its tap returns that tap's buffer as the embedding
+        # a network cut after its first ReLU embeds each image as a whole activation map
         model = NetworkModel(default_network(43).layers[:2], (1,), (64, 64, 1))
         monkeypatch.setattr(featnet, "FORWARD_CHUNK", 2)
         refs, alive_at_forward = [], []
@@ -173,7 +150,7 @@ class TestForward:
         monkeypatch.setattr(featnet, "forward_batch", spy)
         chunks = featnet.forward_chunks(model, np.zeros((5, 64, 64, 1), np.uint8))
         for _ in range(3):  # the caller binds nothing of a chunk
-            refs.append(weakref.ref(next(chunks)[1][0]))
+            refs.append(weakref.ref(next(chunks)))
         assert alive_at_forward == [[], [False], [False, False]]
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 256, 257, 263, 400])
@@ -188,7 +165,8 @@ class TestForward:
             return emb, taps
 
         for model in (net43, net43.masked(_random_mask(net43, n))):
-            want = np.vstack([emb for _, (emb, _) in featnet.forward_chunks(model, images)])
+            want = np.vstack([forward_batch(model, images[lo : lo + FORWARD_CHUNK])[0]
+                              for lo in range(0, n, FORWARD_CHUNK)])
             monkeypatch.setattr(featnet, "forward_batch", spy)
             got = featnet.embed(model, images)
             monkeypatch.setattr(featnet, "forward_batch", real)
@@ -469,17 +447,13 @@ class TestReducer:
         blocks = [(lo, min(lo + 8, n), early) for lo in range(0, n, 8)]
         for workers in (1, 2):
             monkeypatch.setattr(featnet, "_WORKERS", workers)
-            for reduce_of in (lambda fn: fn, featnet.InOrder):
-                (emb, taps), got, calls = _reduced(model, batch300[:n], reduce_of)
-                assert taps == []
-                assert emb.dtype == want_emb.dtype and np.array_equal(emb, want_emb)
-                for g, w in zip(got, want_taps):
-                    assert np.array_equal(g, w)
-                # the blocks before the split, then one call for the taps from it on
-                assert sorted(calls[: len(blocks)]) == blocks
-                assert calls[len(blocks):] == ([(0, n, late)] if late else [])
-                if reduce_of is featnet.InOrder:
-                    assert calls[: len(blocks)] == blocks
+            (emb, taps), got, calls = _reduced(model, batch300[:n])
+            assert taps == []
+            assert emb.dtype == want_emb.dtype and np.array_equal(emb, want_emb)
+            for g, w in zip(got, want_taps):
+                assert np.array_equal(g, w)
+            # the blocks before the split in row order, then one call for the taps from it on
+            assert calls == blocks + ([(0, n, late)] if late else [])
 
     def test_forward_chunks_hand_over_rows_of_the_whole_batch(self, net43, batch300,
                                                              monkeypatch):
@@ -491,13 +465,13 @@ class TestReducer:
                 got[k][lo:hi] = t
 
         images = batch300[:40]
-        for reduce in (copy, featnet.InOrder(copy)):
-            starts = [lo for lo, (_, taps) in featnet.forward_chunks(net43, images, reduce)
-                      if taps == []]
-            assert starts == [0, 16, 32]
-            for lo in starts:
-                for g, w in zip(got, forward_batch(net43, images[lo : lo + 16])[1]):
-                    assert np.array_equal(g[lo : lo + 16], w)
+        embs = list(featnet.forward_chunks(net43, images, copy))
+        assert len(embs) == 3
+        for lo, emb in zip([0, 16, 32], embs):
+            want_emb, want_taps = forward_batch(net43, images[lo : lo + 16])
+            assert np.array_equal(emb, want_emb)
+            for g, w in zip(got, want_taps):
+                assert np.array_equal(g[lo : lo + 16], w)
 
     def test_in_order_blocks_wait_for_their_turn(self, net43, batch300, monkeypatch):
         monkeypatch.setattr(featnet, "_WORKERS", 2)
@@ -511,7 +485,7 @@ class TestReducer:
                     time.sleep(0.2)  # block 1 is ready long before block 0 is reduced
                 fn(lo, hi, taps)
                 active.remove(lo)
-            return featnet.InOrder(reduce)
+            return reduce
 
         _, got, calls = _reduced(net43, batch300[:40], late_first)
         assert [lo for lo, _, _ in calls] == [0, 8, 16, 24, 32, 0]
@@ -519,18 +493,7 @@ class TestReducer:
         for g, w in zip(got, forward_batch(net43, batch300[:40])[1]):
             assert np.array_equal(g, w)
 
-    def test_plain_reducer_blocks_run_concurrently(self, net43, batch300, monkeypatch):
-        monkeypatch.setattr(featnet, "_WORKERS", 2)
-        meet = threading.Barrier(2, timeout=30)  # broken unless two blocks reduce at once
-
-        def reduce(lo, hi, taps):
-            if len(taps) > 1:  # the two blocks, not the dense tap's call
-                meet.wait()
-
-        forward_batch(net43, batch300[:16], reduce)
-
-    @pytest.mark.parametrize("in_order", [False, True])
-    def test_a_failed_reduction_ends_the_pass(self, net43, batch300, monkeypatch, in_order):
+    def test_a_failed_reduction_ends_the_pass(self, net43, batch300, monkeypatch):
         monkeypatch.setattr(featnet, "_WORKERS", 2)
         outcome = []
 
@@ -541,8 +504,7 @@ class TestReducer:
 
         def forward():
             try:
-                forward_batch(net43, batch300[:64],
-                              featnet.InOrder(reduce) if in_order else reduce)
+                forward_batch(net43, batch300[:64], reduce)
             except RuntimeError as err:
                 outcome.append(str(err))
 

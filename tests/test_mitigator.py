@@ -178,16 +178,18 @@ class TestSensitivity:
         # blocks of _CONV_BLOCK rows within chunks of FORWARD_CHUNK rows, both even,
         # start at even rows of the even-length batch
         assert featnet.FORWARD_CHUNK % 2 == 0 and featnet._CONV_BLOCK % 2 == 0
-        sizes = []
+        sizes, scratches = [], set()
         real = mitigator._pair_norms
 
-        def spy(t, out):
+        def spy(t, out, scratch):
             sizes.append((len(t), len(out)))
-            real(t, out)
+            scratches.add(id(scratch))  # one buffer, made by the caller, serves every call
+            real(t, out, scratch)
 
         monkeypatch.setattr(mitigator, "_pair_norms", spy)
         compute_sensitivity(default_model, pairs_300[:13])
         assert sorted(sizes) == [(2, 1)] * 4 + [(8, 4)] * 12
+        assert len(scratches) == 1
 
     def test_network_without_conv_gives_an_empty_table(self, small_dataset):
         model = NetworkModel((LayerDef("flatten"),), (0,), (64, 64, 1))
