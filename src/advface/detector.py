@@ -86,28 +86,13 @@ def compute_mean_reps(model: NetworkModel, clean_images: np.ndarray) -> MeanReps
     return MeanReps(tuple(s / n for s in sums), n)
 
 
-def canberra(rows: np.ndarray, b) -> np.ndarray:
-    """Canberra distance of each row of an (N, L) matrix to the length-L
-    vector `b`, with 0/0 terms counted as 0; returns an (N,) float64 array.
-
-    The zeros of |b| in the denominator are raised to the smallest positive
-    float64, 2**-1074, so the divide needs no mask: where t == b == 0 the term
-    is 0 / 2**-1074 = 0, and any other |t| absorbs the raise when it is at
-    least 2**-1020. That holds for every nonzero float32 (the network's taps)
-    or integer entry; a float64 entry below it, against a zero of b, gives a
-    term just under 1.
-    """
-    rows = np.asarray(rows)
-    b, den_b = _canberra_target(b)
-    if rows.ndim != 2 or rows.shape[1] != b.shape[0]:
-        raise ValueError(f"length mismatch: {rows.shape} vs {b.shape}")
-    out = np.empty(rows.shape[0])
-    _canberra_rows(rows, b, den_b, out, _canberra_scratch(rows.shape[0], [b.shape[0]]))
-    return out
-
-
 def _canberra_target(b) -> tuple[np.ndarray, np.ndarray]:
-    """b as a float64 vector, and |b| with its zeros raised to 2**-1074 (see canberra)."""
+    """b as a float64 vector, and |b| with its zeros raised to 2**-1074, the
+    smallest positive float64, so the Canberra divide needs no mask: where
+    t == b == 0 the term is 0 / 2**-1074 = 0, and any other |t| absorbs the
+    raise when it is at least 2**-1020. That holds for every nonzero float32
+    (the network's taps) or integer entry; a float64 entry below it, against a
+    zero of b, gives a term just under 1."""
     b = np.asarray(b, dtype=np.float64).ravel()
     den_b = np.abs(b)
     den_b[den_b == 0] = np.nextafter(0.0, 1.0)

@@ -299,6 +299,9 @@ def polygon_mask(poly: Polygon, width: int, height: int) -> np.ndarray:
 # Median filter
 # ---------------------------------------------------------------------------
 
+_MEDIAN_BLOCK = 16  # images per block of median_filter_array's wire buffers
+
+
 @functools.cache
 def _median_network(k: int) -> tuple[tuple[int, int], ...]:
     """Comparators (min wire, max wire) that leave the median of k*k wires on wire
@@ -327,15 +330,27 @@ def _median_network(k: int) -> tuple[tuple[int, int], ...]:
 
 def median_filter_array(batch: np.ndarray, k: int) -> np.ndarray:
     """k x k median filter of a (N, H, W, C) uint8 batch, edge-replicated padding:
-    an exact min/max selection network over the k*k shifted views."""
+    an exact min/max selection network over the k*k shifted views, run on
+    _MEDIAN_BLOCK images at a time in buffers made once per call. A comparator
+    writes its min into the spare wire and its max in place. A pixel's median
+    depends only on its own window, so blocking moves no bit."""
     if k < 1 or k % 2 == 0:
         raise ValueError(f"window size must be odd and >= 1, got {k}")
     if k == 1:
         return batch
     pad = k // 2
-    h, w = batch.shape[1:3]
-    padded = np.pad(batch, ((0, 0), (pad, pad), (pad, pad), (0, 0)), mode="edge")
-    v = [padded[:, dy:dy + h, dx:dx + w] for dy in range(k) for dx in range(k)]
-    for lo, hi in _median_network(k):
-        v[lo], v[hi] = np.minimum(v[lo], v[hi]), np.maximum(v[lo], v[hi])
-    return v[k * k // 2]
+    n, h, w, c = batch.shape
+    out = np.empty(batch.shape, batch.dtype)
+    wires = np.empty((k * k + 1, min(n, _MEDIAN_BLOCK), h, w, c), batch.dtype)  # + the spare
+    for lo in range(0, n, _MEDIAN_BLOCK):
+        padded = np.pad(batch[lo : lo + _MEDIAN_BLOCK], ((0, 0), (pad, pad), (pad, pad), (0, 0)),
+                        mode="edge")
+        *v, spare = [wire[: len(padded)] for wire in wires]
+        for i, wire in enumerate(v):
+            wire[...] = padded[:, i // k : i // k + h, i % k : i % k + w]
+        for a, b in _median_network(k):
+            np.minimum(v[a], v[b], out=spare)
+            np.maximum(v[a], v[b], out=v[b])
+            v[a], spare = spare, v[a]
+        out[lo : lo + len(padded)] = v[k * k // 2]
+    return out

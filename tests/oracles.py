@@ -97,6 +97,22 @@ def naive_median(px: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def median_whole_batch(batch: np.ndarray, k: int) -> np.ndarray:
+    """The earlier median filter: the pruned selection network run on the
+    whole (N, H, W, C) batch at once, each comparator making two new arrays."""
+    from advface.imagecore import _median_network
+
+    if k == 1:
+        return batch
+    pad = k // 2
+    h, w = batch.shape[1:3]
+    padded = np.pad(batch, ((0, 0), (pad, pad), (pad, pad), (0, 0)), mode="edge")
+    v = [padded[:, dy:dy + h, dx:dx + w] for dy in range(k) for dx in range(k)]
+    for lo, hi in _median_network(k):
+        v[lo], v[hi] = np.minimum(v[lo], v[hi]), np.maximum(v[lo], v[hi])
+    return v[k * k // 2]
+
+
 def naive_conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
                stride: int, pad: int) -> np.ndarray:
     """Quadruple-loop cross-correlation; x is (C, H, W), w is (O, C, k, k)."""
@@ -236,6 +252,20 @@ def canberra_loop(a, b) -> float:
         if denom > 0:
             total += abs(av - bv) / denom
     return total
+
+
+def canberra(rows, b) -> np.ndarray:
+    """The detector's Canberra kernel on its own: the distance of each row of
+    an (N, L) matrix to the length-L vector b, as an (N,) float64 array."""
+    from advface.detector import _canberra_rows, _canberra_scratch, _canberra_target
+
+    rows = np.asarray(rows)
+    b, den_b = _canberra_target(b)
+    if rows.ndim != 2 or rows.shape[1] != b.shape[0]:
+        raise ValueError(f"length mismatch: {rows.shape} vs {b.shape}")
+    out = np.empty(rows.shape[0])
+    _canberra_rows(rows, b, den_b, out, _canberra_scratch(rows.shape[0], [b.shape[0]]))
+    return out
 
 
 def canberra_masked(a, b) -> np.ndarray:

@@ -15,7 +15,6 @@ from advface.detector import (
     DEFAULT_C_GRID,
     DetectorModel,
     MeanReps,
-    canberra,
     canberra_features_batch,
     compute_mean_reps,
     detect_scores,
@@ -33,8 +32,8 @@ from advface.featnet import (FORWARD_CHUNK, FilterMask, LayerDef, NetworkModel,
 from advface.mitigator import MitigationPlan, mitigate_batch
 from advface.imagecore import FormatError
 
-from oracles import (_fit_hinge_loop, canberra_loop, canberra_masked, mean_reps_loop,
-                     train_detector_loop)
+from oracles import (_fit_hinge_loop, canberra, canberra_loop, canberra_masked,
+                     mean_reps_loop, train_detector_loop)
 
 
 @pytest.fixture(scope="module")

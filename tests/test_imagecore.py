@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advface import imagecore
 from advface.imagecore import (
     FormatError,
     Image,
@@ -16,7 +19,8 @@ from advface.imagecore import (
     write_image,
 )
 
-from oracles import bresenham_loop, dda_points, naive_median, point_in_polygon
+from oracles import (bresenham_loop, dda_points, median_whole_batch, naive_median,
+                     point_in_polygon)
 
 
 def line_points(a, b) -> list[tuple[int, int]]:
@@ -362,6 +366,23 @@ class TestMedianFilter:
         for i in range(4):
             assert np.array_equal(out[i], median_filter_array(batch[i : i + 1], 5)[0])
 
+    @pytest.mark.parametrize("k", [0, -1, -3, 2, 4])
+    def test_bad_window_rejected_before_any_allocation(self, k):
+        batch = np.zeros((200, 64, 64, 1), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="odd and >= 1"):
+                median_filter_array(batch, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10  # one 200-image output alone is 800 KiB
+
+    def test_empty_batch_gives_empty_batch(self):
+        for k in (1, 3, 5):
+            out = median_filter_array(np.empty((0, 9, 8, 3), dtype=np.uint8), k)
+            assert out.shape == (0, 9, 8, 3) and out.dtype == np.uint8
+
     def test_batch_k1_identity_and_even_rejected(self):
         batch = np.zeros((1, 3, 3, 1), dtype=np.uint8)
         assert median_filter_array(batch, 1) is batch
@@ -377,3 +398,44 @@ class TestMedianFilter:
             px = rng.integers(0, hi, size=(h, w, c), dtype=np.uint8)
             out = median_filter_array(px[None], k)[0]
             assert np.array_equal(out, naive_median(px, k)), (h, w, hi)
+
+
+_B = imagecore._MEDIAN_BLOCK
+
+
+class TestMedianBlocks:
+    """The blocked filter is bitwise the whole-batch network, across block edges."""
+
+    @pytest.mark.parametrize("n", sorted({0, 1, 200} | {j * _B + d for j in (1, 2)
+                                                          for d in (-1, 0, 1)}))
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_matches_whole_batch_network(self, n, k, c):
+        rng = np.random.default_rng(n * 100 + k * 10 + c)
+        for hi in (256, 2):  # full-range and tie-heavy images
+            batch = rng.integers(0, hi, size=(n, 12, 10, c), dtype=np.uint8)
+            out = median_filter_array(batch, k)
+            want = median_whole_batch(batch, k)
+            assert out.shape == want.shape and out.dtype == want.dtype
+            assert np.array_equal(out, want), hi
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), k=st.sampled_from([3, 5]))
+    def test_every_image_matches_naive_oracle(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        batch = rng.integers(0, int(rng.choice([2, 256])), size=(n, 8, 8, 1), dtype=np.uint8)
+        out = median_filter_array(batch, k)
+        for i in range(n):
+            assert np.array_equal(out[i], naive_median(batch[i], k)), i
+
+    def test_peak_of_200_images_below_4_mib(self):
+        batch = np.random.default_rng(5).integers(0, 256, size=(200, 64, 64, 1),
+                                                  dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            median_filter_array(batch, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-batch network (median_whole_batch) peaks at 22 MiB here; the output is 0.8 MiB
+        assert peak < 4 * 2**20
