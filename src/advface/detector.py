@@ -66,22 +66,19 @@ class DetectorModel:
 def compute_mean_reps(model: NetworkModel, clean_images: np.ndarray) -> MeanReps:
     """Elementwise average of tapped activations over a (N, H, W, C) uint8 clean batch.
 
-    Each chunk's rows are added to its float64 sums one row at a time, in row
-    order (a block waits for its turn), then the chunk sums in order, so the
-    bits do not depend on the worker count.
+    Every row is added to its tap's float64 sum one at a time, in row order (a
+    block waits for its turn), so the bits depend on neither the worker count
+    nor the forward's chunk size.
     """
-    part = [np.zeros(length) for length in model.tap_lengths()]  # this chunk's sums
     sums = [np.zeros(length) for length in model.tap_lengths()]
 
     def add_rows(lo: int, hi: int, taps: dict) -> None:
         for k, t in taps.items():
             for row in t:
-                np.add(part[k], row, out=part[k])
+                np.add(sums[k], row, out=sums[k])
 
     for _ in featnet.forward_chunks(model, clean_images, add_rows):
-        for s, p in zip(sums, part):
-            s += p
-            p[...] = 0.0
+        pass  # the reducer fills sums
     n = clean_images.shape[0]
     return MeanReps(tuple(s / n for s in sums), n)
 
@@ -155,7 +152,7 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps,
     feats = np.empty((images.shape[0], len(targets)))
     # made here, not in a worker thread (see featnet._parallel_blocks); the
     # reducer's calls run one at a time, so one scratch serves them all
-    scratch = _canberra_scratch(min(images.shape[0], featnet.FORWARD_CHUNK), model.tap_lengths())
+    scratch = _canberra_scratch(images.shape[0], model.tap_lengths())
 
     def features(lo: int, hi: int, taps: dict) -> None:
         for k, t in taps.items():
@@ -247,16 +244,16 @@ def train_detector(model: NetworkModel, mean_reps: MeanReps, clean, distorted,
 
     `features` optionally supplies precomputed (clean, distorted) Canberra
     feature matrices, one column per tap of `mean_reps`, to skip the forward
-    passes; an empty batch of images is refused by featnet.forward_chunks. The
-    smallest C with the best mean accuracy over the usable folds wins.
+    passes; an empty class is refused before any forward. The smallest C
+    with the best mean accuracy over the usable folds wins.
     """
     C_grid = sorted(C_grid)
     if not C_grid or not all(np.isfinite(C) and C > 0 for C in C_grid):
         raise ValueError(f"C grid must be non-empty, every C finite and above 0, got {C_grid}")
+    if any(a.shape[0] == 0 for a in (features if features is not None else (clean, distorted))):
+        raise ValueError("both classes must be non-empty")
     fc, fd = features if features is not None else [
         canberra_features_batch(model, mean_reps, imgs) for imgs in (clean, distorted)]
-    if fc.shape[0] == 0 or fd.shape[0] == 0:
-        raise ValueError("both classes must be non-empty")
     for name, f in (("clean", fc), ("distorted", fd)):
         if f.shape[1:] != (len(mean_reps.means),):  # load_detector would refuse the file
             raise ValueError(f"{name} features have shape {f.shape}, not one column for each "

@@ -57,8 +57,8 @@ def order_sensitive():
     model = NetworkModel((LayerDef("conv", w, np.zeros(1, np.float32)),), (0,), (64, 64, 1))
     batch = np.random.default_rng(5).integers(0, 3, size=(40, 64, 64, 1), dtype=np.uint8)
     (taps,) = forward_batch(model, batch)[1]
-    want = mean_reps_loop([taps], FORWARD_CHUNK)[0]
-    block_1_first = mean_reps_loop([taps[np.r_[8:16, 0:8, 16:40]]], FORWARD_CHUNK)[0]
+    want = mean_reps_loop([taps])[0]
+    block_1_first = mean_reps_loop([taps[np.r_[8:16, 0:8, 16:40]]])[0]
     assert not np.array_equal(block_1_first, want)
     return model, batch, want
 
@@ -102,7 +102,7 @@ class TestMeanReps:
             run(default_model, mean_reps, np.empty((0, 64, 64, 1), np.uint8))
         assert calls == []
 
-    def test_bitwise_equals_chunked_float64_sums(self, default_model):
+    def test_bitwise_equals_row_order_float64_sums(self, default_model):
         # 300 images cross the 256-image forward chunk
         batch = np.random.default_rng(12).integers(0, 256, size=(300, 64, 64, 1),
                                                      dtype=np.uint8)
@@ -110,7 +110,7 @@ class TestMeanReps:
         chunks = [forward_batch(default_model, batch[lo : lo + 256])[1] for lo in (0, 256)]
         taps = [np.vstack(layer) for layer in zip(*chunks)]
         assert reps.n_train == 300
-        for got, want in zip(reps.means, mean_reps_loop(taps, chunk=256)):
+        for got, want in zip(reps.means, mean_reps_loop(taps)):
             assert got.dtype == np.float64
             assert np.array_equal(got, want)
 
@@ -123,7 +123,7 @@ class TestMeanReps:
                   for lo in range(0, n, FORWARD_CHUNK)]
         want_emb = np.vstack([emb for emb, _ in chunks])
         taps = [np.vstack(layer) for layer in zip(*(t for _, t in chunks))]
-        want_means = mean_reps_loop(taps, FORWARD_CHUNK)
+        want_means = mean_reps_loop(taps)
         want_feats = np.stack([canberra(t, mu) for t, mu in zip(taps, mean_reps.means)], axis=1)
         for workers in (1, 2):
             monkeypatch.setattr(featnet, "_WORKERS", workers)
@@ -173,6 +173,15 @@ class TestMeanReps:
         monkeypatch.setattr(featnet, "forward_batch", late)
         (got,) = compute_mean_reps(model, batch).means
         assert delayed and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [8, 16, 64, 256, 1000])
+    def test_bits_kept_for_any_chunk_size(self, order_sensitive, monkeypatch, chunk, workers):
+        model, batch, want = order_sensitive
+        monkeypatch.setattr(featnet, "FORWARD_CHUNK", chunk)
+        monkeypatch.setattr(featnet, "_WORKERS", workers)
+        (got,) = compute_mean_reps(model, batch).means
+        assert np.array_equal(got, want)
 
     def test_bits_kept_with_more_threads_than_cpus(self, order_sensitive, monkeypatch):
         model, batch, want = order_sensitive
@@ -399,6 +408,22 @@ class TestTraining:
         with pytest.raises(ValueError, match="non-empty"):
             train_detector(None, _toy_reps(), None, None,
                            features=(np.empty((0, 1)), np.ones((3, 1))), seed=0)
+
+    @pytest.mark.parametrize("empty", ["clean", "distorted"])
+    def test_empty_class_rejected_before_any_forward(self, monkeypatch, default_model,
+                                                     mean_reps, images, empty):
+        forwarded = []
+        real = featnet.forward_batch
+
+        def counted(model, batch, reduce=None):
+            forwarded.append(batch.shape[0])
+            return real(model, batch, reduce)
+
+        monkeypatch.setattr(featnet, "forward_batch", counted)
+        batches = {"clean": images, "distorted": images, empty: images[:0]}
+        with pytest.raises(ValueError, match="^both classes must be non-empty$"):
+            train_detector(default_model, mean_reps, batches["clean"], batches["distorted"])
+        assert sum(forwarded) == 0
 
     def test_non_finite_feature_rejected(self):
         fc = np.ones((3, 1))
