@@ -91,9 +91,7 @@ def _canberra_target(b) -> tuple[np.ndarray, np.ndarray]:
     (the network's taps) or integer entry; a float64 entry below it, against a
     zero of b, gives a term just under 1."""
     b = np.asarray(b, dtype=np.float64).ravel()
-    den_b = np.abs(b)
-    den_b[den_b == 0] = np.nextafter(0.0, 1.0)
-    return b, den_b
+    return b, np.maximum(np.abs(b), np.nextafter(0.0, 1.0))
 
 
 def _canberra_step(length: int) -> int:

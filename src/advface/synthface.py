@@ -97,6 +97,20 @@ class Dataset:
 
 
 _BACKGROUND = 110.0
+# float64 pixels per render block (8 images at 64x64): a block's image, masks
+# and mark temporaries stay near 2 MiB whatever the dataset's shape; 16-image
+# blocks took twice that and rendered no faster
+_RENDER_PIXELS = 1 << 15
+
+
+@dataclass(frozen=True)
+class _Look:
+    # (x offset, y offset, from the eye line rather than the face center,
+    # 2 sigma**2, amplitude) of each mark
+    marks: tuple[tuple[float, float, bool, float, float], ...]
+    # face fill, hair_inner**2, hair shade, brow factor, eye shade, nose
+    # half-width, nose factor, mouth factor
+    shades: tuple[float, ...]
 
 
 def _draw_subject(seed: int, subject_id: int, size: int) -> SubjectParams:
@@ -124,43 +138,25 @@ def _clampi(v: float, lo: int, hi: int) -> int:
     return int(min(max(round(v), lo), hi))
 
 
-def _render_sample(params: SubjectParams, size: int, seed: int,
-                   sample_index: int) -> tuple[Image, LandmarkSet]:
-    rng = rng_from(seed, 0x5A3, params.subject_id, sample_index)
-    dx = rng.uniform(-2.5, 2.5)
-    dy = rng.uniform(-2.5, 2.5)
-    brightness = rng.uniform(-12, 12)
-
-    cx = params.face_center[0] + dx
-    cy = params.face_center[1] + dy
-    a, b = params.face_axes
-    (xl0, eye_y0), (xr0, _) = params.eye_centers
-    xl, xr = xl0 + dx, xr0 + dx
-    eye_y = eye_y0 + dy
-
-    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
-    ellipse = ((xs - cx) / a) ** 2 + ((ys - cy) / b) ** 2
-    face = ellipse <= 1.0
-
-    # subject-specific appearance, all deterministic in texture_seed:
-    # most of the image energy lives in a handful of bright, smooth marks
-    # ("beauty spots") at subject-random positions, so different subjects
-    # produce nearly disjoint coarse activation-energy maps
+def _draw_look(params: SubjectParams) -> _Look:
+    """The subject's appearance, all deterministic in texture_seed and the same
+    for every sample: most of the image energy lives in a handful of bright,
+    smooth marks ("beauty spots") at subject-random positions, so different
+    subjects produce nearly disjoint coarse activation-energy maps."""
     trng = np.random.Generator(np.random.PCG64(params.texture_seed))
-    marks = np.zeros((size, size))
+    a, b = params.face_axes
     # marks cluster in the forehead band, along the eye line, and on the
     # lower face — the regions that carry most of a face's distinctiveness
-    spots = [(cx + trng.uniform(-0.75, 0.75) * a,
-              cy + trng.uniform(-0.95, -0.50) * b) for _ in range(2)]
-    spots += [(cx + trng.uniform(-0.80, 0.80) * a,
-               eye_y + trng.uniform(-3, 3)) for _ in range(4)]
-    spots += [(cx + trng.uniform(-0.70, 0.70) * a,
-               cy + trng.uniform(0.30, 0.85) * b) for _ in range(3)]
-    for mx, my in spots:
+    offsets = [(trng.uniform(-0.75, 0.75) * a, trng.uniform(-0.95, -0.50) * b, False)
+               for _ in range(2)]
+    offsets += [(trng.uniform(-0.80, 0.80) * a, trng.uniform(-3, 3), True) for _ in range(4)]
+    offsets += [(trng.uniform(-0.70, 0.70) * a, trng.uniform(0.30, 0.85) * b, False)
+                for _ in range(3)]
+    marks = []
+    for ox, oy, on_eye_line in offsets:
         sigma = trng.uniform(2.5, 5.0)
         amp = trng.uniform(130, 230)
-        marks += amp * np.exp(-(((xs - mx) ** 2 + (ys - my) ** 2)
-                                / (2 * sigma ** 2)))
+        marks.append((ox, oy, on_eye_line, 2 * sigma ** 2, amp))
     brow_factor = trng.uniform(0.3, 0.7)
     mouth_factor = trng.uniform(0.3, 0.7)
     eye_shade = trng.uniform(5, 30)
@@ -168,37 +164,13 @@ def _render_sample(params: SubjectParams, size: int, seed: int,
     hair_shade = trng.uniform(10, 40)
     nose_halfwidth = trng.uniform(0.06, 0.16) * a
     nose_factor = trng.uniform(1.2, 1.7)
+    return _Look(tuple(marks), (0.25 * params.base_intensity, hair_inner ** 2, hair_shade,
+                                brow_factor, eye_shade, nose_halfwidth, nose_factor,
+                                mouth_factor))
 
-    img = np.full((size, size), _BACKGROUND)
-    img[face] = 0.25 * params.base_intensity
 
-    hair = face & (ellipse > hair_inner ** 2) & (ys < cy - 0.3 * b)
-    img[hair] = hair_shade
-
-    brow_y0 = params.brow_band[0] + dy
-    brow_y1 = params.brow_band[1] + dy
-    brow = face & (ys >= brow_y0) & (ys <= brow_y1)
-    img[brow] *= brow_factor
-
-    eye_r = max(2.0, 0.045 * size)
-    for ex in (xl, xr):
-        eye = (xs - ex) ** 2 + (ys - eye_y) ** 2 <= eye_r ** 2
-        img[eye] = eye_shade
-
-    nose = face & (np.abs(xs - cx) <= nose_halfwidth) \
-        & (ys > cy - 0.05 * b) & (ys < cy + 0.25 * b)
-    img[nose] *= nose_factor
-
-    mouth_y = (params.mouth_band[0] + params.mouth_band[1]) / 2 + dy
-    mouth = face & (np.abs(ys - mouth_y) <= 1.5) & (np.abs(xs - cx) <= 0.4 * a)
-    img[mouth] *= mouth_factor
-
-    img[face] += marks[face]
-
-    img += brightness
-    img += rng.normal(0, 4, size=img.shape)
-    pixels = np.clip(np.rint(img), 0, 255).astype(np.uint8)[:, :, None]
-
+def _landmarks(cx: float, cy: float, a: float, b: float, xl: float, xr: float,
+               eye_y: float, brow_y1: float, mouth_y: float, size: int) -> LandmarkSet:
     hi = size - 1
     # the forehead mask ends in a fringe of 2-px-wide teeth hanging down
     # over the eye line, mimicking hair strands falling over the brow
@@ -215,41 +187,139 @@ def _render_sample(params: SubjectParams, size: int, seed: int,
                    (tooth - 1, fringe_bot), (tooth - 1, fringe_top)]
         tooth -= 6
     fh_pts.append((fx_left, fringe_top))
-    forehead = Polygon(fh_pts)
-    beard_top = cy + 0.22 * b
-    beard_bot = min(cy + b, hi)
-    beard = Polygon([
-        (_clampi(cx - 0.95 * a, 0, hi), _clampi(beard_top, 0, hi)),
-        (_clampi(cx + 0.95 * a, 0, hi), _clampi(beard_top, 0, hi)),
-        (_clampi(cx + 0.55 * a, 0, hi), _clampi(beard_bot, 0, hi)),
-        (_clampi(cx - 0.55 * a, 0, hi), _clampi(beard_bot, 0, hi)),
-    ])
-    lms = LandmarkSet(
-        left_eye=Point(_clampi(xl, 0, hi), _clampi(eye_y, 0, hi)),
-        right_eye=Point(_clampi(xr, 0, hi), _clampi(eye_y, 0, hi)),
-        nose=Point(_clampi(cx, 0, hi), _clampi(cy + 0.15 * b, 0, hi)),
-        mouth_center=Point(_clampi(cx, 0, hi), _clampi(mouth_y, 0, hi)),
-        forehead_polygon=forehead,
-        beard_polygon=beard,
+    beard_top = _clampi(cy + 0.22 * b, 0, hi)
+    beard_bot = _clampi(min(cy + b, hi), 0, hi)
+    beard = [(fx_left, beard_top), (fx_right, beard_top),
+             (_clampi(cx + 0.55 * a, 0, hi), beard_bot), (_clampi(cx - 0.55 * a, 0, hi), beard_bot)]
+    mid_x, eye_row = _clampi(cx, 0, hi), _clampi(eye_y, 0, hi)
+    return LandmarkSet(
+        left_eye=Point(_clampi(xl, 0, hi), eye_row),
+        right_eye=Point(_clampi(xr, 0, hi), eye_row),
+        nose=Point(mid_x, _clampi(cy + 0.15 * b, 0, hi)),
+        mouth_center=Point(mid_x, _clampi(mouth_y, 0, hi)),
+        forehead_polygon=Polygon(fh_pts),
+        beard_polygon=Polygon(beard),
     )
-    return Image(pixels), lms
+
+
+def _paint(cols: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, size, size) float64 images with face, hair, brow, eyes, nose
+    and mouth painted, and the face mask, from _render_block's per-sample
+    (B, 1, 1) columns, which broadcast over (B, size, size)."""
+    (cx, cy, a, b, xl, xr, eye_y, brow_y0, brow_y1, mouth_y, face_shade, hair_r2,
+     hair_shade, brow_factor, eye_shade, nose_halfwidth, nose_factor, mouth_factor) = cols
+    xs = np.arange(size, dtype=np.float64)
+    ys = xs[:, None]
+
+    ellipse = ((xs - cx) / a) ** 2 + ((ys - cy) / b) ** 2
+    face = ellipse <= 1.0
+    img = np.where(face, face_shade, _BACKGROUND)
+
+    hair = face & (ellipse > hair_r2) & (ys < cy - 0.3 * b)
+    np.copyto(img, hair_shade, where=hair)
+
+    brow = face & (ys >= brow_y0) & (ys <= brow_y1)
+    np.multiply(img, brow_factor, out=img, where=brow)
+
+    # both eye disks in one mask: with dl, dr and dy the squared distances along
+    # x to each eye and along y, rounding is monotone, so fl(min(dl, dr) + dy) <=
+    # r**2 exactly when fl(dl + dy) or fl(dr + dy) is
+    eye_dx2 = np.minimum((xs - xl) ** 2, (xs - xr) ** 2)
+    np.copyto(img, eye_shade, where=eye_dx2 + (ys - eye_y) ** 2 <= max(2.0, 0.045 * size) ** 2)
+
+    nose = face & (np.abs(xs - cx) <= nose_halfwidth) \
+        & (ys > cy - 0.05 * b) & (ys < cy + 0.25 * b)
+    np.multiply(img, nose_factor, out=img, where=nose)
+
+    mouth = face & (np.abs(ys - mouth_y) <= 1.5) & (np.abs(xs - cx) <= 0.4 * a)
+    np.multiply(img, mouth_factor, out=img, where=mouth)
+    return img, face
+
+
+def _mark_sums(face: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """The sum of the marks at each pixel of face, in img[face] order, with
+    marks (B, n_marks, 4): each sample's (x, y, 2 sigma**2, amplitude) of each
+    mark. The marks are only ever added inside the face, so the face pixels
+    alone are evaluated."""
+    xs = np.arange(face.shape[2], dtype=np.float64)
+    fx = np.broadcast_to(xs, face.shape)[face]
+    fy = np.broadcast_to(xs[:, None], face.shape)[face]
+    per_sample = np.count_nonzero(face, axis=(1, 2))
+    total = np.zeros(fx.shape[0])
+    for mark in marks.transpose(1, 2, 0):
+        mx, my, s2, amp = np.repeat(mark, per_sample, axis=1)
+        # amp * exp(-(((fx - mx) ** 2 + (fy - my) ** 2) / s2)), in place
+        np.square(np.subtract(fx, mx, out=mx), out=mx)
+        mx += np.square(np.subtract(fy, my, out=my), out=my)
+        np.exp(np.negative(np.divide(mx, s2, out=mx), out=mx), out=mx)
+        total += np.multiply(amp, mx, out=mx)
+    return total
+
+
+def _render_block(subjects: list[tuple[SubjectParams, _Look]], samples: range,
+                  samples_per_subject: int, size: int, seed: int) -> list[DatasetItem]:
+    """Render the given flat sample numbers (subject * samples_per_subject +
+    sample index) as one (B, size, size) float64 block.
+
+    Each pixel goes through the float64 operations, in the order, of a sample
+    rendered alone (the two eye tests as one mask that holds exactly when
+    either does), and each sample's generator makes the same draws (dx, dy,
+    brightness, then the sensor noise), so the bytes do not depend on the
+    block."""
+    rngs, rows, brightness, marks, landmarks = [], [], [], [], []
+    for n in samples:
+        sid, k = divmod(n, samples_per_subject)
+        params, look = subjects[sid]
+        rng = rng_from(seed, 0x5A3, sid, k)
+        dx = rng.uniform(-2.5, 2.5)
+        dy = rng.uniform(-2.5, 2.5)
+        brightness.append(rng.uniform(-12, 12))
+        cx = params.face_center[0] + dx
+        cy = params.face_center[1] + dy
+        a, b = params.face_axes
+        (xl0, eye_y0), (xr0, _) = params.eye_centers
+        xl, xr = xl0 + dx, xr0 + dx
+        eye_y = eye_y0 + dy
+        brow_y0 = params.brow_band[0] + dy
+        brow_y1 = params.brow_band[1] + dy
+        mouth_y = (params.mouth_band[0] + params.mouth_band[1]) / 2 + dy
+        rngs.append(rng)
+        rows.append((cx, cy, a, b, xl, xr, eye_y, brow_y0, brow_y1, mouth_y, *look.shades))
+        marks.append([(cx + ox, (eye_y if on_eye_line else cy) + oy, s2, amp)
+                      for ox, oy, on_eye_line, s2, amp in look.marks])
+        landmarks.append(_landmarks(cx, cy, a, b, xl, xr, eye_y, brow_y1, mouth_y, size))
+
+    img, face = _paint(np.array(rows).T[:, :, None, None], size)
+    img[face] += _mark_sums(face, np.array(marks))
+    img += np.array(brightness)[:, None, None]
+    for plane, rng in zip(img, rngs):
+        plane += rng.normal(0, 4, size=plane.shape)
+    pixels = np.clip(np.rint(img, out=img), 0, 255, out=img).astype(np.uint8)[..., None]
+    return [DatasetItem(Image(px), lms, *divmod(n, samples_per_subject))
+            for px, lms, n in zip(pixels, landmarks, samples)]
 
 
 def generate_dataset(n_subjects: int, samples_per_subject: int,
                      image_size: int, seed: int) -> Dataset:
-    """Render a labeled synthetic dataset; fully determined by seed."""
+    """Render a labeled synthetic dataset; fully determined by seed.
+
+    Samples are rendered in blocks of about _RENDER_PIXELS float64 pixels
+    (at least one image), in subject then sample order, so a block may span
+    subjects and its memory does not grow with the dataset."""
     if n_subjects < 2:
         raise ValueError("need at least 2 subjects")
     if samples_per_subject < 2:
         raise ValueError("need at least 2 samples per subject")
     if image_size < 48:
         raise ValueError("image size must be at least 48")
+    params = [_draw_subject(seed, sid, image_size) for sid in range(n_subjects)]
+    subjects = [(p, _draw_look(p)) for p in params]
+    n = n_subjects * samples_per_subject
+    block = max(1, _RENDER_PIXELS // image_size ** 2)
     items = []
-    for sid in range(n_subjects):
-        params = _draw_subject(seed, sid, image_size)
-        for k in range(samples_per_subject):
-            img, lms = _render_sample(params, image_size, seed, k)
-            items.append(DatasetItem(img, lms, sid, k))
+    for lo in range(0, n, block):
+        items += _render_block(subjects, range(lo, min(lo + block, n)),
+                               samples_per_subject, image_size, seed)
     return Dataset(tuple(items), seed)
 
 

@@ -75,6 +75,126 @@ def point_in_polygon(vertices, x: float, y: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Synthetic faces
+# ---------------------------------------------------------------------------
+
+def render_sample_loop(params, size: int, seed: int, sample_index: int):
+    """The earlier per-image renderer, one sample at a time: (Image, LandmarkSet)
+    of sample sample_index of the subject drawn as params."""
+    from advface.imagecore import Image, Point, Polygon
+    from advface.seeds import rng_from
+    from advface.synthface import _BACKGROUND, LandmarkSet, _clampi
+
+    rng = rng_from(seed, 0x5A3, params.subject_id, sample_index)
+    dx = rng.uniform(-2.5, 2.5)
+    dy = rng.uniform(-2.5, 2.5)
+    brightness = rng.uniform(-12, 12)
+
+    cx = params.face_center[0] + dx
+    cy = params.face_center[1] + dy
+    a, b = params.face_axes
+    (xl0, eye_y0), (xr0, _) = params.eye_centers
+    xl, xr = xl0 + dx, xr0 + dx
+    eye_y = eye_y0 + dy
+
+    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
+    ellipse = ((xs - cx) / a) ** 2 + ((ys - cy) / b) ** 2
+    face = ellipse <= 1.0
+
+    # subject-specific appearance, all deterministic in texture_seed:
+    # most of the image energy lives in a handful of bright, smooth marks
+    # ("beauty spots") at subject-random positions, so different subjects
+    # produce nearly disjoint coarse activation-energy maps
+    trng = np.random.Generator(np.random.PCG64(params.texture_seed))
+    marks = np.zeros((size, size))
+    # marks cluster in the forehead band, along the eye line, and on the
+    # lower face — the regions that carry most of a face's distinctiveness
+    spots = [(cx + trng.uniform(-0.75, 0.75) * a,
+              cy + trng.uniform(-0.95, -0.50) * b) for _ in range(2)]
+    spots += [(cx + trng.uniform(-0.80, 0.80) * a,
+               eye_y + trng.uniform(-3, 3)) for _ in range(4)]
+    spots += [(cx + trng.uniform(-0.70, 0.70) * a,
+               cy + trng.uniform(0.30, 0.85) * b) for _ in range(3)]
+    for mx, my in spots:
+        sigma = trng.uniform(2.5, 5.0)
+        amp = trng.uniform(130, 230)
+        marks += amp * np.exp(-(((xs - mx) ** 2 + (ys - my) ** 2)
+                                / (2 * sigma ** 2)))
+    brow_factor = trng.uniform(0.3, 0.7)
+    mouth_factor = trng.uniform(0.3, 0.7)
+    eye_shade = trng.uniform(5, 30)
+    hair_inner = trng.uniform(0.6, 0.9)
+    hair_shade = trng.uniform(10, 40)
+    nose_halfwidth = trng.uniform(0.06, 0.16) * a
+    nose_factor = trng.uniform(1.2, 1.7)
+
+    img = np.full((size, size), _BACKGROUND)
+    img[face] = 0.25 * params.base_intensity
+
+    hair = face & (ellipse > hair_inner ** 2) & (ys < cy - 0.3 * b)
+    img[hair] = hair_shade
+
+    brow_y0 = params.brow_band[0] + dy
+    brow_y1 = params.brow_band[1] + dy
+    brow = face & (ys >= brow_y0) & (ys <= brow_y1)
+    img[brow] *= brow_factor
+
+    eye_r = max(2.0, 0.045 * size)
+    for ex in (xl, xr):
+        eye = (xs - ex) ** 2 + (ys - eye_y) ** 2 <= eye_r ** 2
+        img[eye] = eye_shade
+
+    nose = face & (np.abs(xs - cx) <= nose_halfwidth) \
+        & (ys > cy - 0.05 * b) & (ys < cy + 0.25 * b)
+    img[nose] *= nose_factor
+
+    mouth_y = (params.mouth_band[0] + params.mouth_band[1]) / 2 + dy
+    mouth = face & (np.abs(ys - mouth_y) <= 1.5) & (np.abs(xs - cx) <= 0.4 * a)
+    img[mouth] *= mouth_factor
+
+    img[face] += marks[face]
+
+    img += brightness
+    img += rng.normal(0, 4, size=img.shape)
+    pixels = np.clip(np.rint(img), 0, 255).astype(np.uint8)[:, :, None]
+
+    hi = size - 1
+    # the forehead mask ends in a fringe of 2-px-wide teeth hanging down
+    # over the eye line, mimicking hair strands falling over the brow
+    fringe_top = _clampi(brow_y1, 0, hi)
+    fringe_bot = _clampi(eye_y + 5, 0, hi)
+    fx_left = _clampi(cx - 0.95 * a, 0, hi)
+    fx_right = _clampi(cx + 0.95 * a, 0, hi)
+    fh_pts = [(fx_left, _clampi(cy - b, 0, hi)),
+              (fx_right, _clampi(cy - b, 0, hi)),
+              (fx_right, fringe_top)]
+    tooth = fx_right - 3
+    while tooth - 1 > fx_left and fringe_bot > fringe_top:
+        fh_pts += [(tooth, fringe_top), (tooth, fringe_bot),
+                   (tooth - 1, fringe_bot), (tooth - 1, fringe_top)]
+        tooth -= 6
+    fh_pts.append((fx_left, fringe_top))
+    forehead = Polygon(fh_pts)
+    beard_top = cy + 0.22 * b
+    beard_bot = min(cy + b, hi)
+    beard = Polygon([
+        (_clampi(cx - 0.95 * a, 0, hi), _clampi(beard_top, 0, hi)),
+        (_clampi(cx + 0.95 * a, 0, hi), _clampi(beard_top, 0, hi)),
+        (_clampi(cx + 0.55 * a, 0, hi), _clampi(beard_bot, 0, hi)),
+        (_clampi(cx - 0.55 * a, 0, hi), _clampi(beard_bot, 0, hi)),
+    ])
+    lms = LandmarkSet(
+        left_eye=Point(_clampi(xl, 0, hi), _clampi(eye_y, 0, hi)),
+        right_eye=Point(_clampi(xr, 0, hi), _clampi(eye_y, 0, hi)),
+        nose=Point(_clampi(cx, 0, hi), _clampi(cy + 0.15 * b, 0, hi)),
+        mouth_center=Point(_clampi(cx, 0, hi), _clampi(mouth_y, 0, hi)),
+        forehead_polygon=forehead,
+        beard_polygon=beard,
+    )
+    return Image(pixels), lms
+
+
+# ---------------------------------------------------------------------------
 # Filtering and convolution
 # ---------------------------------------------------------------------------
 
@@ -266,6 +386,15 @@ def canberra(rows, b) -> np.ndarray:
     out = np.empty(rows.shape[0])
     _canberra_rows(rows, b, den_b, out, _canberra_scratch(rows.shape[0], [b.shape[0]]))
     return out
+
+
+def canberra_target_masked(b) -> tuple[np.ndarray, np.ndarray]:
+    """The earlier _canberra_target: b as a float64 vector, and |b| with the
+    zeros found by a mask and raised to 2**-1074 by a fancy assignment."""
+    b = np.asarray(b, dtype=np.float64).ravel()
+    den_b = np.abs(b)
+    den_b[den_b == 0] = np.nextafter(0.0, 1.0)
+    return b, den_b
 
 
 def canberra_masked(a, b) -> np.ndarray:

@@ -33,6 +33,7 @@ from advface.mitigator import MitigationPlan, mitigate_batch
 from advface.imagecore import FormatError
 
 from oracles import (_fit_hinge_loop, canberra, canberra_loop, canberra_masked,
+                     canberra_target_masked,
                      mean_reps_loop, train_detector_loop)
 
 
@@ -271,6 +272,19 @@ class TestCanberra:
             a[:, 0], b[0] = 0, 0
         got = canberra(a, b)
         assert np.array_equal(got, canberra_masked(a, b))
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(0, 300),
+           special=st.sampled_from([0.0, -0.0, 2.0 ** -1074, -2.0 ** -1074, np.inf, -np.inf,
+                                    np.nan]))
+    def test_target_bitwise_equals_masked_form(self, seed, length, special):
+        rng = np.random.default_rng(seed)
+        # mixed signs over the whole float64 range, some entries replaced by special
+        b = rng.normal(size=length) * 2.0 ** rng.integers(-1074, 30, size=length)
+        b[rng.random(length) < 0.3] = special
+        for got, want in zip(detector._canberra_target(b), canberra_target_masked(b)):
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=100)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 15, 16, 17, 33]),

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +10,15 @@ from advface.imagecore import Point, Polygon
 from advface.synthface import (
     Dataset,
     LandmarkSet,
+    _draw_subject,
     generate_dataset,
     load_dataset,
     save_dataset,
     split_protocol,
 )
 from advface.verifybench import score_matrix
+
+from oracles import render_sample_loop
 
 
 class TestGeneration:
@@ -84,6 +89,51 @@ class TestGeneration:
         diff = np.mean(within) - np.mean(across)
         pooled = np.sqrt((np.var(within) + np.var(across)) / 2)
         assert diff / pooled >= 0.5
+
+
+class TestBlockRenderer:
+    # (subjects, samples per subject, size, seed): sample counts on both sides of
+    # the 8-image block at 64x64 (3 at 96x96, 14 at 48x48), seeds 1000 * family +
+    # slot as the benchmark draws them
+    @pytest.mark.parametrize("shape", [
+        (3, 2, 64, 1001), (5, 3, 48, 2002), (50, 4, 64, 1002), (4, 10, 96, 3005),
+        (3, 17, 64, 7003), (2, 40, 48, 4001), (2, 40, 96, 5002), (3, 17, 96, 6004),
+    ], ids=lambda s: "x".join(map(str, s)))
+    def test_bytes_equal_the_per_image_oracle(self, shape):
+        n_subjects, samples, size, seed = shape
+        ds = generate_dataset(n_subjects, samples, size, seed)
+        assert [(it.subject_id, it.sample_index) for it in ds.items] == \
+            [(sid, k) for sid in range(n_subjects) for k in range(samples)]
+        for it in ds.items:
+            img, lms = render_sample_loop(_draw_subject(seed, it.subject_id, size), size,
+                                          seed, it.sample_index)
+            assert it.image.pixels.shape == img.pixels.shape == (size, size, 1)
+            assert it.image.pixels.tobytes() == img.pixels.tobytes(), (it.subject_id,
+                                                                       it.sample_index)
+            assert it.landmarks == lms, (it.subject_id, it.sample_index)
+
+    def test_pinned_digest(self):
+        # recorded with the per-image renderer, so the oracle and the block
+        # renderer cannot drift together
+        ds = generate_dataset(3, 5, 64, seed=1001)
+        h = hashlib.sha256(ds.pixel_batch().tobytes())
+        h.update(json.dumps([it.landmarks.to_json_dict() for it in ds.items]).encode())
+        assert h.hexdigest() == \
+            "a0a7a8fd42951821ab73daadd75ece0c0c07c6fbf5fe1f26a2f28f9bfc4af5db"
+
+    def test_peak_of_80_images_below_3_mib(self):
+        generate_dataset(2, 2, 64, seed=0)   # lazy NumPy state is not the renderer's
+        tracemalloc.start()
+        try:
+            ds = generate_dataset(2, 40, 64, seed=1001)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output (80 images and their landmarks) is 0.6 MiB; 8-image blocks
+        # peak 1.7 MiB above it, 16-image blocks 3.4, 40-image blocks (one per
+        # subject) 8.6 and one 80-image block 16.4
+        assert len(ds) == 80
+        assert peak - current < 3 * 2**20
 
 
 class TestSplitProtocol:
