@@ -28,9 +28,12 @@ def _seeded_network(seed: int) -> featnet.NetworkModel:
 
 
 def _load_network(args) -> featnet.NetworkModel:
-    if getattr(args, "weights", None):
-        return featnet.load_weights(args.weights)
-    return _seeded_network(args.net_seed)
+    # --net-seed defaults to None, so only a seed given by flag or config conflicts
+    if not args.weights:
+        return _seeded_network(args.net_seed or 0)
+    if args.net_seed is not None:
+        raise ValueError("--weights and --net-seed name two networks: give one")
+    return featnet.load_weights(args.weights)
 
 
 def _cmd_gen_data(args):
@@ -153,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def net_flags(sp):
         sp.add_argument("--weights", help="FNET1 weight file (default: seeded network)")
-        sp.add_argument("--net-seed", type=int, default=0)
+        sp.add_argument("--net-seed", type=int, help="seed of the default network (default: 0)")
 
     sp = sub.add_parser("gen-data", help="generate a synthetic labeled dataset")
     sp.add_argument("--subjects", type=int, required=True)

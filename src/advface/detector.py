@@ -72,10 +72,9 @@ def compute_mean_reps(model: NetworkModel, clean_images: np.ndarray) -> MeanReps
     """
     sums = [np.zeros(length) for length in model.tap_lengths()]
 
-    def add_rows(lo: int, hi: int, taps: dict) -> None:
-        for k, t in taps.items():
-            for row in t:
-                np.add(sums[k], row, out=sums[k])
+    def add_rows(k: int, lo: int, hi: int, rows: np.ndarray) -> None:
+        for row in rows:
+            np.add(sums[k], row, out=sums[k])
 
     for _ in featnet.forward_chunks(model, clean_images, add_rows):
         pass  # the reducer fills sums
@@ -148,13 +147,13 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps,
                               f"the network's tap {i} has {length}")
     targets = [_canberra_target(mu) for mu in mean_reps.means]
     feats = np.empty((images.shape[0], len(targets)))
-    # made here, not in a worker thread (see featnet._parallel_blocks); the
-    # reducer's calls run one at a time, so one scratch serves them all
+    # made here, not in the reducer: by featnet's reducer contract a reducer may
+    # run in a pool thread, whose own malloc arena would keep it, but one call
+    # at a time, so one scratch serves every call
     scratch = _canberra_scratch(images.shape[0], model.tap_lengths())
 
-    def features(lo: int, hi: int, taps: dict) -> None:
-        for k, t in taps.items():
-            _canberra_rows(t, *targets[k], feats[lo:hi, k], scratch)
+    def features(k: int, lo: int, hi: int, rows: np.ndarray) -> None:
+        _canberra_rows(rows, *targets[k], feats[lo:hi, k], scratch)
 
     return np.vstack(list(featnet.forward_chunks(model, images, features))), feats
 

@@ -210,24 +210,17 @@ _new_pool()
 os.register_at_fork(after_in_child=_new_pool)
 
 
-def _threads(n: int, step: int) -> int:
-    """Threads, each with its own scratch, that _parallel_blocks(n, step, ...) uses."""
-    return max(1, min(_WORKERS, -(-n // step)))
-
-
-def _parallel_blocks(n: int, step: int, alloc, fn, then=None) -> None:
+def _parallel_blocks(n: int, step: int, scratches: list, fn, then=None) -> None:
     """Call fn(scratch, lo, hi) for every block [lo, hi) of range(0, n, step).
 
-    The calling thread and up to _WORKERS - 1 threads of a shared pool each
-    take the next unclaimed block until none is left. A thread that starts
-    late, or shares its CPU, does fewer blocks instead of holding up a fixed
-    share, and the caller never waits for a helper to start, only for blocks
-    already running. Each thread gets its own scratch from alloc(). fn must
-    compute each block independently of the others, so the output bytes do
-    not depend on the worker count or on which thread ran which block.
-    alloc() is called in this thread: buffers allocated in a worker land in
-    that thread's own malloc arena, which raised peak RSS by over 10%.
-    With one thread (one block, or one CPU) the pool is never touched.
+    One thread runs per scratch given, each with its own: the calling thread
+    with scratches[0], a thread of a shared pool with each other. Each takes
+    the next unclaimed block until none is left. A thread that starts late,
+    or shares its CPU, does fewer blocks instead of holding up a fixed share,
+    and the caller never waits for a helper to start, only for blocks
+    already running. fn must compute each block independently of the others,
+    so the output bytes do not depend on the thread count or on which thread
+    ran which block. With one scratch the pool is never touched.
 
     If given, then(scratch, lo, hi) runs right after fn, one block at a time
     in order of lo, each block waiting for the one before it (claimed earlier,
@@ -263,7 +256,6 @@ def _parallel_blocks(n: int, step: int, alloc, fn, then=None) -> None:
                     turn.notify_all()
                 raise
 
-    scratches = [alloc() for _ in range(_threads(n, step))]
     helpers = [_pool.submit(run, scratch) for scratch in scratches[1:]]
     try:
         run(scratches[0])
@@ -357,15 +349,15 @@ def forward_batch(model: NetworkModel, images: np.ndarray, reduce=None):
     """Run the network on a (N, H, W, C) uint8 batch.
 
     Returns (embeddings (N, D), taps: list of (N, lambda_i) float arrays, one
-    per tap point). With a reducer the list is empty and no tap is kept: each
-    goes to reduce(lo, hi, taps), taps a dict from tap ordinal to the float32
-    rows [lo, hi), valid during the call only. Taps before the split (the
-    first flatten or dense) come block by block, from the block's worker
-    thread while it is still in cache, one call at a time in row order; the
-    rest come in one call for all N rows after the tail. So a reducer may
-    reuse one scratch of its own and add rows in order. It calls no public
-    advface function: the benchmark's tracer wraps those, and its span stack
-    is not thread-safe.
+    per tap point). With a reducer the list is empty and no tap is kept:
+    reduce(k, lo, hi, rows) gets tap k's float32 rows [lo, hi), valid during
+    the call only. Taps before the split (the first flatten or dense) come
+    block by block, from the block's worker thread while it is still in
+    cache, one call at a time in row order, tap by tap within a block; the
+    rest come in one call per tap for all N rows after the tail. So a reducer
+    may reuse one scratch of its own and add rows in order. It calls no
+    public advface function: the benchmark's tracer wraps those, and its
+    span stack is not thread-safe.
 
     Depth-first: every stage, input scaling first, runs in one loop over a
     block of rows, writing where _homes places it. One _parallel_blocks call
@@ -404,10 +396,11 @@ def forward_batch(model: NetworkModel, images: np.ndarray, reduce=None):
                 if kind == "buf"}
         return np.empty(col_len, np.float32), pads, bufs
 
-    # every thread's scratch first, then the output arrays in layer order:
-    # allocated the other way round, they left holes in the heap that raised
+    # every thread's scratch is made here, not in its thread, whose own malloc
+    # arena raised peak RSS by over 10%; and first, then the output arrays in
+    # layer order: the other way round left holes in the heap that raised
     # train-detect's and defend-eval's peak RSS by 10-13%
-    scratches = [alloc() for _ in range(_threads(n, _CONV_BLOCK))]
+    scratches = [alloc() for _ in range(max(1, min(_WORKERS, -(-n // _CONV_BLOCK))))]
     full = {}
     for j in sorted({j for kind, j in home.values() if kind == "full"}):
         full[j] = (full[home[j - 1][1]].reshape(n, -1) if j >= 0 and layers[j].kind == "flatten"
@@ -447,17 +440,21 @@ def forward_batch(model: NetworkModel, images: np.ndarray, reduce=None):
                 y[...] = l2_normalize(x)
             x = y  # a flatten's y is already a view of x
 
-    def hand_over(scratch, lo: int, hi: int, late: bool = False) -> None:
-        reduce(lo, hi, {k: out(scratch, lo, hi, t).reshape(hi - lo, -1)
-                        for k, t in enumerate(model.tap_points) if (t >= split) == late})
+    early = [(k, t) for k, t in enumerate(model.tap_points) if t < split]
+    late = [(k, t) for k, t in enumerate(model.tap_points) if t >= split]
 
-    _parallel_blocks(n, _CONV_BLOCK, scratches.pop, run, None if reduce is None else hand_over)
+    def hand_over(scratch, lo: int, hi: int, taps=early) -> None:
+        for k, t in taps:
+            reduce(k, lo, hi, out(scratch, lo, hi, t).reshape(hi - lo, -1))
+
+    _parallel_blocks(n, _CONV_BLOCK, scratches, run,
+                     hand_over if reduce is not None and early else None)
+    del scratches  # freed before the tail, which needs none
     tail = (None, {}, {})  # every home from the split on is "full"
     run(tail, 0, n, range(split, len(layers)))
     if reduce is None:
         return full[len(layers) - 1], [full[t].reshape(n, -1) for t in model.tap_points]
-    if model.tap_points and model.tap_points[-1] >= split:
-        hand_over(tail, 0, n, late=True)
+    hand_over(tail, 0, n, late)
     return full[len(layers) - 1], []
 
 
@@ -471,8 +468,8 @@ def forward_chunks(model: NetworkModel, images: np.ndarray, reduce=None):
     if reduce is None:
         model = replace(model, tap_points=())
     for lo in range(0, images.shape[0], FORWARD_CHUNK):
-        def part(a: int, b: int, taps: dict, lo: int = lo) -> None:
-            reduce(lo + a, lo + b, taps)
+        def part(k: int, a: int, b: int, rows: np.ndarray, lo: int = lo) -> None:
+            reduce(k, lo + a, lo + b, rows)
         yield forward_batch(model, images[lo : lo + FORWARD_CHUNK],
                             None if reduce is None else part)[0]
 

@@ -153,19 +153,10 @@ class Polygon:
         verts = tuple(Point(int(x), int(y)) for x, y in vertices)
         if len(verts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        if abs(_shoelace(verts)) <= 0:
+        # twice the signed (shoelace) area, in exact integers
+        if not sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1])):
             raise ValueError("degenerate polygon (zero area)")
         object.__setattr__(self, "vertices", verts)
-
-
-def _shoelace(verts) -> float:
-    area2 = 0.0
-    n = len(verts)
-    for i in range(n):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % n]
-        area2 += x0 * y1 - x1 * y0
-    return area2 / 2.0
 
 
 # ---------------------------------------------------------------------------

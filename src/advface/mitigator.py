@@ -112,13 +112,13 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
     responses = NetworkModel(model.layers[: max(taps, default=-1) + 1], taps, model.input_spec)
     images = np.stack([p[k].pixels for p in pairs for k in (0, 1)])
     norms = [np.empty((len(pairs), n)) for n in model.conv_filter_counts()]
-    # one image's float64 difference, made here, not in a worker thread (see
-    # featnet._parallel_blocks); the reducer's calls run one at a time
+    # one image's float64 difference, made here, not in the reducer: by
+    # featnet's reducer contract a reducer may run in a pool thread, whose own
+    # malloc arena would keep it, but one call at a time, so one buffer serves all
     diff = np.empty(max(responses.tap_lengths(), default=0))
 
-    def pair_norms(lo: int, hi: int, maps: dict) -> None:
-        for k, t in maps.items():
-            _pair_norms(t, norms[k][lo // 2 : hi // 2], diff)
+    def pair_norms(k: int, lo: int, hi: int, rows: np.ndarray) -> None:
+        _pair_norms(rows, norms[k][lo // 2 : hi // 2], diff)
 
     for _ in forward_chunks(responses, images, pair_norms):
         pass  # the reducer fills norms

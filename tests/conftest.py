@@ -30,6 +30,23 @@ def default_model():
     return default_network(0)
 
 
+@pytest.fixture
+def forwards(monkeypatch):
+    """The (model, image count) of each featnet.forward_batch call, in call order;
+    each call still runs. List it after the fixtures whose setup forwards."""
+    from advface import featnet
+
+    calls = []
+    real = featnet.forward_batch
+
+    def recording(model, images, *args, **kwargs):
+        calls.append((model, images.shape[0]))
+        return real(model, images, *args, **kwargs)
+
+    monkeypatch.setattr(featnet, "forward_batch", recording)
+    return calls
+
+
 def random_landmarks(rng: np.random.Generator, size: int):
     """A valid LandmarkSet with simple rectangular masks on a size x size image."""
     from advface.imagecore import Point, Polygon

@@ -261,7 +261,7 @@ class TestProcessCache:
         assert not np.array_equal(a.layers[0].weights, b.layers[0].weights)
 
     def test_weights_file_is_read_on_every_call(self, pipeline):
-        args = argparse.Namespace(weights=pipeline["extracted"] / "network.fnet", net_seed=0)
+        args = argparse.Namespace(weights=pipeline["extracted"] / "network.fnet", net_seed=None)
         assert cli._load_network(args) is not cli._load_network(args)
 
     def test_repeated_detect_and_mitigate_print_the_same_bytes(self, pipeline, tmp_path,
@@ -462,6 +462,30 @@ class TestErrors:
                 "", f"usage error: clean and distorted datasets must pair up 1:1: {message}\n")
             assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "flag-0", "config"])
+    @pytest.mark.parametrize("command", ["extract", "train-detector", "detect", "sensitivity",
+                                         "mitigate", "evaluate"])
+    def test_weights_with_a_net_seed_is_usage_error(self, tmp_path, capsys, forwards, command,
+                                                    source):
+        # no file named exists: the conflict is found before any is read
+        missing = tmp_path / "missing"
+        files = {"extract": ["--dataset", "--out"],
+                 "train-detector": ["--mean-reps", "--clean", "--distorted", "--out"],
+                 "detect": ["--detector", "--image"],
+                 "sensitivity": ["--clean", "--distorted", "--out"],
+                 "mitigate": ["--plan", "--image", "--out"],
+                 "evaluate": ["--dataset", "--distortion", "--out"]}[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"net_seed": 2}))
+        seed = {"flag": ["--net-seed", 2], "flag-0": ["--net-seed", 0], "config": []}[source]
+        config = ["--config", cfg] if source == "config" else []
+        assert run(*config, command, "--weights", missing / "net.fnet", *seed,
+                   *(a for flag in files for a in (flag, missing / flag[2:]))) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "usage error: --weights and --net-seed name two networks: give one\n")
+        assert forwards == [] and not missing.exists()
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run("distort", "--spec", tmp_path / "nope.json",
                    "--in", tmp_path, "--out", tmp_path / "o") == 1
@@ -474,21 +498,13 @@ class TestErrors:
         assert "Traceback" not in err
 
     def test_report_path_that_is_a_directory_is_usage_error(self, pipeline, tmp_path,
-                                                             capsys, monkeypatch):
-        forwarded = []
-        real = featnet.forward_batch
-
-        def counting(model, images, *args, **kw):
-            forwarded.append(images.shape[0])
-            return real(model, images, *args, **kw)
-
-        monkeypatch.setattr(featnet, "forward_batch", counting)
+                                                             capsys, forwards):
         assert run("evaluate", "--net-seed", 1, "--dataset", pipeline["data"],
                    "--distortion", pipeline["spec"], "--out", tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: [Errno") and err.count("\n") == 1
         assert "Traceback" not in err
-        assert forwarded == []  # the bad --out is found before the protocol runs
+        assert forwards == []  # the bad --out is found before the protocol runs
 
     @pytest.mark.parametrize("fields", [
         dict(conv_w=np.full((2, 1, 3, 3), np.nan)),
@@ -676,94 +692,67 @@ class TestErrors:
 
     @pytest.mark.parametrize("n_taps", [4, 0])
     def test_mean_reps_short_of_the_network_taps_is_data_error(self, pipeline, tmp_path,
-                                                               capsys, monkeypatch, n_taps):
+                                                               capsys, forwards, n_taps):
         # detector and mean reps agree with each other, but not with the network
         doc = json.loads(pipeline["detector"].read_text())
         reps = load_mean_reps(pipeline["detector"].parent / doc["mean_reps_path"])
         save_mean_reps(MeanReps(reps.means[:n_taps], reps.n_train), tmp_path / "reps.mrep")
         doc.update({k: doc[k][:n_taps] for k in ("w", "feat_mean", "feat_std")},
                    n_layers=n_taps, mean_reps_path="reps.mrep")
-        self._assert_refused_before_forwarding(pipeline, tmp_path, capsys, monkeypatch, doc,
+        self._assert_refused_before_forwarding(pipeline, tmp_path, capsys, forwards, doc,
                                                f"error: mean reps hold {n_taps} taps, "
                                                "the network has 5\n")
 
     def test_mean_length_differing_from_its_tap_is_data_error(self, pipeline, tmp_path,
-                                                              capsys, monkeypatch):
+                                                              capsys, forwards):
         doc = json.loads(pipeline["detector"].read_text())
         reps = load_mean_reps(pipeline["detector"].parent / doc["mean_reps_path"])
         save_mean_reps(MeanReps((reps.means[0][:100], *reps.means[1:]), reps.n_train),
                        tmp_path / "reps.mrep")
         doc["mean_reps_path"] = "reps.mrep"
-        self._assert_refused_before_forwarding(pipeline, tmp_path, capsys, monkeypatch, doc,
+        self._assert_refused_before_forwarding(pipeline, tmp_path, capsys, forwards, doc,
                                                "error: mean reps tap 0 holds 100 values, "
                                                "the network's tap 0 has 32768\n")
 
-    def _assert_refused_before_forwarding(self, pipeline, tmp_path, capsys, monkeypatch, doc,
+    def _assert_refused_before_forwarding(self, pipeline, tmp_path, capsys, forwards, doc,
                                           expected):
         """detect, then evaluate with a plan, refuse the detector before any forward pass."""
-        forwarded = self._count_forwards(monkeypatch)
         self._assert_detect_data_error(pipeline, tmp_path, capsys, doc, expected)
         assert run("evaluate", "--net-seed", 1, "--dataset", pipeline["data"],
                    "--distortion", pipeline["spec"], "--detector", tmp_path / "detector.json",
                    "--plan", pipeline["plan"], "--out", tmp_path / "r.csv") == 2
         assert capsys.readouterr().err == expected
-        assert forwarded == []
-
-    @staticmethod
-    def _count_forwards(monkeypatch) -> list:
-        forwarded = []
-        real = featnet.forward_batch
-
-        def counting(model, images, *args, **kw):
-            forwarded.append(images.shape[0])
-            return real(model, images, *args, **kw)
-
-        monkeypatch.setattr(featnet, "forward_batch", counting)
-        return forwarded
+        assert forwards == []
 
     @pytest.mark.parametrize("doc, message", [
         ({"kind": "xmsb", "phi": [0.1]}, "phi must be three fractions in [0, 1]"),
         ({"kind": "foo"}, "unknown distortion kind 'foo'"),
         ({"kind": "ero", "psi": -1}, "psi must be positive"),
     ], ids=["phi-one-entry", "unknown-kind", "negative-psi"])
-    def test_invalid_spec_fails_on_load(self, pipeline, tmp_path, capsys, monkeypatch,
+    def test_invalid_spec_fails_on_load(self, pipeline, tmp_path, capsys, forwards,
                                         doc, message):
-        forwarded = self._count_forwards(monkeypatch)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         assert run("evaluate", "--net-seed", 1, "--dataset", pipeline["data"],
                    "--distortion", spec, "--out", tmp_path / "r.csv") == 2
         assert capsys.readouterr().err == f"error: distortion spec: {message}\n"
-        assert forwarded == []
+        assert forwards == []
 
     @pytest.mark.parametrize("given", ["detector", "plan"])
     def test_defence_with_half_its_inputs_is_usage_error(self, pipeline, tmp_path, capsys,
-                                                         monkeypatch, given):
-        forwarded = self._count_forwards(monkeypatch)
+                                                         forwards, given):
         assert run("evaluate", "--net-seed", 1, "--dataset", pipeline["data"],
                    "--distortion", pipeline["spec"], f"--{given}", pipeline[given],
                    "--out", tmp_path / "r.csv") == 1
         assert capsys.readouterr().err == (
             "usage error: the corrected condition needs both a detector and a plan, "
             f"got only the {given}\n")
-        assert forwarded == []
+        assert forwards == []
 
 
 class TestOutOfRangeInputs:
     """Bad C values, protocol parameters and plan values end in one line,
     and those found on load end before any forward pass."""
-
-    @staticmethod
-    def _count_forwards(monkeypatch) -> list:
-        forwarded = []
-        real = featnet.forward_batch
-
-        def counting(model, images, *args, **kw):
-            forwarded.append(images.shape[0])
-            return real(model, images, *args, **kw)
-
-        monkeypatch.setattr(featnet, "forward_batch", counting)
-        return forwarded
 
     @staticmethod
     def _one_line(capsys, start: str) -> str:
@@ -773,14 +762,13 @@ class TestOutOfRangeInputs:
         return err
 
     @pytest.mark.parametrize("c", ["-1", "0", "nan", "inf"])
-    def test_c_grid_is_usage_error(self, pipeline, tmp_path, capsys, monkeypatch, c):
-        forwarded = self._count_forwards(monkeypatch)
+    def test_c_grid_is_usage_error(self, pipeline, tmp_path, capsys, forwards, c):
         assert run("train-detector", "--net-seed", 1,
                    "--mean-reps", pipeline["extracted"] / "mean_reps.mrep",
                    "--clean", pipeline["data"], "--distorted", pipeline["distorted"],
                    "--c-grid", "1", c, "--out", tmp_path / "det") == 1
         assert str(float(c)) in self._one_line(capsys, "usage error: C grid")
-        assert forwarded == []
+        assert forwards == []
         assert not (tmp_path / "det").exists()
 
     def test_c_that_overflows_the_fit_is_usage_error(self, pipeline, tmp_path, capsys):
@@ -831,30 +819,28 @@ class TestOutOfRangeInputs:
                                              ("--far", 0), ("--far", 1.5)])
     @pytest.mark.parametrize("defended", [False, True], ids=["plain", "defended"])
     def test_protocol_parameter_fails_before_forwarding(self, pipeline, tmp_path, capsys,
-                                                        monkeypatch, flag, value, defended):
-        forwarded = self._count_forwards(monkeypatch)
+                                                        forwards, flag, value, defended):
         defence = ["--detector", pipeline["detector"], "--plan", pipeline["plan"]]
         assert run("evaluate", "--net-seed", 1, "--dataset", pipeline["data"],
                    "--distortion", pipeline["spec"], *(defence if defended else []),
                    flag, value, "--out", tmp_path / "r.csv") == 1
         assert capsys.readouterr().err == \
             "usage error: far_target must be in (0, 1) and fraction in [0, 1]\n"
-        assert forwarded == []
+        assert forwards == []
 
     def test_set_with_no_genuine_pair_fails_before_forwarding(self, pipeline, tmp_path,
-                                                                capsys, monkeypatch):
+                                                                capsys, forwards):
         data = tmp_path / "data"
         shutil.copytree(pipeline["data"], data)
         doc = json.loads((data / "manifest.json").read_text())
         for i, e in enumerate(doc["images"]):  # 4 images of 4 subjects
             e["subject_id"] = i
         (data / "manifest.json").write_text(json.dumps(doc))
-        forwarded = self._count_forwards(monkeypatch)
         assert run("evaluate", "--net-seed", 1, "--dataset", data,
                    "--distortion", pipeline["spec"], "--out", tmp_path / "r.csv") == 2
         assert capsys.readouterr().err == \
             "error: need at least one genuine and one impostor pair\n"
-        assert forwarded == []
+        assert forwards == []
 
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
         from advface import synthface
@@ -878,21 +864,19 @@ class TestOutOfRangeInputs:
         {"eta": 1, "kappa": float("nan"), "mask": []},
     ], ids=["eta-5-kappa-7.5", "eta-0", "kappa-negative", "kappa-1.5", "kappa-nan"])
     def test_plan_value_out_of_range_is_data_error(self, pipeline, tmp_path, capsys,
-                                                   monkeypatch, doc):
-        forwarded = self._count_forwards(monkeypatch)
+                                                   forwards, doc):
         (tmp_path / "plan.json").write_text(json.dumps(doc))
         img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
         assert run("mitigate", "--net-seed", 1, "--plan", tmp_path / "plan.json",
                    "--image", img, "--out", tmp_path / "emb.json") == 2
         self._one_line(capsys, "error: mitigation plan: need eta >= 1 and kappa in [0, 1]")
-        assert forwarded == []
+        assert forwards == []
 
     @pytest.mark.parametrize("mask, entry", [([[7, 0]], "(7, 0)"), ([[0, 99]], "(0, 99)"),
                                              ([[0, 1], [-1, 0]], "(-1, 0)")])
     @pytest.mark.parametrize("command", ["mitigate", "evaluate"])
     def test_plan_mask_the_network_lacks_is_data_error(self, pipeline, tmp_path, capsys,
-                                                       monkeypatch, mask, entry, command):
-        forwarded = self._count_forwards(monkeypatch)
+                                                       forwards, mask, entry, command):
         (tmp_path / "plan.json").write_text(json.dumps({"eta": 1, "kappa": 0.25,
                                                         "mask": mask}))
         img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
@@ -903,7 +887,7 @@ class TestOutOfRangeInputs:
                    *args[command]) == 2
         assert capsys.readouterr().err == \
             f"error: mitigation plan: mask entry {entry} references no conv filter\n"
-        assert forwarded == []
+        assert forwards == []
 
 
 _BIG = 10**400  # a 400-digit JSON integer: no float64 or int64 holds it
@@ -938,13 +922,12 @@ class TestJsonDataFiles:
                              ids=["truncated", "not-utf8", "5000-digit-int"])
     @pytest.mark.parametrize("kind", ["sensitivity table", "mitigation plan", "distortion spec",
                                       "detector", "manifest"])
-    def test_file_that_is_not_json_is_data_error(self, pipeline, tmp_path, capsys, monkeypatch,
+    def test_file_that_is_not_json_is_data_error(self, pipeline, tmp_path, capsys, forwards,
                                                  kind, content):
-        forwarded = TestOutOfRangeInputs._count_forwards(monkeypatch)
         assert run(*self._argv(pipeline, tmp_path, kind, content)) == 2
         err = TestOutOfRangeInputs._one_line(capsys, f"error: {kind}: ")
         assert "is not JSON" in err
-        assert forwarded == []
+        assert forwards == []
 
     @pytest.mark.parametrize("key", ["w", "feat_mean", "feat_std", "b", "C"])
     @pytest.mark.parametrize("number", [_BIG, -_BIG], ids=["big", "minus-big"])
@@ -967,13 +950,12 @@ class TestJsonDataFiles:
         ("mitigation plan", {"eta": 1, "kappa": 0.25, "mask": [[0, -2**63 - 1]]}, "key 'mask'"),
         ("distortion spec", {"kind": "ero", "psi": _BIG}, "key 'psi'"),
     ], ids=["table-eps", "table-layer_agg", "table-n_dis", "plan-eta", "plan-mask", "spec-psi"])
-    def test_number_out_of_range_is_data_error(self, pipeline, tmp_path, capsys, monkeypatch,
+    def test_number_out_of_range_is_data_error(self, pipeline, tmp_path, capsys, forwards,
                                                kind, doc, start):
-        forwarded = TestOutOfRangeInputs._count_forwards(monkeypatch)
         assert run(*self._argv(pipeline, tmp_path, kind, json.dumps(doc).encode())) == 2
         TestOutOfRangeInputs._one_line(capsys, f"error: {kind}: {start} has the wrong type "
                                                "or is out of range")
-        assert forwarded == []
+        assert forwards == []
 
     @pytest.mark.parametrize("spec, path", [
         ({"kind": "beard", "seed": 2}, ("beard_polygon", 1, 0)),

@@ -163,11 +163,11 @@ class TestMeanReps:
         real = featnet.forward_batch
 
         def late(model, images, reduce):
-            def slow(lo, hi, taps):
+            def slow(k, lo, hi, rows):
                 if lo == 0:
                     delayed.append(lo)
                     time.sleep(0.2)  # the other thread's blocks are ready long before
-                reduce(lo, hi, taps)
+                reduce(k, lo, hi, rows)
             return real(model, images, slow)
 
         monkeypatch.setattr(featnet, "_WORKERS", 2)
@@ -424,20 +424,12 @@ class TestTraining:
                            features=(np.empty((0, 1)), np.ones((3, 1))), seed=0)
 
     @pytest.mark.parametrize("empty", ["clean", "distorted"])
-    def test_empty_class_rejected_before_any_forward(self, monkeypatch, default_model,
-                                                     mean_reps, images, empty):
-        forwarded = []
-        real = featnet.forward_batch
-
-        def counted(model, batch, reduce=None):
-            forwarded.append(batch.shape[0])
-            return real(model, batch, reduce)
-
-        monkeypatch.setattr(featnet, "forward_batch", counted)
+    def test_empty_class_rejected_before_any_forward(self, default_model, mean_reps, images,
+                                                     forwards, empty):
         batches = {"clean": images, "distorted": images, empty: images[:0]}
         with pytest.raises(ValueError, match="^both classes must be non-empty$"):
             train_detector(default_model, mean_reps, batches["clean"], batches["distorted"])
-        assert sum(forwarded) == 0
+        assert sum(n for _, n in forwards) == 0
 
     def test_non_finite_feature_rejected(self):
         fc = np.ones((3, 1))

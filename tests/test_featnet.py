@@ -341,14 +341,10 @@ class TestDepthFirst:
             items = obj.values() if isinstance(obj, dict) else obj
             return sum(nbytes(o) for o in items)
 
-        def spy(n_rows, step, alloc, fn, *then):
+        def spy(n_rows, step, scratches, fn, *then):
             calls.append((n_rows, step))
-
-            def counted():
-                scratch = alloc()
-                scratch_bytes.append(nbytes(scratch))
-                return scratch
-            return real(n_rows, step, counted, fn, *then)
+            scratch_bytes.extend(nbytes(scratch) for scratch in scratches)
+            return real(n_rows, step, scratches, fn, *then)
 
         monkeypatch.setattr(featnet, "_WORKERS", 2)
         monkeypatch.setattr(featnet, "_parallel_blocks", spy)
@@ -372,7 +368,7 @@ class TestDepthFirst:
 
     def test_scratch_first_then_outputs_in_layer_order(self, net43, batch300, monkeypatch):
         # peak RSS hangs on this order (see the comment in forward_batch)
-        n, made, scratches = 256, [], []
+        n, made, makers, scratches = 256, [], [], []
 
         class SpyNumpy:
             def __getattr__(self, name):
@@ -380,10 +376,12 @@ class TestDepthFirst:
 
             def empty(self, *args, **kwargs):
                 made.append(np.empty(*args, **kwargs))
+                makers.append(threading.get_ident())
                 return made[-1]
 
             def zeros(self, *args, **kwargs):
                 made.append(np.zeros(*args, **kwargs))
+                makers.append(threading.get_ident())
                 return made[-1]
 
         def arrays(obj):
@@ -393,11 +391,9 @@ class TestDepthFirst:
 
         real = featnet._parallel_blocks
 
-        def spy(n_rows, step, alloc, fn, *then):
-            def kept():
-                scratches.append(alloc())
-                return scratches[-1]
-            return real(n_rows, step, kept, fn, *then)
+        def spy(n_rows, step, given, fn, *then):
+            scratches.extend(given)
+            return real(n_rows, step, given, fn, *then)
 
         monkeypatch.setattr(featnet, "_WORKERS", 2)
         monkeypatch.setattr(featnet, "_parallel_blocks", spy)
@@ -410,6 +406,8 @@ class TestDepthFirst:
         outputs = [k for k, m in enumerate(made) if m.ndim > 1 and m.shape[0] == n]
         assert len(scratches) == 2
         assert max(when(a) for s in scratches for a in arrays(s)) < min(outputs)
+        # scratch comes from the calling thread
+        assert {makers[when(a)] for s in scratches for a in arrays(s)} == {threading.get_ident()}
         # every conv tap lies in one of those outputs, and they come in layer order
         assert [when(t.base) for t in taps[:4]] == outputs[:4]
         layer_outputs = iter((n, *shape) for shape in net43.shapes[1:])
@@ -419,14 +417,13 @@ class TestDepthFirst:
 def _reduced(model, images, reduce_of=lambda fn: fn):
     """forward_batch with a reducer that copies every tap row it is handed into
     NaN-filled (N, lambda_i) arrays; returns the forward's result, those
-    arrays and the reducer's calls as (lo, hi, tap ordinals), in call order."""
+    arrays and the reducer's calls as (tap ordinal, lo, hi), in call order."""
     got = [np.full((len(images), length), np.nan, np.float32) for length in model.tap_lengths()]
     calls = []
 
-    def copy(lo, hi, taps):
-        calls.append((lo, hi, sorted(taps)))
-        for k, t in taps.items():
-            got[k][lo:hi] = t
+    def copy(k, lo, hi, rows):
+        calls.append((k, lo, hi))
+        got[k][lo:hi] = rows
 
     return forward_batch(model, images, reduce_of(copy)), got, calls
 
@@ -444,7 +441,7 @@ class TestReducer:
                      len(model.layers))
         early = [k for k, t in enumerate(model.tap_points) if t < split]
         late = [k for k, t in enumerate(model.tap_points) if t >= split]
-        blocks = [(lo, min(lo + 8, n), early) for lo in range(0, n, 8)]
+        blocks = [(k, lo, min(lo + 8, n)) for lo in range(0, n, 8) for k in early]
         for workers in (1, 2):
             monkeypatch.setattr(featnet, "_WORKERS", workers)
             (emb, taps), got, calls = _reduced(model, batch300[:n])
@@ -452,17 +449,35 @@ class TestReducer:
             assert emb.dtype == want_emb.dtype and np.array_equal(emb, want_emb)
             for g, w in zip(got, want_taps):
                 assert np.array_equal(g, w)
-            # the blocks before the split in row order, then one call for the taps from it on
-            assert calls == blocks + ([(0, n, late)] if late else [])
+            # the blocks before the split in row order, tap by tap within a block, then
+            # one call per tap from the split on
+            assert calls == blocks + [(k, 0, n) for k in late]
+
+    def test_dense_only_taps_need_no_in_order_pass(self, net43, batch300, monkeypatch):
+        # tapped only after the split, a network has no block to reduce in order
+        model = dataclasses.replace(net43, tap_points=net43.tap_points[-1:])
+        thens = []
+        real = featnet._parallel_blocks
+
+        def spy(n_rows, step, scratches, fn, then=None):
+            thens.append(then)
+            return real(n_rows, step, scratches, fn, then)
+
+        want_emb, (want,) = forward_batch(model, batch300[:20])
+        monkeypatch.setattr(featnet, "_WORKERS", 2)
+        monkeypatch.setattr(featnet, "_parallel_blocks", spy)
+        (emb, taps), got, calls = _reduced(model, batch300[:20])
+        assert thens == [None]
+        assert taps == [] and np.array_equal(emb, want_emb)
+        assert calls == [(0, 0, 20)] and np.array_equal(got[0], want)
 
     def test_forward_chunks_hand_over_rows_of_the_whole_batch(self, net43, batch300,
                                                              monkeypatch):
         monkeypatch.setattr(featnet, "FORWARD_CHUNK", 16)
         got = [np.full((40, length), np.nan, np.float32) for length in net43.tap_lengths()]
 
-        def copy(lo, hi, taps):
-            for k, t in taps.items():
-                got[k][lo:hi] = t
+        def copy(k, lo, hi, rows):
+            got[k][lo:hi] = rows
 
         images = batch300[:40]
         embs = list(featnet.forward_chunks(net43, images, copy))
@@ -478,17 +493,18 @@ class TestReducer:
         active, most = [], []
 
         def late_first(fn):
-            def reduce(lo, hi, taps):
+            def reduce(k, lo, hi, rows):
                 active.append(lo)
                 most.append(len(active))
-                if lo == 0:
+                if (k, lo) == (0, 0):
                     time.sleep(0.2)  # block 1 is ready long before block 0 is reduced
-                fn(lo, hi, taps)
+                fn(k, lo, hi, rows)
                 active.remove(lo)
             return reduce
 
         _, got, calls = _reduced(net43, batch300[:40], late_first)
-        assert [lo for lo, _, _ in calls] == [0, 8, 16, 24, 32, 0]
+        # four conv taps per block, then the dense tap of all 40 rows
+        assert [lo for _, lo, _ in calls] == [lo for lo in range(0, 40, 8) for _ in range(4)] + [0]
         assert max(most) == 1
         for g, w in zip(got, forward_batch(net43, batch300[:40])[1]):
             assert np.array_equal(g, w)
@@ -497,7 +513,7 @@ class TestReducer:
         monkeypatch.setattr(featnet, "_WORKERS", 2)
         outcome = []
 
-        def reduce(lo, hi, taps):
+        def reduce(k, lo, hi, rows):
             if lo == 0:
                 time.sleep(0.1)  # the other thread has a block ready and waits for its turn
                 raise RuntimeError("reduction failed")
@@ -513,11 +529,10 @@ class TestReducer:
         thread.join(timeout=60)
         assert not thread.is_alive() and outcome == ["reduction failed"]
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_parallel_blocks_then_runs_in_order_after_its_block(self, monkeypatch, workers):
-        monkeypatch.setattr(featnet, "_WORKERS", workers)
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_parallel_blocks_then_runs_in_order_after_its_block(self, threads):
         computed, order = set(), []
-        delays = np.random.default_rng(workers).random(10) * 0.01
+        delays = np.random.default_rng(threads).random(10) * 0.01
 
         def fn(scratch, lo, hi):
             time.sleep(delays[lo // 8])
@@ -527,7 +542,7 @@ class TestReducer:
             assert lo in computed
             order.append((lo, hi))
 
-        featnet._parallel_blocks(75, 8, lambda: None, fn, then)
+        featnet._parallel_blocks(75, 8, [None] * threads, fn, then)
         assert order == [(lo, min(lo + 8, 75)) for lo in range(0, 75, 8)]
 
 
@@ -659,7 +674,7 @@ _AFFINITY_SCRIPT = (
 def _blocks_on_two_threads():
     """Two blocks that each wait for the other, so a pool thread must run one."""
     meet = threading.Barrier(2, timeout=30)
-    featnet._parallel_blocks(16, 8, lambda: None, lambda scratch, lo, hi: meet.wait())
+    featnet._parallel_blocks(16, 8, [None, None], lambda scratch, lo, hi: meet.wait())
 
 
 # imports the CLI, then forwards 9 images: two conv blocks, so the pool runs
@@ -698,23 +713,20 @@ class TestWorkers:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 8, 9, 17, 50])
     def test_parallel_blocks_covers_each_block_once(self, monkeypatch, workers, n):
-        monkeypatch.setattr(featnet, "_WORKERS", workers)
         caller = threading.get_ident()
-        allocs, calls, submitted = [], [], []
+        calls, submitted = [], []
         pool = featnet._pool
         monkeypatch.setattr(featnet, "_pool", SimpleNamespace(
             submit=lambda *args: submitted.append(args) or pool.submit(*args)))
+        n_blocks = -(-n // 8)
+        threads = min(workers, n_blocks)  # as many scratches as forward_batch makes
+        scratches = [object() for _ in range(threads)]
 
-        def alloc():
-            allocs.append(threading.get_ident())
-            return object()
-
-        featnet._parallel_blocks(n, 8, alloc,
+        featnet._parallel_blocks(n, 8, scratches,
                                  lambda scratch, lo, hi: calls.append(
                                      (lo, hi, id(scratch), threading.get_ident())))
-        n_blocks = -(-n // 8)
-        threads = min(workers, n_blocks)
-        assert allocs == [caller] * threads  # scratch comes from the calling thread
+        # every scratch used is one of those given
+        assert {sid for _, _, sid, _ in calls} <= {id(s) for s in scratches}
         assert sorted((lo, hi) for lo, hi, _, _ in calls) == [
             (lo, min(lo + 8, n)) for lo in range(0, n, 8)]
         # each thread keeps to one scratch, which no other thread touches
@@ -727,7 +739,6 @@ class TestWorkers:
             assert {tid for *_, tid in calls} == {caller}
 
     def test_caller_never_waits_for_a_helper_to_start(self, monkeypatch):
-        monkeypatch.setattr(featnet, "_WORKERS", 2)
         pool = ThreadPoolExecutor(1)
         monkeypatch.setattr(featnet, "_pool", pool)
         release = threading.Event()
@@ -736,7 +747,7 @@ class TestWorkers:
         timer.start()
         try:
             tids = []
-            featnet._parallel_blocks(40, 8, lambda: None,
+            featnet._parallel_blocks(40, 8, [None, None],
                                      lambda scratch, lo, hi: tids.append(threading.get_ident()))
             assert not release.is_set()
             assert tids == [threading.get_ident()] * 5
@@ -746,19 +757,16 @@ class TestWorkers:
             blocker.result()
             pool.shutdown()
 
-    def test_worker_errors_propagate(self, monkeypatch):
-        monkeypatch.setattr(featnet, "_WORKERS", 2)
-
+    def test_worker_errors_propagate(self):
         def fn(scratch, lo, hi):
             if lo:
                 raise RuntimeError("block failed")
 
         with pytest.raises(RuntimeError, match="block failed"):
-            featnet._parallel_blocks(16, 8, lambda: None, fn)
+            featnet._parallel_blocks(16, 8, [None, None], fn)
 
     @pytest.mark.parametrize("used", [True, False], ids=["after-use", "before-use"])
     def test_forked_child_runs_parallel_blocks(self, monkeypatch, used):
-        monkeypatch.setattr(featnet, "_WORKERS", 2)
         pool = ThreadPoolExecutor(1)  # no thread started yet, as right after import
         monkeypatch.setattr(featnet, "_pool", pool)
         if used:  # the pool starts its thread, which the child lacks

@@ -250,6 +250,15 @@ class TestPolygon:
         with pytest.raises(ValueError, match="degenerate"):
             Polygon([(0, 0), (1, 1), (2, 2)])
 
+    @pytest.mark.parametrize("m", [2**60, -(2**62), 2**63 - 2])
+    def test_area_is_exact_at_int64_coordinates(self, m):
+        # a float sum of the cross products rounds this unit triangle's area to 0
+        verts = [(m, m), (m + 1, m), (m, m + 1)]
+        for given in (verts, np.array(verts, np.int64)):
+            assert Polygon(given).vertices == tuple(verts)
+        with pytest.raises(ValueError, match="degenerate"):
+            Polygon([(m, m), (m + 1, m + 1), (m - 1, m - 1)])
+
     def test_rectangle_fill_zeroes_nine_pixels(self):
         px = np.full((5, 5, 1), 200, dtype=np.uint8)
         px[polygon_mask(Polygon([(1, 1), (3, 1), (3, 3), (1, 3)]), 5, 5)] = 0

@@ -151,18 +151,11 @@ class TestSensitivity:
                 assert np.array_equal(got, exp)
 
     def test_pairs_share_full_chunks_of_a_network_cut_at_the_last_response(
-            self, pairs_300, monkeypatch):
-        forwards = []
-        real = featnet.forward_batch
-
-        def spy(model, images, *args):
-            forwards.append((len(images), len(model.layers)))
-            return real(model, images, *args)
-
-        monkeypatch.setattr(featnet, "forward_batch", spy)
+            self, pairs_300, forwards):
         compute_sensitivity(default_network(43), pairs_300)
         # the last response is the ReLU at layer 10: flatten, dense and l2norm never run
-        assert forwards == [(256, 11), (256, 11), (88, 11)]
+        assert [(n, len(model.layers)) for model, n in forwards] == [(256, 11), (256, 11),
+                                                                     (88, 11)]
 
     @pytest.mark.parametrize("chunk", [2, 6, 64, 100, 256, 512])
     def test_table_is_the_same_for_every_even_chunk_size(self, response_maps, loop_tables,
@@ -458,21 +451,14 @@ class TestGridSearch:
         (([1], [0.1]), 0.0, r"far_target must be in \(0, 1\)"),
     ], ids=["eta-9", "kappa-2", "far-0"])
     def test_grid_and_far_checked_before_any_forward(self, default_model, small_dataset,
-                                                      monkeypatch, grids, far, message):
+                                                      forwards, grids, far, message):
         table = table_from([[1.0] * n for n in default_model.conv_filter_counts()])
         det = self._flag_all_detector(default_model, small_dataset)
-        forwarded = []
-        real = featnet.forward_batch
-
-        def counting(model, images, *args):
-            forwarded.append(len(images))
-            return real(model, images, *args)
-
-        monkeypatch.setattr(featnet, "forward_batch", counting)
+        forwards.clear()  # building the detector forwards
         with pytest.raises(ValueError, match=message):
             grid_search_plan(default_model, table, small_dataset, [DistortionSpec("grids")],
                              {"grids": det}, *grids, far_target=far)
-        assert forwarded == []
+        assert forwards == []
 
     @pytest.mark.parametrize("flags", ["trained", "no-image"])
     def test_table_of_another_network_rejected_before_any_forward(

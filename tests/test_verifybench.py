@@ -215,7 +215,7 @@ class TestProtocol:
                                                           len(sm.impostor_scores()))
 
     def test_each_condition_forwards_each_image_once(self, default_model, small_dataset,
-                                                     monkeypatch):
+                                                     forwards):
         reps = compute_mean_reps(default_model, small_dataset.pixel_batch())
         n_taps = len(reps.means)
         spec = DistortionSpec("grids", seed=4)
@@ -230,19 +230,15 @@ class TestProtocol:
         plan = MitigationPlan(1, 0.25, FilterMask({(0, 0)}))
 
         counts = {"plain": 0, "masked": 0}
-        real = featnet.forward_batch
-
-        def counting(model, images, *args):
-            plain = all(a is b for a, b in zip(model.layers, default_model.layers))
-            counts["plain" if plain else "masked"] += images.shape[0]
-            return real(model, images, *args)
-
-        monkeypatch.setattr(featnet, "forward_batch", counting)
+        forwards.clear()  # the set-up above forwards
         run_protocol(small_dataset, default_model, spec, det=det, plan=plan,
                      fraction=0.5, seed=2)
+        for model, n in forwards:
+            plain = all(a is b for a, b in zip(model.layers, default_model.layers))
+            counts["plain" if plain else "masked"] += n
         assert counts == {"plain": 2 * len(mixed), "masked": flagged}
 
-    def test_masked_forwards_run_in_featnet_chunks(self, default_model, monkeypatch):
+    def test_masked_forwards_run_in_featnet_chunks(self, default_model, monkeypatch, forwards):
         # 40 flagged images in chunks of 16, 16 and 8: each chunk has the
         # 8 or more rows for which the dense layer gives the full batch's bytes
         monkeypatch.setattr(featnet, "FORWARD_CHUNK", 16)
@@ -254,15 +250,6 @@ class TestProtocol:
         spec = DistortionSpec("grids", seed=4)
         mixed = verifybench._distorted_copy(ds, spec, 0.5, 2)
         want = forward_batch(default_model.masked(plan.mask), median_filter_array(mixed, 5))[0]
-        masked = []
-        real = featnet.forward_batch
-
-        def counting(model, images, *args):
-            if any(a is not b for a, b in zip(model.layers, default_model.layers)):
-                masked.append(len(images))
-            return real(model, images, *args)
-
-        monkeypatch.setattr(featnet, "forward_batch", counting)
         assert np.array_equal(mitigator.mitigate_batch(default_model, plan, mixed), want)
         rows = run_protocol(ds, default_model, spec, det=flag_all, plan=plan,
                             fraction=0.5, seed=2)
@@ -270,6 +257,8 @@ class TestProtocol:
                                                               [plan], 0.5, 2)
         assert (corrected != plain).any(axis=1).all()  # every image flagged and replaced
         assert np.array_equal(corrected, want)
+        masked = [n for model, n in forwards
+                  if any(a is not b for a, b in zip(model.layers, default_model.layers))]
         assert masked == [16, 16, 8] * 3
         ids = np.array([it.subject_id for it in ds.items])
         assert rows[2]["gar_at_far"] == verifybench._gar_from_embeddings(want, ids, 0.01)
