@@ -29,7 +29,7 @@ def _seeded_network(seed: int) -> featnet.NetworkModel:
 
 def _load_network(args) -> featnet.NetworkModel:
     # --net-seed defaults to None, so only a seed given by flag or config conflicts
-    if not args.weights:
+    if args.weights is None:
         return _seeded_network(args.net_seed or 0)
     if args.net_seed is not None:
         raise ValueError("--weights and --net-seed name two networks: give one")

@@ -337,7 +337,6 @@ def save_detector(det: DetectorModel, path, mean_reps_path) -> None:
         "C": det.C,
         "feat_mean": det.feat_mean.tolist(),
         "feat_std": det.feat_std.tolist(),
-        "n_layers": len(det.w),
         "mean_reps_path": Path(reps_rel).as_posix(),
     }
     Path(path).write_text(json.dumps(doc, indent=2))
@@ -348,13 +347,12 @@ def load_detector(path) -> DetectorModel:
     doc = load_json(path, "detector")
     check_json(doc, "detector", {"w": (list, float), "b": float, "C": float,
                                  "feat_mean": (list, float), "feat_std": (list, float),
-                                 "n_layers": int, "mean_reps_path": str}, {})
+                                 "mean_reps_path": str}, {})
     reps = load_mean_reps(Path(path).parent / doc["mean_reps_path"])
-    lengths = [len(doc["w"]), len(doc["feat_mean"]), len(doc["feat_std"]), doc["n_layers"],
-               len(reps.means)]
+    lengths = [len(doc["w"]), len(doc["feat_mean"]), len(doc["feat_std"]), len(reps.means)]
     if len(set(lengths)) != 1:
-        raise FormatError("detector: lengths of w, feat_mean, feat_std, n_layers and the "
-                          f"mean reps' taps disagree: {lengths}")
+        raise FormatError("detector: lengths of w, feat_mean, feat_std and the mean reps' "
+                          f"taps disagree: {lengths}")
     # float64 dtype: an integer beyond int64 would otherwise make an object array
     w, feat_mean, feat_std, b_c = (np.array(v, dtype=np.float64) for v in (
         doc["w"], doc["feat_mean"], doc["feat_std"], [doc["b"], doc["C"]]))

@@ -20,7 +20,6 @@ from .imagecore import FormatError, check_json, load_json, median_filter_array, 
 from .featnet import FilterMask, NetworkModel, embed, forward_chunks
 from .synthface import Dataset
 
-_AGG_TOL = 1e-6
 MEDIAN_WINDOW = 5  # side of the median filter a plan applies before the masked forward
 # pairs whose norms are added in order before their total joins the table's. Kept until a
 # re-record: a plain-order sum moved the 300-pair bench tables by up to 1.7e-15 relative
@@ -37,6 +36,8 @@ class SensitivityTable:
     def __post_init__(self):
         if self.n_dis < 1:
             raise ValueError("n_dis must be >= 1")
+        if not self.eps or not all(len(row) for row in self.eps):
+            raise ValueError("eps must hold at least one layer, each with at least one filter")
         for row in self.eps:
             if not np.all(np.isfinite(row)) or np.any(row < 0):
                 raise ValueError("sensitivity scores must be finite and non-negative")
@@ -46,20 +47,13 @@ class SensitivityTable:
         return np.array([row.sum() for row in self.eps])
 
     def to_json_dict(self) -> dict:
-        return {"eps": [row.tolist() for row in self.eps],
-                "layer_agg": self.layer_agg.tolist(), "n_dis": self.n_dis}
+        return {"eps": [row.tolist() for row in self.eps], "n_dis": self.n_dis}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SensitivityTable":
-        check_json(d, "sensitivity table",
-                   {"eps": (list, (list, float)), "layer_agg": (list, float), "n_dis": int}, {})
+        check_json(d, "sensitivity table", {"eps": (list, (list, float)), "n_dis": int}, {})
         with reading("sensitivity table"):
-            table = cls(tuple(np.array(row, dtype=np.float64) for row in d["eps"]), d["n_dis"])
-        if (len(d["layer_agg"]) != len(table.eps)
-                or not np.allclose(table.layer_agg, np.array(d["layer_agg"], dtype=np.float64),
-                                   atol=_AGG_TOL)):
-            raise FormatError("sensitivity table: layer aggregates inconsistent with eps matrix")
-        return table
+            return cls(tuple(np.array(row, dtype=np.float64) for row in d["eps"]), d["n_dis"])
 
 
 @dataclass(frozen=True)
@@ -107,15 +101,17 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one image pair")
+    if not model.conv_ordinals:
+        raise ValueError("the network has no conv layer to score")
     kinds = [layer.kind for layer in model.layers] + [None]
     taps = tuple(i + 1 if kinds[i + 1] == "relu" else i for i in model.conv_ordinals)
-    responses = NetworkModel(model.layers[: max(taps, default=-1) + 1], taps, model.input_spec)
+    responses = NetworkModel(model.layers[: max(taps) + 1], taps, model.input_spec)
     images = np.stack([p[k].pixels for p in pairs for k in (0, 1)])
     norms = [np.empty((len(pairs), n)) for n in model.conv_filter_counts()]
     # one image's float64 difference, made here, not in the reducer: by
     # featnet's reducer contract a reducer may run in a pool thread, whose own
     # malloc arena would keep it, but one call at a time, so one buffer serves all
-    diff = np.empty(max(responses.tap_lengths(), default=0))
+    diff = np.empty(max(responses.tap_lengths()))
 
     def pair_norms(k: int, lo: int, hi: int, rows: np.ndarray) -> None:
         _pair_norms(rows, norms[k][lo // 2 : hi // 2], diff)

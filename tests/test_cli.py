@@ -8,7 +8,8 @@ import threading
 import numpy as np
 import pytest
 
-from advface import cli, distortions, featnet
+from advface import cli, distortions, featnet, imagecore, mitigator, synthface
+from advface import detector as detector_mod
 from advface.cli import main
 from advface.detector import (DetectorModel, MeanReps, load_mean_reps, save_detector,
                               save_mean_reps)
@@ -23,6 +24,21 @@ from oracles import sensitivity_loop
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# each command that builds a network -> the flags naming its other files
+_NETWORK_FILES = {"extract": ["--dataset", "--out"],
+                  "train-detector": ["--mean-reps", "--clean", "--distorted", "--out"],
+                  "detect": ["--detector", "--image"],
+                  "sensitivity": ["--clean", "--distorted", "--out"],
+                  "mitigate": ["--plan", "--image", "--out"],
+                  "evaluate": ["--dataset", "--distortion", "--out"]}
+_NETWORK_COMMANDS = list(_NETWORK_FILES)
+
+
+def _missing_files(command: str, missing) -> list:
+    """The command's file flags, each naming a file inside the absent directory `missing`."""
+    return [a for flag in _NETWORK_FILES[command] for a in (flag, missing / flag[2:])]
 
 
 @pytest.fixture(scope="module")
@@ -462,28 +478,47 @@ class TestErrors:
                 "", f"usage error: clean and distorted datasets must pair up 1:1: {message}\n")
             assert not out.exists()
 
+    def test_sensitivity_of_a_network_without_conv_is_usage_error(self, pipeline, tmp_path,
+                                                                  capsys, forwards):
+        weights = tmp_path / "flat.fnet"
+        featnet.save_weights(NetworkModel((LayerDef("flatten"),), (0,), (64, 64, 1)), weights)
+        out = tmp_path / "table.json"
+        assert run("sensitivity", "--weights", weights, "--clean", pipeline["data"],
+                   "--distorted", pipeline["distorted"], "--out", out) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "usage error: the network has no conv layer to score\n")
+        assert forwards == [] and not out.exists()
+
     @pytest.mark.parametrize("source", ["flag", "flag-0", "config"])
-    @pytest.mark.parametrize("command", ["extract", "train-detector", "detect", "sensitivity",
-                                         "mitigate", "evaluate"])
+    @pytest.mark.parametrize("command", _NETWORK_COMMANDS)
     def test_weights_with_a_net_seed_is_usage_error(self, tmp_path, capsys, forwards, command,
                                                     source):
         # no file named exists: the conflict is found before any is read
         missing = tmp_path / "missing"
-        files = {"extract": ["--dataset", "--out"],
-                 "train-detector": ["--mean-reps", "--clean", "--distorted", "--out"],
-                 "detect": ["--detector", "--image"],
-                 "sensitivity": ["--clean", "--distorted", "--out"],
-                 "mitigate": ["--plan", "--image", "--out"],
-                 "evaluate": ["--dataset", "--distortion", "--out"]}[command]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"net_seed": 2}))
         seed = {"flag": ["--net-seed", 2], "flag-0": ["--net-seed", 0], "config": []}[source]
         config = ["--config", cfg] if source == "config" else []
         assert run(*config, command, "--weights", missing / "net.fnet", *seed,
-                   *(a for flag in files for a in (flag, missing / flag[2:]))) == 1
+                   *_missing_files(command, missing)) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", "usage error: --weights and --net-seed name two networks: give one\n")
+        assert forwards == [] and not missing.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", _NETWORK_COMMANDS)
+    def test_empty_weights_is_usage_error(self, tmp_path, capsys, forwards, command, source):
+        # an empty path names no file; it is not the seeded network
+        missing = tmp_path / "missing"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weights": ""}))
+        given = ["--config", cfg, command] if source == "config" else [command, "--weights", ""]
+        assert run(*given, *_missing_files(command, missing)) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "usage error: [Errno 2] No such file or directory: ''\n")
         assert forwards == [] and not missing.exists()
 
     def test_missing_file_is_usage_error(self, tmp_path):
@@ -581,9 +616,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("doc", [
         {},
-        {"eps": [[1.0, 2.0]], "n_dis": 1},
-        {"eps": [[1.0, 2.0]], "layer_agg": [3.0], "n_dis": "1"},
-        {"eps": 3.0, "layer_agg": [3.0], "n_dis": 1},
+        {"eps": [[1.0, 2.0]], "n_dis": "1"},
+        {"eps": 3.0, "n_dis": 1},
     ])
     def test_malformed_table_is_data_error(self, tmp_path, capsys, doc):
         table = tmp_path / "table.json"
@@ -595,13 +629,10 @@ class TestErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("doc", [
-        {"eps": [[1.0, 2.0]], "layer_agg": [4.0], "n_dis": 1},
-        {"eps": [[1.0, 2.0]], "layer_agg": [3.0, 0.0], "n_dis": 1},
-        {"eps": [[1.0, 2.0], [3.0]], "layer_agg": [3.0], "n_dis": 1},
-        {"eps": [[-1.0, 4.0]], "layer_agg": [3.0], "n_dis": 1},
-        {"eps": [[float("nan"), 2.0]], "layer_agg": [3.0], "n_dis": 1},
-        {"eps": [[float("inf"), 2.0]], "layer_agg": [float("inf")], "n_dis": 1},
-        {"eps": [[1.0, 2.0]], "layer_agg": [3.0], "n_dis": 0},
+        {"eps": [[-1.0, 4.0]], "n_dis": 1},
+        {"eps": [[float("nan"), 2.0]], "n_dis": 1},
+        {"eps": [[float("inf"), 2.0]], "n_dis": 1},
+        {"eps": [[1.0, 2.0]], "n_dis": 0},
     ])
     def test_inconsistent_table_is_data_error(self, tmp_path, capsys, doc):
         table = tmp_path / "table.json"
@@ -611,6 +642,24 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: sensitivity table") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("eps", [[], [[]], [[1.0, 2.0], []]],
+                             ids=["no-layer", "no-filter", "second-layer-no-filter"])
+    @pytest.mark.parametrize("layer_agg", [False, True], ids=["new-file", "old-file"])
+    def test_table_with_no_layer_or_an_empty_layer_is_data_error(self, tmp_path, capsys, eps,
+                                                                 layer_agg):
+        doc = {"eps": eps, "n_dis": 1}
+        if layer_agg:  # a file written when the table also held each row's sum
+            doc["layer_agg"] = [sum(row) for row in eps]
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        assert run("build-plan", "--table", table, "--eta", 1, "--kappa", 0.25,
+                   "--out", tmp_path / "plan.json") == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: sensitivity table: eps must hold at "
+                                                    "least one layer, each with at least one "
+                                                    "filter\n")
+        assert not (tmp_path / "plan.json").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda m: m.pop("images"),
@@ -644,18 +693,16 @@ class TestErrors:
     @pytest.mark.parametrize("edit", [
         lambda d: d.pop("feat_std"),
         lambda d: d.pop("mean_reps_path"),
-        lambda d: d.update(n_layers="5"),
         lambda d: d.update(w=["0.1"] * 5),
         lambda d: d.update(b=None),
         lambda d: d.update(w=d["w"][:-1]),
-        lambda d: d.update(n_layers=d["n_layers"] + 1),
         lambda d: d.update(w=d["w"] + [0.0], feat_mean=d["feat_mean"] + [0.0],
-                           feat_std=d["feat_std"] + [1.0], n_layers=d["n_layers"] + 1),
-        lambda d: d.update(feat_std=[0.0] * d["n_layers"]),
-        lambda d: d.update(w=[float("nan")] * d["n_layers"]),
+                           feat_std=d["feat_std"] + [1.0]),
+        lambda d: d.update(feat_std=[0.0] * len(d["w"])),
+        lambda d: d.update(w=[float("nan")] * len(d["w"])),
         lambda d: d.update(b=float("inf")),
-    ], ids=["missing-key", "missing-path", "n_layers-str", "w-str", "b-null",
-            "short-w", "n_layers-off", "more-than-mean-reps", "zero-std", "nan-w", "inf-b"])
+    ], ids=["missing-key", "missing-path", "w-str", "b-null",
+            "short-w", "more-than-mean-reps", "zero-std", "nan-w", "inf-b"])
     def test_malformed_detector_is_data_error(self, pipeline, tmp_path, capsys, edit):
         doc = json.loads(pipeline["detector"].read_text())
         doc["mean_reps_path"] = str((pipeline["detector"].parent / doc["mean_reps_path"])
@@ -698,7 +745,7 @@ class TestErrors:
         reps = load_mean_reps(pipeline["detector"].parent / doc["mean_reps_path"])
         save_mean_reps(MeanReps(reps.means[:n_taps], reps.n_train), tmp_path / "reps.mrep")
         doc.update({k: doc[k][:n_taps] for k in ("w", "feat_mean", "feat_std")},
-                   n_layers=n_taps, mean_reps_path="reps.mrep")
+                   mean_reps_path="reps.mrep")
         self._assert_refused_before_forwarding(pipeline, tmp_path, capsys, forwards, doc,
                                                f"error: mean reps hold {n_taps} taps, "
                                                "the network has 5\n")
@@ -784,7 +831,7 @@ class TestOutOfRangeInputs:
         doc = json.loads(pipeline["detector"].read_text())
         doc["mean_reps_path"] = str((pipeline["detector"].parent / doc["mean_reps_path"])
                                     .resolve())
-        n = doc["n_layers"]
+        n = len(doc["w"])
         doc.update(w=[1e308, -1e308] + [0.0] * (n - 2), feat_mean=[0.0] * n, feat_std=[1.0] * n)
         (tmp_path / "detector.json").write_text(json.dumps(doc))
         img = next(iter(sorted(pipeline["data"].glob("*.pgm"))))
@@ -893,6 +940,31 @@ class TestOutOfRangeInputs:
 _BIG = 10**400  # a 400-digit JSON integer: no float64 or int64 holds it
 
 
+def _json_file(path):
+    return json.loads(path.read_text())
+
+
+def _spec_case(kind: str):
+    doc = distortions.DistortionSpec(kind).to_json_dict()
+    return doc, "distortion spec", lambda: distortions.DistortionSpec.from_json_dict(doc)
+
+
+# artifact -> (what its writer wrote, the name its loader checks it under, the loader's call)
+_WRITTEN = {
+    "detector": lambda p: (_json_file(p["detector"]), "detector",
+                           lambda: detector_mod.load_detector(p["detector"])),
+    "sensitivity table": lambda p: (_json_file(p["table"]), "sensitivity table",
+                                    lambda: load_table(p["table"])),
+    "mitigation plan": lambda p: (_json_file(p["plan"]), "mitigation plan",
+                                  lambda: mitigator.MitigationPlan.from_json_file(p["plan"])),
+    **{f"{kind} spec": lambda p, kind=kind: _spec_case(kind) for kind in distortions.KINDS},
+    "landmarks": lambda p: (_json_file(p["data"] / "manifest.json")["images"][0]["landmarks"],
+                            "landmarks", lambda: load_dataset(p["data"])),
+    "manifest entry": lambda p: (_json_file(p["data"] / "manifest.json")["images"][0],
+                                 "manifest image 0", lambda: load_dataset(p["data"])),
+}
+
+
 class TestJsonDataFiles:
     """A data file that is not JSON, or holds a number NumPy cannot take, is a
     data error in one line, found on load."""
@@ -918,6 +990,24 @@ class TestJsonDataFiles:
                          "--out", tmp_path / "out"],
         }[kind]
 
+    @pytest.mark.parametrize("artifact", list(_WRITTEN))
+    def test_writer_emits_the_keys_its_loader_declares(self, pipeline, monkeypatch, artifact):
+        # so no written key goes unread; a spec writes only its kind's parameters
+        written, what, load = _WRITTEN[artifact](pipeline)
+        declared = {}
+
+        def spy(d, what, required, optional):
+            declared[what] = {*required, *optional}
+            imagecore.check_json(d, what, required, optional)
+
+        for module in (detector_mod, mitigator, distortions, synthface):
+            monkeypatch.setattr(module, "check_json", spy)
+        load()
+        if what == "distortion spec":
+            assert set(written) <= declared[what]
+        else:
+            assert set(written) == declared[what]
+
     @pytest.mark.parametrize("content", [b"{", b"\xff\xfe{}", b'{"n": ' + b"1" * 5000 + b"}"],
                              ids=["truncated", "not-utf8", "5000-digit-int"])
     @pytest.mark.parametrize("kind", ["sensitivity table", "mitigation plan", "distortion spec",
@@ -936,20 +1026,16 @@ class TestJsonDataFiles:
         doc = json.loads(pipeline["detector"].read_text())
         doc["mean_reps_path"] = str((pipeline["detector"].parent / doc["mean_reps_path"])
                                     .resolve())
-        doc[key] = [number] * doc["n_layers"] if isinstance(doc[key], list) else number
+        doc[key] = [number] * len(doc["w"]) if isinstance(doc[key], list) else number
         TestErrors._assert_detect_data_error(pipeline, tmp_path, capsys, doc)
 
     @pytest.mark.parametrize("kind, doc, start", [
-        ("sensitivity table", {"eps": [[_BIG, 1.0]], "layer_agg": [2.0], "n_dis": 1},
-         "key 'eps'"),
-        ("sensitivity table", {"eps": [[1.0, 1.0]], "layer_agg": [_BIG], "n_dis": 1},
-         "key 'layer_agg'"),
-        ("sensitivity table", {"eps": [[1.0, 1.0]], "layer_agg": [2.0], "n_dis": 2**63},
-         "key 'n_dis'"),
+        ("sensitivity table", {"eps": [[_BIG, 1.0]], "n_dis": 1}, "key 'eps'"),
+        ("sensitivity table", {"eps": [[1.0, 1.0]], "n_dis": 2**63}, "key 'n_dis'"),
         ("mitigation plan", {"eta": 2**63, "kappa": 0.25, "mask": []}, "key 'eta'"),
         ("mitigation plan", {"eta": 1, "kappa": 0.25, "mask": [[0, -2**63 - 1]]}, "key 'mask'"),
         ("distortion spec", {"kind": "ero", "psi": _BIG}, "key 'psi'"),
-    ], ids=["table-eps", "table-layer_agg", "table-n_dis", "plan-eta", "plan-mask", "spec-psi"])
+    ], ids=["table-eps", "table-n_dis", "plan-eta", "plan-mask", "spec-psi"])
     def test_number_out_of_range_is_data_error(self, pipeline, tmp_path, capsys, forwards,
                                                kind, doc, start):
         assert run(*self._argv(pipeline, tmp_path, kind, json.dumps(doc).encode())) == 2
@@ -976,9 +1062,9 @@ class TestJsonDataFiles:
             capsys, f"error: manifest image 0: landmarks: key {path[0]!r} has the wrong type")
 
     @pytest.mark.parametrize("kind, edit", [
-        ("detector", lambda d: d.update(w=[10**20] * d["n_layers"])),
+        ("detector", lambda d: d.update(w=[10**20] * len(d["w"]))),
         ("detector", lambda d: d.update(C=10**20)),
-        ("sensitivity table", lambda d: d.update(eps=[[10**20, 1.0]], layer_agg=[1e20])),
+        ("sensitivity table", lambda d: d.update(eps=[[10**20, 1.0]])),
     ], ids=["detector-w", "detector-C", "table-eps"])
     def test_integer_beyond_int64_that_float64_holds_is_read(self, pipeline, tmp_path, capsys,
                                                              kind, edit):
@@ -1046,7 +1132,7 @@ _ARTIFACT_CASES = {
     "detector": [("mistyped-b", _json_update(b="0")), ("C-beyond-int64", _json_update(C=-10**20))],
     "table": [
         ("mistyped-n_dis", _json_update(n_dis="1")),
-        ("eps-beyond-int64", _json_update(eps=[[-10**20, 1.0]], layer_agg=[-1e20])),
+        ("eps-beyond-int64", _json_update(eps=[[-10**20, 1.0]])),
     ],
     "plan": [("mistyped-kappa", _json_update(kappa="0.25")),
              ("eta-beyond-int64", _json_update(eta=2**64))],

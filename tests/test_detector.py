@@ -716,3 +716,22 @@ class TestPersistence:
         s1 = detect_scores(det, default_model, images[:2])
         s2 = detect_scores(back, default_model, images[:2])
         assert np.allclose(s1, s2)
+
+    @pytest.mark.parametrize("extra", [0, 1, -3], ids=["agrees", "one-more", "negative"])
+    def test_detector_file_with_a_tap_count_copy_loads_as_without(self, tmp_path, extra):
+        # files written before the tap count was dropped from the format still hold it
+        det = DetectorModel(np.array([0.5, -1.0, 2.0]), 0.25, 10.0, np.array([1.0, 2.0, 3.0]),
+                            np.array([0.5, 1.0, 1.5]), MeanReps((np.arange(2.0),) * 3, 4))
+        path = tmp_path / "det.json"
+        save_detector(det, path, tmp_path / "reps.mrep")
+        doc = json.loads(path.read_text())
+        assert "n_layers" not in doc
+        new = load_detector(path)
+        path.write_text(json.dumps({**doc, "n_layers": len(doc["w"]) + extra}))
+        old = load_detector(path)
+        for back in (new, old):
+            assert (back.b, back.C, back.mean_reps.n_train) == (det.b, det.C, 4)
+            for a, b in [(back.w, det.w), (back.feat_mean, det.feat_mean),
+                         (back.feat_std, det.feat_std), *zip(back.mean_reps.means,
+                                                             det.mean_reps.means)]:
+                assert np.array_equal(a, b)

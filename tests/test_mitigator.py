@@ -184,11 +184,12 @@ class TestSensitivity:
         assert sorted(sizes) == [(2, 1)] * 4 + [(8, 4)] * 12
         assert len(scratches) == 1
 
-    def test_network_without_conv_gives_an_empty_table(self, small_dataset):
+    def test_network_without_conv_is_refused_before_any_forward(self, small_dataset, forwards):
         model = NetworkModel((LayerDef("flatten"),), (0,), (64, 64, 1))
         img = small_dataset.items[0].image
-        table = compute_sensitivity(model, [(img, img)])
-        assert table.eps == () and table.n_dis == 1
+        with pytest.raises(ValueError, match="no conv layer"):
+            compute_sensitivity(model, [(img, img)])
+        assert forwards == []
 
 
 class TestSensitivityTable:
@@ -208,6 +209,12 @@ class TestSensitivityTable:
         with pytest.raises(ValueError, match="n_dis"):
             table_from([[1.0]], n_dis=0)
 
+    @pytest.mark.parametrize("rows", [[], [[]], [[1.0], []]], ids=["no-layer", "no-filter",
+                                                                   "second-layer-no-filter"])
+    def test_table_with_no_layer_or_an_empty_layer_rejected(self, rows):
+        with pytest.raises(ValueError, match="at least one layer, each with at least one filter"):
+            table_from(rows)
+
     def test_json_round_trip(self):
         t = table_from([[1.5, 0.5], [2.25]], n_dis=7)
         back = SensitivityTable.from_json_dict(t.to_json_dict())
@@ -215,11 +222,13 @@ class TestSensitivityTable:
         for a, b in zip(back.eps, t.eps):
             assert np.array_equal(a, b)
 
-    def test_inconsistent_aggregate_rejected(self):
-        doc = table_from([[1.0, 2.0]]).to_json_dict()
-        doc["layer_agg"] = [99.0]
-        with pytest.raises(ValueError, match="inconsistent"):
-            SensitivityTable.from_json_dict(doc)
+    @pytest.mark.parametrize("layer_agg", [[3.0, 0.5], [99.0]], ids=["agrees", "disagrees"])
+    def test_file_with_an_aggregate_copy_loads_as_without(self, layer_agg):
+        # files written before the aggregate was dropped from the format still hold it
+        doc = table_from([[1.0, 2.0], [0.5]], n_dis=4).to_json_dict()
+        assert set(doc) == {"eps", "n_dis"}
+        back = SensitivityTable.from_json_dict({**doc, "layer_agg": layer_agg})
+        assert back.to_json_dict() == doc
 
     def test_file_round_trip(self, tmp_path):
         t = table_from([[1.0, 2.0], [0.5]], n_dis=3)
