@@ -42,10 +42,6 @@ class SensitivityTable:
             if not np.all(np.isfinite(row)) or np.any(row < 0):
                 raise ValueError("sensitivity scores must be finite and non-negative")
 
-    @property
-    def layer_agg(self) -> np.ndarray:
-        return np.array([row.sum() for row in self.eps])
-
     def to_json_dict(self) -> dict:
         return {"eps": [row.tolist() for row in self.eps], "n_dis": self.n_dis}
 
@@ -143,8 +139,7 @@ def build_plan(table: SensitivityTable, eta: int, kappa: float,
     if not 1 <= eta <= n_layers:
         raise ValueError(f"eta must be in [1, {n_layers}]")
     plan = MitigationPlan(eta, kappa, FilterMask(), use_median_filter)  # checks kappa
-    agg = table.layer_agg
-    layer_order = sorted(range(n_layers), key=lambda i: (-agg[i], i))
+    layer_order = sorted(range(n_layers), key=lambda i: (-table.eps[i].sum(), i))
     disabled = set()
     for li in layer_order[:eta]:
         row = table.eps[li]
@@ -153,12 +148,19 @@ def build_plan(table: SensitivityTable, eta: int, kappa: float,
     return replace(plan, mask=FilterMask(frozenset(disabled)))
 
 
+def mitigate_each(masked: list[tuple[MitigationPlan, NetworkModel]],
+                  images: np.ndarray) -> list[np.ndarray]:
+    """One (N, D) embedding matrix of a (N, H, W, C) uint8 batch per (plan, masked
+    network) pair: the median is taken once, and only if some plan asks for it, and
+    each plan forwards the filtered images, or the raw ones, through its network."""
+    median = (median_filter_array(images, MEDIAN_WINDOW)
+              if any(plan.use_median_filter for plan, _ in masked) else None)
+    return [embed(net, median if plan.use_median_filter else images) for plan, net in masked]
+
+
 def mitigate_batch(model: NetworkModel, plan: MitigationPlan, images: np.ndarray) -> np.ndarray:
     """Embeddings of a (N, H, W, C) uint8 batch, median filtered, by the plan's masked network."""
-    masked = model.masked(plan.mask)  # first: a mask that does not fit fails before the median
-    if plan.use_median_filter:
-        images = median_filter_array(images, MEDIAN_WINDOW)
-    return embed(masked, images)
+    return mitigate_each([(plan, model.masked(plan.mask))], images)[0]  # mask checked, then median
 
 
 def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dataset,

@@ -17,8 +17,7 @@ import numpy as np
 from . import distortions
 from .detector import embed_and_features
 from .featnet import NetworkModel, embed, l2_normalize
-from .mitigator import MEDIAN_WINDOW, MitigationPlan
-from .imagecore import median_filter_array
+from .mitigator import MitigationPlan, mitigate_each
 from .synthface import Dataset, split_protocol
 
 
@@ -135,19 +134,16 @@ def defended_embeddings(model: NetworkModel, ds: Dataset, spec: distortions.Dist
     FormatError before any forward, flagged or not. The distorted set is
     forwarded once, for its embeddings and the detector's features. Each
     corrected matrix is the plain one with every flagged row replaced by the
-    plan's mitigated embedding; the flagged images are median filtered once.
+    plan's embedding from `mitigate_each`, which median filters them once.
     """
-    masked = [model.masked(plan.mask) for plan in plans]
+    masked = [(plan, model.masked(plan.mask)) for plan in plans]
     mixed = _distorted_copy(ds, spec, fraction, seed)
     emb_plain, feats = embed_and_features(model, det.mean_reps, mixed)
     flags = det.decision(feats) > 0
     corrected = [emb_plain.copy() for _ in plans]
     if flags.any():
-        flagged = mixed[flags]
-        median = (median_filter_array(flagged, MEDIAN_WINDOW)
-                  if any(plan.use_median_filter for plan in plans) else None)
-        for plan, net, emb in zip(plans, masked, corrected):
-            emb[flags] = embed(net, median if plan.use_median_filter else flagged)
+        for emb, fixed in zip(corrected, mitigate_each(masked, mixed[flags])):
+            emb[flags] = fixed
     return emb_plain, corrected
 
 

@@ -193,10 +193,6 @@ class TestSensitivity:
 
 
 class TestSensitivityTable:
-    def test_layer_agg_is_row_sums(self):
-        t = table_from([[1.0, 2.0], [3.0, 4.0, 5.0]])
-        assert t.layer_agg.tolist() == [3.0, 12.0]
-
     def test_negative_scores_rejected(self):
         with pytest.raises(ValueError, match="finite and non-negative"):
             table_from([[1.0, -0.5]])
@@ -252,6 +248,11 @@ class TestBuildPlan:
         t = table_from([[3.0], [1.0, 9.0, 5.0, 2.0]])
         plan = build_plan(t, eta=1, kappa=0.5)
         assert plan.mask.disabled == {(1, 1), (1, 2)}
+
+    def test_layers_ranked_by_row_sum_not_row_max(self):
+        # layer 0 holds the largest score, layer 1 the larger sum
+        plan = build_plan(table_from([[5.0], [3.0, 4.0]]), eta=1, kappa=0.5)
+        assert plan.mask.disabled == {(1, 1)}
 
     def test_ceiling_takes_at_least_one_filter(self):
         t = table_from([[5.0], [1.0, 2.0, 3.0]])
@@ -337,11 +338,15 @@ class TestMitigate:
             # batched float32 forward passes round slightly differently
             assert np.allclose(out[i], single, atol=1e-5)
 
-    def test_invalid_mask_rejected(self, default_model, small_dataset):
+    def test_invalid_mask_rejected(self, default_model, small_dataset, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mitigator, "median_filter_array",
+                            lambda batch, size: calls.append(batch.shape[0]))
         plan = MitigationPlan(1, 0.1, FilterMask(frozenset({(9, 0)})))
         with pytest.raises(ValueError, match="references no conv filter"):
             mitigate_batch(default_model, plan,
                            small_dataset.items[0].image.pixels[None])
+        assert calls == []
 
 
 class TestPlanPersistence:
@@ -422,8 +427,6 @@ class TestGridSearch:
                              ids=["1x1", "3x3"])
     def test_median_runs_once_per_spec_whatever_the_grid(self, default_model, small_dataset,
                                                          monkeypatch, etas, kappas):
-        from advface import mitigator, verifybench
-
         table = table_from([[1.0] * n for n in default_model.conv_filter_counts()])
         det = self._flag_all_detector(default_model, small_dataset)
         specs = [DistortionSpec("grids", seed=1), DistortionSpec("xmsb", seed=1)]
@@ -433,11 +436,26 @@ class TestGridSearch:
             calls.append(batch.shape[0])
             return median_filter_array(batch, size)
 
-        for mod in (verifybench, mitigator):
-            monkeypatch.setattr(mod, "median_filter_array", counting)
+        monkeypatch.setattr(mitigator, "median_filter_array", counting)
         grid_search_plan(default_model, table, small_dataset, specs,
                          {s.kind: det for s in specs}, etas, kappas)
         assert calls == [len(small_dataset)] * len(specs)
+
+    @pytest.mark.parametrize("use_median", [True, False], ids=["median", "no-median"])
+    def test_protocol_correction_is_mitigate_batch(self, default_model, small_dataset,
+                                                   use_median):
+        # with every image flagged, the protocol's corrected matrix is the
+        # single-plan correction of the whole distorted set, bit for bit
+        from advface import verifybench
+
+        det = self._flag_all_detector(default_model, small_dataset)
+        spec = DistortionSpec("grids", seed=1)
+        plan = MitigationPlan(1, 0.25, FilterMask({(0, 0), (1, 3)}), use_median)
+        plain, (corrected,) = verifybench.defended_embeddings(default_model, small_dataset,
+                                                              spec, det, [plan])
+        mixed = verifybench._distorted_copy(small_dataset, spec, 0.5, 0)
+        assert (corrected != plain).any(axis=1).all()
+        assert np.array_equal(corrected, mitigate_batch(default_model, plan, mixed))
 
     def test_equal_scores_pick_the_smallest_kappa_then_eta(self, default_model,
                                                            small_dataset):
