@@ -73,6 +73,12 @@ class SubjectParams:
     mouth_band: tuple[float, float]    # y-range
     base_intensity: float
     texture_seed: int
+    # (x offset, y offset, from the eye line rather than the face center,
+    # 2 sigma**2, amplitude) of each mark
+    marks: tuple[tuple[float, float, bool, float, float], ...]
+    # face fill, hair_inner**2, hair shade, brow factor, eye shade, nose
+    # half-width, nose factor, mouth factor
+    shades: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -103,17 +109,12 @@ _BACKGROUND = 110.0
 _RENDER_PIXELS = 1 << 15
 
 
-@dataclass(frozen=True)
-class _Look:
-    # (x offset, y offset, from the eye line rather than the face center,
-    # 2 sigma**2, amplitude) of each mark
-    marks: tuple[tuple[float, float, bool, float, float], ...]
-    # face fill, hair_inner**2, hair shade, brow factor, eye shade, nose
-    # half-width, nose factor, mouth factor
-    shades: tuple[float, ...]
-
-
 def _draw_subject(seed: int, subject_id: int, size: int) -> SubjectParams:
+    """The subject's geometry, from its 0xFACE generator, then its appearance,
+    from texture_seed, both the same for every sample: most of the image
+    energy lives in a handful of bright, smooth marks ("beauty spots") at
+    subject-random positions, so different subjects produce nearly disjoint
+    coarse activation-energy maps."""
     rng = rng_from(seed, 0xFACE, subject_id)
     s = float(size)
     cx = s / 2 + rng.uniform(-2, 2)
@@ -127,24 +128,8 @@ def _draw_subject(seed: int, subject_id: int, size: int) -> SubjectParams:
     brow_band = (eye_y - 0.20 * b, eye_y - 0.08 * b)
     mouth_y = cy + rng.uniform(0.45, 0.62) * b
     mouth_band = (mouth_y - 1.5, mouth_y + 1.5)
-    return SubjectParams(
-        subject_id, (cx, cy), (a, b),
-        ((cx - eye_half_sep, eye_y), (cx + eye_half_sep, eye_y)),
-        brow_band, mouth_band, base, tex_seed,
-    )
 
-
-def _clampi(v: float, lo: int, hi: int) -> int:
-    return int(min(max(round(v), lo), hi))
-
-
-def _draw_look(params: SubjectParams) -> _Look:
-    """The subject's appearance, all deterministic in texture_seed and the same
-    for every sample: most of the image energy lives in a handful of bright,
-    smooth marks ("beauty spots") at subject-random positions, so different
-    subjects produce nearly disjoint coarse activation-energy maps."""
-    trng = np.random.Generator(np.random.PCG64(params.texture_seed))
-    a, b = params.face_axes
+    trng = np.random.Generator(np.random.PCG64(tex_seed))
     # marks cluster in the forehead band, along the eye line, and on the
     # lower face — the regions that carry most of a face's distinctiveness
     offsets = [(trng.uniform(-0.75, 0.75) * a, trng.uniform(-0.95, -0.50) * b, False)
@@ -152,11 +137,9 @@ def _draw_look(params: SubjectParams) -> _Look:
     offsets += [(trng.uniform(-0.80, 0.80) * a, trng.uniform(-3, 3), True) for _ in range(4)]
     offsets += [(trng.uniform(-0.70, 0.70) * a, trng.uniform(0.30, 0.85) * b, False)
                 for _ in range(3)]
-    marks = []
-    for ox, oy, on_eye_line in offsets:
-        sigma = trng.uniform(2.5, 5.0)
-        amp = trng.uniform(130, 230)
-        marks.append((ox, oy, on_eye_line, 2 * sigma ** 2, amp))
+    # each mark's sigma, then its amplitude
+    marks = tuple((ox, oy, on_eye_line, 2 * trng.uniform(2.5, 5.0) ** 2, trng.uniform(130, 230))
+                  for ox, oy, on_eye_line in offsets)
     brow_factor = trng.uniform(0.3, 0.7)
     mouth_factor = trng.uniform(0.3, 0.7)
     eye_shade = trng.uniform(5, 30)
@@ -164,9 +147,17 @@ def _draw_look(params: SubjectParams) -> _Look:
     hair_shade = trng.uniform(10, 40)
     nose_halfwidth = trng.uniform(0.06, 0.16) * a
     nose_factor = trng.uniform(1.2, 1.7)
-    return _Look(tuple(marks), (0.25 * params.base_intensity, hair_inner ** 2, hair_shade,
-                                brow_factor, eye_shade, nose_halfwidth, nose_factor,
-                                mouth_factor))
+    return SubjectParams(
+        subject_id, (cx, cy), (a, b),
+        ((cx - eye_half_sep, eye_y), (cx + eye_half_sep, eye_y)),
+        brow_band, mouth_band, base, tex_seed, marks,
+        (0.25 * base, hair_inner ** 2, hair_shade, brow_factor, eye_shade, nose_halfwidth,
+         nose_factor, mouth_factor),
+    )
+
+
+def _clampi(v: float, lo: int, hi: int) -> int:
+    return int(min(max(round(v), lo), hi))
 
 
 def _landmarks(cx: float, cy: float, a: float, b: float, xl: float, xr: float,
@@ -256,7 +247,7 @@ def _mark_sums(face: np.ndarray, marks: np.ndarray) -> np.ndarray:
     return total
 
 
-def _render_block(subjects: list[tuple[SubjectParams, _Look]], samples: range,
+def _render_block(subjects: list[SubjectParams], samples: range,
                   samples_per_subject: int, size: int, seed: int) -> list[DatasetItem]:
     """Render the given flat sample numbers (subject * samples_per_subject +
     sample index) as one (B, size, size) float64 block.
@@ -269,7 +260,7 @@ def _render_block(subjects: list[tuple[SubjectParams, _Look]], samples: range,
     rngs, rows, brightness, marks, landmarks = [], [], [], [], []
     for n in samples:
         sid, k = divmod(n, samples_per_subject)
-        params, look = subjects[sid]
+        params = subjects[sid]
         rng = rng_from(seed, 0x5A3, sid, k)
         dx = rng.uniform(-2.5, 2.5)
         dy = rng.uniform(-2.5, 2.5)
@@ -284,9 +275,9 @@ def _render_block(subjects: list[tuple[SubjectParams, _Look]], samples: range,
         brow_y1 = params.brow_band[1] + dy
         mouth_y = (params.mouth_band[0] + params.mouth_band[1]) / 2 + dy
         rngs.append(rng)
-        rows.append((cx, cy, a, b, xl, xr, eye_y, brow_y0, brow_y1, mouth_y, *look.shades))
+        rows.append((cx, cy, a, b, xl, xr, eye_y, brow_y0, brow_y1, mouth_y, *params.shades))
         marks.append([(cx + ox, (eye_y if on_eye_line else cy) + oy, s2, amp)
-                      for ox, oy, on_eye_line, s2, amp in look.marks])
+                      for ox, oy, on_eye_line, s2, amp in params.marks])
         landmarks.append(_landmarks(cx, cy, a, b, xl, xr, eye_y, brow_y1, mouth_y, size))
 
     img, face = _paint(np.array(rows).T[:, :, None, None], size)
@@ -312,8 +303,7 @@ def generate_dataset(n_subjects: int, samples_per_subject: int,
         raise ValueError("need at least 2 samples per subject")
     if image_size < 48:
         raise ValueError("image size must be at least 48")
-    params = [_draw_subject(seed, sid, image_size) for sid in range(n_subjects)]
-    subjects = [(p, _draw_look(p)) for p in params]
+    subjects = [_draw_subject(seed, sid, image_size) for sid in range(n_subjects)]
     n = n_subjects * samples_per_subject
     block = max(1, _RENDER_PIXELS // image_size ** 2)
     items = []

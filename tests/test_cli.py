@@ -478,6 +478,20 @@ class TestErrors:
                 "", f"usage error: clean and distorted datasets must pair up 1:1: {message}\n")
             assert not out.exists()
 
+    def test_sensitivity_of_sets_of_unequal_length_is_usage_error(self, pipeline, tmp_path,
+                                                                  capsys, forwards):
+        ds = load_dataset(pipeline["distorted"])
+        shorter = tmp_path / "shorter"  # the distorted set without its last item
+        save_dataset(Dataset(ds.items[:-1], ds.seed), shorter)
+        out = tmp_path / "table.json"
+        assert run("sensitivity", "--net-seed", 1, "--clean", pipeline["data"],
+                   "--distorted", shorter, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "usage error: clean and distorted datasets must pair up 1:1\n")
+        assert not out.exists()
+        assert forwards == []
+
     def test_sensitivity_of_a_network_without_conv_is_usage_error(self, pipeline, tmp_path,
                                                                   capsys, forwards):
         weights = tmp_path / "flat.fnet"
@@ -543,12 +557,13 @@ class TestErrors:
 
     @pytest.mark.parametrize("fields", [
         dict(conv_w=np.full((2, 1, 3, 3), np.nan)),
+        dict(conv_stride=0),
         dict(pool_stride=0),
         dict(window=0),
         dict(tail=b"\x00"),
         dict(conv_in=2),
         dict(dense_in=9),
-    ], ids=["nan-weight", "pool-stride-0", "pool-window-0", "trailing-bytes",
+    ], ids=["nan-weight", "conv-stride-0", "pool-stride-0", "pool-window-0", "trailing-bytes",
             "channel-mismatch", "dense-length"])
     def test_weight_file_that_cannot_run_is_data_error(self, pipeline, tmp_path, capsys,
                                                        fields):

@@ -925,6 +925,21 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="conv layer needs"):
             LayerDef("conv")
 
+    def test_conv_bias_shape_checked(self):
+        with pytest.raises(ValueError, match="conv bias shape mismatch"):
+            LayerDef("conv", np.ones((2, 1, 3, 3), np.float32), np.zeros(3, np.float32))
+
+    @pytest.mark.parametrize("stride, pad", [(0, 0), (-1, 1), (1, -1)])
+    def test_conv_stride_and_pad_checked(self, stride, pad):
+        with pytest.raises(ValueError, match="bad conv stride/pad"):
+            LayerDef("conv", np.ones((2, 1, 3, 3), np.float32), np.zeros(2, np.float32),
+                     stride=stride, pad=pad)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 1)])
+    def test_dense_weight_rank_checked(self, shape):
+        with pytest.raises(ValueError, match=r"dense layer needs \(out, in\) weights"):
+            LayerDef("dense", np.ones(shape, np.float32), np.zeros(3, np.float32))
+
     def test_dense_bias_shape_checked(self):
         with pytest.raises(ValueError, match="dense bias"):
             LayerDef("dense", np.zeros((3, 2), np.float32), np.zeros(2, np.float32))

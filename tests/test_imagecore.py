@@ -62,6 +62,11 @@ class TestImageType:
         assert a == b
         assert a != c
 
+    def test_never_equals_a_non_image(self):
+        img = Image(np.full((2, 2), 3, dtype=np.uint8))
+        assert (img == 3) is False
+        assert img != img.pixels.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # Netpbm codec
@@ -86,6 +91,14 @@ class TestCodec:
         f = tmp_path / "a.pgm"
         write_image(Image(np.array([[128]], dtype=np.uint8)), f)
         assert f.read_bytes() == b"P5\n1 1\n255\n\x80"
+
+    def test_write_into_missing_directory_names_the_path(self, tmp_path):
+        f = tmp_path / "missing" / "a.pgm"
+        with pytest.raises(OSError) as info:
+            write_image(Image(np.array([[128]], dtype=np.uint8)), f)
+        assert str(info.value) == \
+            f"failed writing image to {f}: [Errno 2] No such file or directory: '{f}'"
+        assert not f.parent.exists()
 
     def test_write_read_round_trip_reproduces_file(self, tmp_path):
         f1 = tmp_path / "a.pgm"
