@@ -343,11 +343,12 @@ def save_detector(det: DetectorModel, path, mean_reps_path) -> None:
 
 
 def load_detector(path) -> DetectorModel:
-    """Read a detector JSON; its mean reps path is relative to the JSON's directory."""
+    """Read a detector JSON; its mean reps path is relative to the JSON's directory.
+    An older file's n_layers copy is not read."""
     doc = load_json(path, "detector")
     check_json(doc, "detector", {"w": (list, float), "b": float, "C": float,
                                  "feat_mean": (list, float), "feat_std": (list, float),
-                                 "mean_reps_path": str}, {})
+                                 "mean_reps_path": str}, {"n_layers": int})
     reps = load_mean_reps(Path(path).parent / doc["mean_reps_path"])
     lengths = [len(doc["w"]), len(doc["feat_mean"]), len(doc["feat_std"]), len(reps.means)]
     if len(set(lengths)) != 1:

@@ -55,7 +55,9 @@ class DistortionSpec:
         return d
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "DistortionSpec":
+    def from_json_file(cls, path) -> "DistortionSpec":
+        """Read a spec file; a parameter it omits takes its default."""
+        d = load_json(path, "distortion spec")
         check_json(d, "distortion spec", {"kind": str},
                    {"rho_grids": int, "phi": (list, float), "psi": float, "seed": Integral})
         with reading("distortion spec"):
@@ -66,10 +68,6 @@ class DistortionSpec:
                 psi=d.get("psi", DEFAULT_PSI),
                 seed=d.get("seed", 0),
             )
-
-    @classmethod
-    def from_json_file(cls, path) -> "DistortionSpec":
-        return cls.from_json_dict(load_json(path, "distortion spec"))
 
 
 def _zero_mask(img: Image, mask: np.ndarray) -> tuple[Image, int]:

@@ -87,9 +87,6 @@ class FilterMask:
         object.__setattr__(self, "disabled",
                            frozenset((int(a), int(b)) for a, b in self.disabled))
 
-    def to_json_list(self) -> list:
-        return sorted([a, b] for a, b in self.disabled)
-
 
 @dataclass(frozen=True)
 class NetworkModel:

@@ -76,12 +76,16 @@ def _json_is(value, kind) -> bool:
 
 
 def check_json(d, what: str, required: dict, optional: dict) -> None:
-    """Raise FormatError unless JSON object d has every required key and each key
-    present holds its kind: bool, int (fits int64), Integral (any integer, for
-    seeds), float (any number float64 holds), str or (list, item kind)."""
+    """Raise FormatError unless JSON object d holds no undeclared key, every required
+    key, and each key present holds its kind: bool, int (fits int64), Integral (any
+    integer, for seeds), float (any number float64 holds), str or (list, item kind)."""
     if not isinstance(d, dict):
         raise FormatError(f"{what}: expected a JSON object, got {type(d).__name__}")
-    for key, kind in {**required, **optional}.items():
+    kinds = {**required, **optional}
+    for key in d:
+        if key not in kinds:
+            raise FormatError(f"{what}: unknown key {key!r}")
+    for key, kind in kinds.items():
         if key not in d and key in required:
             raise FormatError(f"{what}: missing key {key!r}")
         if key in d and not _json_is(d[key], kind):

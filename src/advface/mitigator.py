@@ -42,15 +42,6 @@ class SensitivityTable:
             if not np.all(np.isfinite(row)) or np.any(row < 0):
                 raise ValueError("sensitivity scores must be finite and non-negative")
 
-    def to_json_dict(self) -> dict:
-        return {"eps": [row.tolist() for row in self.eps], "n_dis": self.n_dis}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SensitivityTable":
-        check_json(d, "sensitivity table", {"eps": (list, (list, float)), "n_dis": int}, {})
-        with reading("sensitivity table"):
-            return cls(tuple(np.array(row, dtype=np.float64) for row in d["eps"]), d["n_dis"])
-
 
 @dataclass(frozen=True)
 class MitigationPlan:
@@ -63,12 +54,9 @@ class MitigationPlan:
         if self.eta < 1 or not 0 <= self.kappa <= 1:
             raise ValueError(f"need eta >= 1 and kappa in [0, 1], got {self.eta}, {self.kappa}")
 
-    def to_json_dict(self) -> dict:
-        return {"eta": self.eta, "kappa": self.kappa, "mask": self.mask.to_json_list(),
-                "use_median_filter": self.use_median_filter}
-
     @classmethod
-    def from_json_dict(cls, d: dict) -> "MitigationPlan":
+    def from_json_file(cls, path) -> "MitigationPlan":
+        d = load_json(path, "mitigation plan")
         check_json(d, "mitigation plan", {"eta": int, "kappa": float, "mask": (list, (list, int))},
                    {"use_median_filter": bool})
         if any(len(pair) != 2 for pair in d["mask"]):
@@ -76,10 +64,6 @@ class MitigationPlan:
         with reading("mitigation plan"):
             return cls(d["eta"], d["kappa"], FilterMask(frozenset(map(tuple, d["mask"]))),
                        d.get("use_median_filter", True))
-
-    @classmethod
-    def from_json_file(cls, path) -> "MitigationPlan":
-        return cls.from_json_dict(load_json(path, "mitigation plan"))
 
 
 def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
@@ -199,12 +183,22 @@ def grid_search_plan(model: NetworkModel, table: SensitivityTable, train_ds: Dat
 
 
 def save_table(table: SensitivityTable, path) -> None:
-    Path(path).write_text(json.dumps(table.to_json_dict(), indent=2))
+    doc = {"eps": [row.tolist() for row in table.eps], "n_dis": table.n_dis}
+    Path(path).write_text(json.dumps(doc, indent=2))
 
 
 def load_table(path) -> SensitivityTable:
-    return SensitivityTable.from_json_dict(load_json(path, "sensitivity table"))
+    """Read a table written by save_table; an older file's layer_agg copy is not read."""
+    d = load_json(path, "sensitivity table")
+    check_json(d, "sensitivity table", {"eps": (list, (list, float)), "n_dis": int},
+               {"layer_agg": (list, float)})
+    with reading("sensitivity table"):
+        return SensitivityTable(tuple(np.array(row, dtype=np.float64) for row in d["eps"]),
+                                d["n_dis"])
 
 
 def save_plan(plan: MitigationPlan, path) -> None:
-    Path(path).write_text(json.dumps(plan.to_json_dict(), indent=2))
+    doc = {"eta": plan.eta, "kappa": plan.kappa,
+           "mask": sorted([a, b] for a, b in plan.mask.disabled),
+           "use_median_filter": plan.use_median_filter}
+    Path(path).write_text(json.dumps(doc, indent=2))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .imagecore import (FormatError, Image, Point, Polygon, check_json, load_json, read_image,
                         write_image)
-from .seeds import derive_seed, rng_from
+from .seeds import rng_from
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,6 @@ class SubjectParams:
     eye_centers: tuple[tuple[float, float], tuple[float, float]]  # left, right
     brow_band: tuple[float, float]     # y-range
     mouth_band: tuple[float, float]    # y-range
-    base_intensity: float
-    texture_seed: int
     # (x offset, y offset, from the eye line rather than the face center,
     # 2 sigma**2, amplitude) of each mark
     marks: tuple[tuple[float, float, bool, float, float], ...]
@@ -111,7 +109,7 @@ _RENDER_PIXELS = 1 << 15
 
 def _draw_subject(seed: int, subject_id: int, size: int) -> SubjectParams:
     """The subject's geometry, from its 0xFACE generator, then its appearance,
-    from texture_seed, both the same for every sample: most of the image
+    from its 0x7E97 generator, both the same for every sample: most of the image
     energy lives in a handful of bright, smooth marks ("beauty spots") at
     subject-random positions, so different subjects produce nearly disjoint
     coarse activation-energy maps."""
@@ -124,12 +122,11 @@ def _draw_subject(seed: int, subject_id: int, size: int) -> SubjectParams:
     eye_y = cy - rng.uniform(0.24, 0.30) * b
     eye_half_sep = a * rng.uniform(0.70, 0.78)
     base = rng.uniform(60, 90)
-    tex_seed = derive_seed(seed, 0x7E97, subject_id)
     brow_band = (eye_y - 0.20 * b, eye_y - 0.08 * b)
     mouth_y = cy + rng.uniform(0.45, 0.62) * b
     mouth_band = (mouth_y - 1.5, mouth_y + 1.5)
 
-    trng = np.random.Generator(np.random.PCG64(tex_seed))
+    trng = rng_from(seed, 0x7E97, subject_id)
     # marks cluster in the forehead band, along the eye line, and on the
     # lower face — the regions that carry most of a face's distinctiveness
     offsets = [(trng.uniform(-0.75, 0.75) * a, trng.uniform(-0.95, -0.50) * b, False)
@@ -150,7 +147,7 @@ def _draw_subject(seed: int, subject_id: int, size: int) -> SubjectParams:
     return SubjectParams(
         subject_id, (cx, cy), (a, b),
         ((cx - eye_half_sep, eye_y), (cx + eye_half_sep, eye_y)),
-        brow_band, mouth_band, base, tex_seed, marks,
+        brow_band, mouth_band, marks,
         (0.25 * base, hair_inner ** 2, hair_shade, brow_factor, eye_shade, nose_halfwidth,
          nose_factor, mouth_factor),
     )

@@ -48,7 +48,6 @@ class ScoreMatrix:
 class RocCurve:
     """Operating points at descending thresholds; FAR/GAR non-decreasing."""
 
-    thresholds: np.ndarray
     far: np.ndarray
     gar: np.ndarray
 
@@ -79,7 +78,7 @@ def roc(sm: ScoreMatrix) -> RocCurve:
     # dividing the integer counts directly keeps the rates exact fractions
     far = (len(imp) - np.searchsorted(imp_sorted, thresholds, side="left")) / len(imp)
     gar = (len(gen) - np.searchsorted(gen_sorted, thresholds, side="left")) / len(gen)
-    return RocCurve(thresholds, far, gar)
+    return RocCurve(far, gar)
 
 
 def gar_at_far(curve: RocCurve, far_target: float) -> float:

@@ -101,11 +101,11 @@ def render_sample_loop(params, size: int, seed: int, sample_index: int):
     ellipse = ((xs - cx) / a) ** 2 + ((ys - cy) / b) ** 2
     face = ellipse <= 1.0
 
-    # subject-specific appearance, all deterministic in texture_seed:
-    # most of the image energy lives in a handful of bright, smooth marks
-    # ("beauty spots") at subject-random positions, so different subjects
+    # subject-specific appearance, all deterministic in the subject's 0x7E97
+    # generator: most of the image energy lives in a handful of bright, smooth
+    # marks ("beauty spots") at subject-random positions, so different subjects
     # produce nearly disjoint coarse activation-energy maps
-    trng = np.random.Generator(np.random.PCG64(params.texture_seed))
+    trng = rng_from(seed, 0x7E97, params.subject_id)
     marks = np.zeros((size, size))
     # marks cluster in the forehead band, along the eye line, and on the
     # lower face — the regions that carry most of a face's distinctiveness
@@ -128,8 +128,13 @@ def render_sample_loop(params, size: int, seed: int, sample_index: int):
     nose_halfwidth = trng.uniform(0.06, 0.16) * a
     nose_factor = trng.uniform(1.2, 1.7)
 
+    # the base intensity is the 7th uniform draw of the subject's 0xFACE generator
+    geometry = rng_from(seed, 0xFACE, params.subject_id)
+    geometry.random(6)
+    base_intensity = geometry.uniform(60, 90)
+
     img = np.full((size, size), _BACKGROUND)
-    img[face] = 0.25 * params.base_intensity
+    img[face] = 0.25 * base_intensity
 
     hair = face & (ellipse > hair_inner ** 2) & (ys < cy - 0.3 * b)
     img[hair] = hair_shade

@@ -98,7 +98,7 @@ class TestSubcommands:
         assert run("distort", "--spec", tmp_path / "spec.json", "--in", pipeline["data"],
                    "--out", tmp_path / "out") == 0
         records = json.loads((tmp_path / "out" / "records.json").read_text())
-        spec = distortions.DistortionSpec.from_json_dict(doc)
+        spec = distortions.DistortionSpec.from_json_file(tmp_path / "spec.json")
         items = load_dataset(pipeline["data"]).items
         assert [r["index"] for r in records] == list(range(len(items)))
         for i, (r, item) in enumerate(zip(records, items)):
@@ -959,25 +959,31 @@ def _json_file(path):
     return json.loads(path.read_text())
 
 
-def _spec_case(kind: str):
-    doc = distortions.DistortionSpec(kind).to_json_dict()
-    return doc, "distortion spec", lambda: distortions.DistortionSpec.from_json_dict(doc)
+def _spec_case(kind: str, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(distortions.DistortionSpec(kind).to_json_dict()))
+    return (_json_file(path), "distortion spec",
+            lambda: distortions.DistortionSpec.from_json_file(path))
 
 
-# artifact -> (what its writer wrote, the name its loader checks it under, the loader's call)
+# artifact -> (what its writer wrote, the name its loader checks it under, the loader's
+# call), from the pipeline's files and a scratch directory
 _WRITTEN = {
-    "detector": lambda p: (_json_file(p["detector"]), "detector",
-                           lambda: detector_mod.load_detector(p["detector"])),
-    "sensitivity table": lambda p: (_json_file(p["table"]), "sensitivity table",
-                                    lambda: load_table(p["table"])),
-    "mitigation plan": lambda p: (_json_file(p["plan"]), "mitigation plan",
-                                  lambda: mitigator.MitigationPlan.from_json_file(p["plan"])),
-    **{f"{kind} spec": lambda p, kind=kind: _spec_case(kind) for kind in distortions.KINDS},
-    "landmarks": lambda p: (_json_file(p["data"] / "manifest.json")["images"][0]["landmarks"],
-                            "landmarks", lambda: load_dataset(p["data"])),
-    "manifest entry": lambda p: (_json_file(p["data"] / "manifest.json")["images"][0],
-                                 "manifest image 0", lambda: load_dataset(p["data"])),
+    "detector": lambda p, _: (_json_file(p["detector"]), "detector",
+                              lambda: detector_mod.load_detector(p["detector"])),
+    "sensitivity table": lambda p, _: (_json_file(p["table"]), "sensitivity table",
+                                       lambda: load_table(p["table"])),
+    "mitigation plan": lambda p, _: (_json_file(p["plan"]), "mitigation plan",
+                                     lambda: mitigator.MitigationPlan.from_json_file(p["plan"])),
+    **{f"{kind} spec": lambda _, tmp, kind=kind: _spec_case(kind, tmp)
+       for kind in distortions.KINDS},
+    "landmarks": lambda p, _: (_json_file(p["data"] / "manifest.json")["images"][0]["landmarks"],
+                               "landmarks", lambda: load_dataset(p["data"])),
+    "manifest entry": lambda p, _: (_json_file(p["data"] / "manifest.json")["images"][0],
+                                    "manifest image 0", lambda: load_dataset(p["data"])),
 }
+# keys older writers wrote, which the loader declares so those files still load, and never reads
+_LEGACY_KEYS = {"detector": {"n_layers"}, "sensitivity table": {"layer_agg"}}
 
 
 class TestJsonDataFiles:
@@ -1006,9 +1012,10 @@ class TestJsonDataFiles:
         }[kind]
 
     @pytest.mark.parametrize("artifact", list(_WRITTEN))
-    def test_writer_emits_the_keys_its_loader_declares(self, pipeline, monkeypatch, artifact):
+    def test_writer_emits_the_keys_its_loader_declares(self, pipeline, tmp_path, monkeypatch,
+                                                       artifact):
         # so no written key goes unread; a spec writes only its kind's parameters
-        written, what, load = _WRITTEN[artifact](pipeline)
+        written, what, load = _WRITTEN[artifact](pipeline, tmp_path)
         declared = {}
 
         def spy(d, what, required, optional):
@@ -1021,7 +1028,35 @@ class TestJsonDataFiles:
         if what == "distortion spec":
             assert set(written) <= declared[what]
         else:
-            assert set(written) == declared[what]
+            assert set(written) == declared[what] - _LEGACY_KEYS.get(what, set())
+
+    @pytest.mark.parametrize("kind, path, typo, what", [
+        ("distortion spec", ("rho_grids",), "rho_grid", "distortion spec"),
+        ("mitigation plan", ("use_median_filter",), "use_median", "mitigation plan"),
+        ("sensitivity table", ("n_dis",), "n_dist", "sensitivity table"),
+        ("detector", ("feat_std",), "feat_sd", "detector"),
+        ("manifest", ("seed",), "seeds", "manifest"),
+        ("manifest", ("images", 0, "sample_index"), "sample_idx", "manifest image 0"),
+        ("manifest", ("images", 0, "landmarks", "mouth_center"), "mouth_centre",
+         "manifest image 0: landmarks"),
+    ], ids=["spec", "plan", "table", "detector", "manifest", "manifest-entry", "landmarks"])
+    def test_misspelt_key_is_data_error(self, pipeline, tmp_path, capsys, forwards, kind, path,
+                                        typo, what):
+        # a reader that skipped the key would run on its default: a grids spec with
+        # rho_grid 2 would draw 10 lines, a plan with use_median false would still filter
+        doc = {"distortion spec": {"kind": "grids", "rho_grids": 2},
+               "mitigation plan": _json_file(pipeline["plan"]),
+               "sensitivity table": _json_file(pipeline["table"]),
+               "detector": {**_json_file(pipeline["detector"]),
+                            "mean_reps_path": str(pipeline["extracted"] / "mean_reps.mrep")},
+               "manifest": _json_file(pipeline["data"] / "manifest.json")}[kind]
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        parent[typo] = parent.pop(path[-1])
+        assert run(*self._argv(pipeline, tmp_path, kind, json.dumps(doc).encode())) == 2
+        assert capsys.readouterr().err == f"error: {what}: unknown key {typo!r}\n"
+        assert forwards == []
 
     @pytest.mark.parametrize("content", [b"{", b"\xff\xfe{}", b'{"n": ' + b"1" * 5000 + b"}"],
                              ids=["truncated", "not-utf8", "5000-digit-int"])

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -31,6 +32,13 @@ from conftest import random_landmarks
 from oracles import flip_bit_arithmetic, ero_rows, point_in_polygon
 
 
+def spec_from_doc(tmp_path, doc) -> DistortionSpec:
+    """The spec DistortionSpec.from_json_file reads from a file holding doc."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return DistortionSpec.from_json_file(path)
+
+
 def constant_image(size=64, value=255, channels=1):
     return Image(np.full((size, size, channels), value, dtype=np.uint8))
 
@@ -58,11 +66,11 @@ class TestSpec:
             DistortionSpec("ero", psi=0.0)
 
     @pytest.mark.parametrize("phi", [(0.1,), (0.1, 0.1), (0.1, 0.1, 0.1, 0.1)])
-    def test_phi_needs_three_entries(self, phi):
+    def test_phi_needs_three_entries(self, tmp_path, phi):
         with pytest.raises(ValueError, match="phi must be three fractions"):
             DistortionSpec("xmsb", phi=phi)
         with pytest.raises(FormatError, match="^distortion spec: phi must be three"):
-            DistortionSpec.from_json_dict({"kind": "xmsb", "phi": list(phi)})
+            spec_from_doc(tmp_path, {"kind": "xmsb", "phi": list(phi)})
 
     @pytest.mark.parametrize("spec", [
         DistortionSpec("grids", rho_grids=7, seed=3),
@@ -74,8 +82,8 @@ class TestSpec:
         per_image_spec(DistortionSpec("grids", seed=3), 0),  # derived seed >= 2**63
         DistortionSpec("xmsb", seed=2**70 + 1),
     ])
-    def test_json_round_trip(self, spec):
-        assert DistortionSpec.from_json_dict(spec.to_json_dict()) == spec
+    def test_json_round_trip(self, tmp_path, spec):
+        assert spec_from_doc(tmp_path, spec.to_json_dict()) == spec
 
     def test_json_dict_only_carries_relevant_params(self):
         assert set(DistortionSpec("grids").to_json_dict()) == {"kind", "seed", "rho_grids"}
@@ -236,12 +244,12 @@ class TestEro:
         with pytest.raises(ValueError, match="psi"):
             DistortionSpec("ero", psi=-1.0)
 
-    def test_nan_psi_rejected(self):
+    def test_nan_psi_rejected(self, tmp_path):
         # a NaN band end would otherwise clamp to the whole image
         with pytest.raises(ValueError, match="psi must be positive"):
             DistortionSpec("ero", psi=float("nan"))
         with pytest.raises(FormatError, match="^distortion spec: psi must be positive"):
-            DistortionSpec.from_json_dict({"kind": "ero", "psi": float("nan")})
+            spec_from_doc(tmp_path, {"kind": "ero", "psi": float("nan")})
 
 
 class TestFaceMasks:

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import multiprocessing
 import os
 import subprocess
@@ -907,9 +908,10 @@ class TestMasking:
         for g, w in zip([got[0], *got[1]], [want[0], *want[1]]):
             assert g.dtype == w.dtype and np.array_equal(g, w)
 
-    def test_mask_json_list_sorted(self):
+    def test_mask_json_list_sorted(self, tmp_path):
         mask = FilterMask(frozenset({(2, 1), (0, 3), (2, 0)}))
-        assert mask.to_json_list() == [[0, 3], [2, 0], [2, 1]]
+        mitigator.save_plan(mitigator.MitigationPlan(1, 0.5, mask), tmp_path / "p.json")
+        assert json.loads((tmp_path / "p.json").read_text())["mask"] == [[0, 3], [2, 0], [2, 1]]
 
 
 class TestModelValidation:

@@ -1,0 +1,64 @@
+"""Field census: every field of a record in src/advface is read somewhere in src/advface.
+
+A field counts as read when some `x.<field>` attribute load names it in any
+module of the package; a field that only a test or the benchmark reads is a
+field the program carries for nothing.
+"""
+
+import ast
+from pathlib import Path
+
+import advface
+
+SRC = Path(advface.__file__).parent
+
+# field -> why it stays although no src/ line reads it; every entry gives a reason
+ALLOWED_UNREAD: dict[str, str] = {}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A @dataclass (bare or called) or a NamedTuple subclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return (any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+            or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases))
+
+
+def record_fields(trees) -> list[tuple[str, str, str]]:
+    """(module, class, field) of every annotated field of every record class."""
+    return [(module, node.name, stmt.target.id)
+            for module, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and _is_record(node)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def attribute_loads(trees) -> set[str]:
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_census_finds_the_records():
+    fields = record_fields(_trees())
+    classes = {(module, cls) for module, cls, _ in fields}
+    assert ("synthface.py", "SubjectParams") in classes
+    assert ("imagecore.py", "Point") in classes  # a NamedTuple
+    assert len(fields) > 50
+
+
+def test_every_record_field_is_read_in_src():
+    trees = _trees()
+    read = attribute_loads(trees)
+    unread = [f"{module}: {cls}.{field}" for module, cls, field in record_fields(trees)
+              if field not in read and field not in ALLOWED_UNREAD]
+    assert not unread, "fields no src/advface line reads:\n" + "\n".join(unread)
+
+
+def test_every_allowlist_entry_is_needed_and_explained():
+    read = attribute_loads(_trees())
+    assert all(reason.strip() for reason in ALLOWED_UNREAD.values())
+    assert not [field for field in ALLOWED_UNREAD if field in read]

@@ -211,20 +211,23 @@ class TestSensitivityTable:
         with pytest.raises(ValueError, match="at least one layer, each with at least one filter"):
             table_from(rows)
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         t = table_from([[1.5, 0.5], [2.25]], n_dis=7)
-        back = SensitivityTable.from_json_dict(t.to_json_dict())
+        save_table(t, tmp_path / "t.json")
+        back = load_table(tmp_path / "t.json")
         assert back.n_dis == 7
         for a, b in zip(back.eps, t.eps):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("layer_agg", [[3.0, 0.5], [99.0]], ids=["agrees", "disagrees"])
-    def test_file_with_an_aggregate_copy_loads_as_without(self, layer_agg):
+    def test_file_with_an_aggregate_copy_loads_as_without(self, tmp_path, layer_agg):
         # files written before the aggregate was dropped from the format still hold it
-        doc = table_from([[1.0, 2.0], [0.5]], n_dis=4).to_json_dict()
+        save_table(table_from([[1.0, 2.0], [0.5]], n_dis=4), tmp_path / "t.json")
+        doc = json.loads((tmp_path / "t.json").read_text())
         assert set(doc) == {"eps", "n_dis"}
-        back = SensitivityTable.from_json_dict({**doc, "layer_agg": layer_agg})
-        assert back.to_json_dict() == doc
+        (tmp_path / "old.json").write_text(json.dumps({**doc, "layer_agg": layer_agg}))
+        save_table(load_table(tmp_path / "old.json"), tmp_path / "back.json")
+        assert json.loads((tmp_path / "back.json").read_text()) == doc
 
     def test_file_round_trip(self, tmp_path):
         t = table_from([[1.0, 2.0], [0.5]], n_dis=3)
@@ -357,9 +360,10 @@ class TestPlanPersistence:
         back = MitigationPlan.from_json_file(tmp_path / "p.json")
         assert back == plan
 
-    def test_json_fields(self):
+    def test_json_fields(self, tmp_path):
         plan = MitigationPlan(1, 0.1, FilterMask(frozenset({(0, 2)})))
-        doc = plan.to_json_dict()
+        save_plan(plan, tmp_path / "p.json")
+        doc = json.loads((tmp_path / "p.json").read_text())
         assert doc == {"eta": 1, "kappa": 0.1, "mask": [[0, 2]],
                        "use_median_filter": True}
 
@@ -371,9 +375,10 @@ class TestPlanRange:
         with pytest.raises(ValueError, match=r"need eta >= 1 and kappa in \[0, 1\]"):
             MitigationPlan(eta, kappa, FilterMask())
 
-    def test_out_of_range_plan_file_is_format_error(self):
+    def test_out_of_range_plan_file_is_format_error(self, tmp_path):
+        (tmp_path / "p.json").write_text(json.dumps({"eta": -5, "kappa": 7.5, "mask": []}))
         with pytest.raises(FormatError, match="mitigation plan: need eta >= 1"):
-            MitigationPlan.from_json_dict({"eta": -5, "kappa": 7.5, "mask": []})
+            MitigationPlan.from_json_file(tmp_path / "p.json")
 
 
 class TestGridSearch:

@@ -107,8 +107,8 @@ class TestRoc:
         sm = matrix_from_pairs([0.9] * 5, [0.1] * 5)
         curve = roc(sm)
         assert gar_at_far(curve, 0.01) == 1.0
-        # at every threshold at or below the genuine score, GAR is already 1
-        assert curve.gar[curve.thresholds <= 0.9].min() == 1.0
+        # every threshold is an observed score, at or below the genuine 0.9: GAR is already 1
+        assert curve.gar.min() == 1.0
 
     def test_identical_distributions_gar_tracks_far(self):
         vals = [0.1, 0.3, 0.5, 0.7, 0.9]
@@ -121,9 +121,8 @@ class TestRoc:
         curve = roc(sm)
         expected = roc_exhaustive([0.9, 0.8, 0.7, 0.6, 0.5],
                                   [0.65, 0.55, 0.45, 0.35, 0.25])
-        assert len(curve.thresholds) == len(expected)
-        for t1, f1, g1, (t2, f2, g2) in zip(curve.thresholds, curve.far, curve.gar, expected):
-            assert t1 == pytest.approx(t2)
+        assert len(curve.far) == len(curve.gar) == len(expected)
+        for f1, g1, (_, f2, g2) in zip(curve.far, curve.gar, expected):
             assert f1 == pytest.approx(f2)
             assert g1 == pytest.approx(g2)
         assert gar_at_far(curve, 0.2) == pytest.approx(0.8)
@@ -141,9 +140,8 @@ class TestRoc:
         sm, _ = random_score_matrix(rng)
         curve = roc(sm)
         expected = roc_exhaustive(sm.genuine_scores(), sm.impostor_scores())
-        assert len(curve.thresholds) == len(expected)
-        for t1, f1, g1, (t2, f2, g2) in zip(curve.thresholds, curve.far, curve.gar, expected):
-            assert t1 == pytest.approx(t2, abs=1e-12)
+        assert len(curve.far) == len(curve.gar) == len(expected)
+        for f1, g1, (_, f2, g2) in zip(curve.far, curve.gar, expected):
             assert f1 == pytest.approx(f2, abs=1e-12)
             assert g1 == pytest.approx(g2, abs=1e-12)
         assert (np.diff(curve.far) >= -1e-12).all()
