@@ -93,25 +93,14 @@ def _canberra_target(b) -> tuple[np.ndarray, np.ndarray]:
     return b, np.maximum(np.abs(b), np.nextafter(0.0, 1.0))
 
 
-def _canberra_step(length: int) -> int:
-    """Rows of the given length per float64 block of _canberra_rows: about
-    _CANBERRA_BLOCK_ELEMS entries, at least one row."""
-    return max(1, _CANBERRA_BLOCK_ELEMS // max(1, length))
-
-
-def _canberra_scratch(n: int, lengths) -> np.ndarray:
-    """Flat float64 scratch for _canberra_rows on up to n rows of any of the lengths."""
-    return np.empty(max([2 * min(n, _canberra_step(length)) * length for length in lengths],
-                        default=0))
-
-
 def _canberra_rows(rows: np.ndarray, b: np.ndarray, den_b: np.ndarray, out: np.ndarray,
                    scratch: np.ndarray) -> None:
     """Write into out the Canberra distance of each row of rows to b, den_b
-    from _canberra_target(b), using scratch from _canberra_scratch. Rows are
-    reduced in float64 blocks of _canberra_step rows; each row is still
-    summed whole, so blocking moves no bit."""
-    step = _canberra_step(b.shape[0])
+    from _canberra_target(b). Rows are reduced in float64 blocks of about
+    _CANBERRA_BLOCK_ELEMS entries, at least one row, in a flat float64
+    scratch of at least 2 * max(_CANBERRA_BLOCK_ELEMS, len(b)) entries; each
+    row is still summed whole, so blocking moves no bit."""
+    step = max(1, _CANBERRA_BLOCK_ELEMS // b.shape[0])
     m = min(len(rows), step)
     num, den = scratch[: 2 * m * b.shape[0]].reshape(2, m, b.shape[0])
     for lo in range(0, rows.shape[0], step):
@@ -150,7 +139,7 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps,
     # made here, not in the reducer: by featnet's reducer contract a reducer may
     # run in a pool thread, whose own malloc arena would keep it, but one call
     # at a time, so one scratch serves every call
-    scratch = _canberra_scratch(images.shape[0], model.tap_lengths())
+    scratch = np.empty(2 * max([_CANBERRA_BLOCK_ELEMS, *model.tap_lengths()]))
 
     def features(k: int, lo: int, hi: int, rows: np.ndarray) -> None:
         _canberra_rows(rows, *targets[k], feats[lo:hi, k], scratch)

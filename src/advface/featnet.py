@@ -343,7 +343,7 @@ def _homes(model: NetworkModel, split: int, reducing: bool) -> dict:
 
 
 def forward_batch(model: NetworkModel, images: np.ndarray, reduce=None):
-    """Run the network on a (N, H, W, C) uint8 batch.
+    """Run the network on a (N, H, W, C) uint8 batch; one of another shape is a FormatError.
 
     Returns (embeddings (N, D), taps: list of (N, lambda_i) float arrays, one
     per tap point). With a reducer the list is empty and no tap is kept:
@@ -366,7 +366,7 @@ def forward_batch(model: NetworkModel, images: np.ndarray, reduce=None):
     """
     w_in, h_in, c_in = model.input_spec
     if images.ndim != 4 or images.shape[1:] != (h_in, w_in, c_in):
-        raise ValueError(
+        raise FormatError(
             f"input batch shape {images.shape} does not match model input "
             f"{(h_in, w_in, c_in)}")
     layers, n = model.layers, images.shape[0]

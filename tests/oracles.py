@@ -382,14 +382,14 @@ def canberra_loop(a, b) -> float:
 def canberra(rows, b) -> np.ndarray:
     """The detector's Canberra kernel on its own: the distance of each row of
     an (N, L) matrix to the length-L vector b, as an (N,) float64 array."""
-    from advface.detector import _canberra_rows, _canberra_scratch, _canberra_target
+    from advface.detector import _CANBERRA_BLOCK_ELEMS, _canberra_rows, _canberra_target
 
     rows = np.asarray(rows)
     b, den_b = _canberra_target(b)
     if rows.ndim != 2 or rows.shape[1] != b.shape[0]:
         raise ValueError(f"length mismatch: {rows.shape} vs {b.shape}")
     out = np.empty(rows.shape[0])
-    _canberra_rows(rows, b, den_b, out, _canberra_scratch(rows.shape[0], [b.shape[0]]))
+    _canberra_rows(rows, b, den_b, out, np.empty(2 * max(_CANBERRA_BLOCK_ELEMS, b.shape[0])))
     return out
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import shutil
 import struct
 import sys
@@ -1273,3 +1274,30 @@ class TestArtifactFuzz:
             "no-images": "error: manifest: lists no images\n",
             "image-shapes-differ": "error: manifest image 1: small.pgm has shape (32, 32, 1), "
                                    "manifest image 0 has (64, 64, 1)\n"}[name]
+
+    @pytest.mark.parametrize("command, given", [
+        *[(c, "dataset-48") for c in ("extract", "train-detector", "sensitivity", "evaluate")],
+        *[(c, g) for c in ("detect", "mitigate") for g in ("pgm-48", "p6-64")]])
+    def test_batch_the_network_cannot_take_is_data_error(self, pipeline, tmp_path, capsys,
+                                                         command, given):
+        data, img = tmp_path / "data", tmp_path / "img.pnm"
+        shape = {"dataset-48": (48, 48, 1), "pgm-48": (48, 48, 1), "p6-64": (64, 64, 3)}[given]
+        if given == "dataset-48":
+            assert run("gen-data", "--subjects", 2, "--samples", 2, "--size", 48,
+                       "--seed", 3, "--out", data) == 0
+        else:
+            write_image(Image(np.zeros(shape, np.uint8)), img)
+        argv = {"extract": ["--dataset", data, "--out", tmp_path / "o"],
+                "train-detector": ["--mean-reps", pipeline["extracted"] / "mean_reps.mrep",
+                                   "--clean", data, "--distorted", data, "--out", tmp_path / "o"],
+                "sensitivity": ["--clean", data, "--distorted", data, "--out", tmp_path / "t"],
+                "evaluate": ["--dataset", data, "--distortion", pipeline["spec"],
+                             "--out", tmp_path / "r.csv"],
+                "detect": ["--detector", pipeline["detector"], "--image", img],
+                "mitigate": ["--plan", pipeline["plan"], "--image", img,
+                             "--out", tmp_path / "e.json"]}
+        capsys.readouterr()
+        assert run(command, "--net-seed", 1, *argv[command]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: input batch shape \(\d+, {', '.join(map(str, shape))}\) "
+                            r"does not match model input \(64, 64, 1\)\n", err), err

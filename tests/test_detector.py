@@ -140,22 +140,29 @@ class TestMeanReps:
                                                                   monkeypatch):
         # a buffer made in a pool thread lands in that thread's malloc arena
         batch = np.random.default_rng(3).integers(0, 256, size=(300, 64, 64, 1), dtype=np.uint8)
-        made, used = [], set()
-        real_scratch, real_rows = detector._canberra_scratch, detector._canberra_rows
+        made, makers, used = [], [], []
+        real_rows = detector._canberra_rows
 
-        def scratch(*args):
-            made.append(threading.get_ident())
-            return real_scratch(*args)
+        class SpyNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                made.append(np.empty(*args, **kwargs))
+                makers.append(threading.get_ident())
+                return made[-1]
 
         def rows(t, b, den_b, out, buf):
-            used.add(id(buf))
+            used.append(buf)
             real_rows(t, b, den_b, out, buf)
 
         monkeypatch.setattr(featnet, "_WORKERS", 2)
-        monkeypatch.setattr(detector, "_canberra_scratch", scratch)
+        monkeypatch.setattr(detector, "np", SpyNumpy())
         monkeypatch.setattr(detector, "_canberra_rows", rows)
         embed_and_features(default_network(43), mean_reps, batch)
-        assert made == [threading.get_ident()] and len(used) == 1
+        assert used and all(buf is used[0] for buf in used)
+        (k,) = [k for k, m in enumerate(made) if m is used[0]]
+        assert makers[k] == threading.get_ident()
 
     def test_bits_kept_when_block_0_is_reduced_late(self, order_sensitive, monkeypatch):
         model, batch, want = order_sensitive
@@ -288,14 +295,15 @@ class TestCanberra:
 
     @settings(max_examples=100)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 15, 16, 17, 33]),
-           length=st.integers(1, 300), rows_per_block=st.sampled_from([1, 2, 16]))
+           length=st.integers(1, 300), rows_per_block=st.sampled_from([0.5, 1, 2, 16]))
     def test_block_size_moves_no_bit(self, seed, n, length, rows_per_block):
         rng = np.random.default_rng(seed)
         a = (rng.normal(size=(n, length)) * rng.choice([0, 1], size=(n, length))).astype(np.float32)
         b = rng.normal(size=length) * rng.choice([0, 1], size=length)
         want = canberra(a, b)  # one block: these rows are far below the budget
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(detector, "_CANBERRA_BLOCK_ELEMS", rows_per_block * length)
+            # 0.5: a row longer than the budget, so one row per block in a 2 * length scratch
+            mp.setattr(detector, "_CANBERRA_BLOCK_ELEMS", int(rows_per_block * length))
             for workers in (1, 2):
                 mp.setattr(featnet, "_WORKERS", workers)
                 assert np.array_equal(canberra(a, b), want)

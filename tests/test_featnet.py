@@ -125,7 +125,7 @@ class TestForward:
             assert np.array_equal(taps[0][i], expected.ravel())
 
     def test_shape_mismatch_rejected(self, default_model):
-        with pytest.raises(ValueError, match="does not match model input"):
+        with pytest.raises(FormatError, match="does not match model input"):
             forward_batch(default_model, np.zeros((1, 32, 32, 1), dtype=np.uint8))
 
     def test_forward_chunks_are_slices_in_order(self, default_model, monkeypatch):

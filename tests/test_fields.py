@@ -1,8 +1,12 @@
-"""Field census: every field of a record in src/advface is read somewhere in src/advface.
+"""Field and function census: every field of a record in src/advface is read
+somewhere in src/advface, and every function or method defined there is named.
 
 A field counts as read when some `x.<field>` attribute load names it in any
 module of the package; a field that only a test or the benchmark reads is a
-field the program carries for nothing.
+field the program carries for nothing. A function counts as named when some
+`name` or `x.name` load in the package names it (dunders apart, which Python
+calls itself); one that only a test or the benchmark calls is code the
+program carries for nothing.
 """
 
 import ast
@@ -14,6 +18,13 @@ SRC = Path(advface.__file__).parent
 
 # field -> why it stays although no src/ line reads it; every entry gives a reason
 ALLOWED_UNREAD: dict[str, str] = {}
+
+# function -> why it stays although no src/ line names it; every entry gives a reason
+ALLOWED_UNNAMED: dict[str, str] = {
+    "grid_search_plan": "the paper's plan search over (eta, kappa): the benchmark's "
+                        "defend-eval workload and the tests call it, and no CLI "
+                        "subcommand runs it",
+}
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -42,6 +53,20 @@ def attribute_loads(trees) -> set[str]:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
+def names_loaded(trees) -> set[str]:
+    """Every name an `ast.Name` or `ast.Attribute` load gives."""
+    return attribute_loads(trees) | {node.id for tree in trees.values() for node in ast.walk(tree)
+                                     if isinstance(node, ast.Name)
+                                     and isinstance(node.ctx, ast.Load)}
+
+
+def defined_functions(trees) -> list[tuple[str, str]]:
+    """(module, name) of every function and method, nested ones too, dunders apart."""
+    return [(module, node.name) for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
 def test_census_finds_the_records():
     fields = record_fields(_trees())
     classes = {(module, cls) for module, cls, _ in fields}
@@ -62,3 +87,19 @@ def test_every_allowlist_entry_is_needed_and_explained():
     read = attribute_loads(_trees())
     assert all(reason.strip() for reason in ALLOWED_UNREAD.values())
     assert not [field for field in ALLOWED_UNREAD if field in read]
+
+
+def test_every_function_is_named_in_src():
+    trees = _trees()
+    named = names_loaded(trees)
+    assert len(defined_functions(trees)) > 100
+    unnamed = [f"{module}: {name}" for module, name in defined_functions(trees)
+               if name not in named and name not in ALLOWED_UNNAMED]
+    assert not unnamed, "functions no src/advface line names:\n" + "\n".join(unnamed)
+
+
+def test_every_function_allowlist_entry_is_needed_and_explained():
+    trees = _trees()
+    named = names_loaded(trees)
+    assert all(reason.strip() for reason in ALLOWED_UNNAMED.values())
+    assert set(ALLOWED_UNNAMED) <= {name for _, name in defined_functions(trees)} - named
