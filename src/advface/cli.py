@@ -138,7 +138,10 @@ def _cmd_evaluate(args):
     plan = mitigator.MitigationPlan.from_json_file(args.plan) if args.plan else None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    made = not out.exists()
     open(out, "a").close()  # an unwritable --out fails here, before any forward pass
+    if made:  # so a refused run leaves no report behind, and one that was there stays
+        out.unlink()
     rows = verifybench.run_protocol(ds, model, spec, det=det, plan=plan,
                                     fraction=args.fraction, seed=args.seed,
                                     far_target=args.far)

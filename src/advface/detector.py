@@ -76,8 +76,7 @@ def compute_mean_reps(model: NetworkModel, clean_images: np.ndarray) -> MeanReps
         for row in rows:
             np.add(sums[k], row, out=sums[k])
 
-    for _ in featnet.forward_chunks(model, clean_images, add_rows):
-        pass  # the reducer fills sums
+    featnet.embed(model, clean_images, add_rows)
     n = clean_images.shape[0]
     return MeanReps(tuple(s / n for s in sums), n)
 
@@ -120,8 +119,8 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps,
     """Embeddings (N, D) and per-layer Canberra features (N, n_taps) of a
     (N, H, W, C) uint8 batch, from one pass.
 
-    The batch is forwarded in featnet's chunks, so each embedding is bitwise
-    the one a plain chunked forward pass gives; the features are written
+    The batch goes through featnet.embed, so each embedding is bitwise the
+    one embed gives without a reducer; the features are written
     block by block as the forward hands over its taps. Mean reps whose tap
     count or tap lengths differ from the network's are a FormatError, before
     any forward.
@@ -144,7 +143,7 @@ def embed_and_features(model: NetworkModel, mean_reps: MeanReps,
     def features(k: int, lo: int, hi: int, rows: np.ndarray) -> None:
         _canberra_rows(rows, *targets[k], feats[lo:hi, k], scratch)
 
-    return np.vstack(list(featnet.forward_chunks(model, images, features))), feats
+    return featnet.embed(model, images, features), feats
 
 
 def canberra_features_batch(model: NetworkModel, mean_reps: MeanReps,

@@ -29,7 +29,7 @@ _FIELDS = {"conv": ("out", "in", "k", "stride", "pad"), "maxpool": ("window", "s
            "dense": ("out", "in")}
 _SHAPE = ("out", "in", "k", "k")
 
-# Images per forward_batch call in forward_chunks, which splits every batch the same way.
+# Images per forward_batch call in embed, which splits every batch the same way.
 FORWARD_CHUNK = 256
 # Images per block of forward_batch's depth-first loop; it bounds the per-thread
 # scratch and moves no bit.
@@ -455,25 +455,21 @@ def forward_batch(model: NetworkModel, images: np.ndarray, reduce=None):
     return full[len(layers) - 1], []
 
 
-def forward_chunks(model: NetworkModel, images: np.ndarray, reduce=None):
-    """Yield the embeddings of forward_batch(model, images[lo : lo + FORWARD_CHUNK], reduce)
-    for each lo in order; without a reducer no tap is computed. A reducer's rows count
-    from the start of images, not of the chunk. An empty batch is a ValueError, raised
-    before any forward."""
+def embed(model: NetworkModel, images: np.ndarray, reduce=None) -> np.ndarray:
+    """(N, D) embeddings of a non-empty (N, H, W, C) uint8 batch, each chunk of
+    FORWARD_CHUNK images run by forward_batch(model, chunk, reduce) in order; without a
+    reducer no tap is computed. A reducer's rows count from the start of images, not of
+    the chunk. An empty batch is a ValueError, raised before any forward."""
     if images.shape[0] < 1:
         raise ValueError("need at least one image")
     if reduce is None:
         model = replace(model, tap_points=())
-    for lo in range(0, images.shape[0], FORWARD_CHUNK):
-        def part(k: int, a: int, b: int, rows: np.ndarray, lo: int = lo) -> None:
-            reduce(k, lo + a, lo + b, rows)
-        yield forward_batch(model, images[lo : lo + FORWARD_CHUNK],
-                            None if reduce is None else part)[0]
 
+    def chunk(lo: int) -> np.ndarray:
+        part = None if reduce is None else lambda k, a, b, rows: reduce(k, lo + a, lo + b, rows)
+        return forward_batch(model, images[lo : lo + FORWARD_CHUNK], part)[0]
 
-def embed(model: NetworkModel, images: np.ndarray) -> np.ndarray:
-    """(N, D) embeddings of a non-empty (N, H, W, C) uint8 batch, one chunk at a time, no taps."""
-    return np.vstack(list(forward_chunks(model, images)))
+    return np.vstack([chunk(lo) for lo in range(0, images.shape[0], FORWARD_CHUNK)])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .imagecore import FormatError, check_json, load_json, median_filter_array, reading
-from .featnet import FilterMask, NetworkModel, embed, forward_chunks
+from .featnet import FilterMask, NetworkModel, embed
 from .synthface import Dataset
 
 MEDIAN_WINDOW = 5  # side of the median filter a plan applies before the masked forward
@@ -70,13 +70,13 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
     """Accumulate per-filter L2 response differences over (distorted, clean) pairs.
 
     A conv's response is the ReLU right after it, or the conv itself when no
-    ReLU follows; the forward pass taps exactly those layers and stops at the
-    last. Each distorted image is stacked right before its clean pair, and the
-    forward hands over the responses block by block, each block starting at
-    an even row of the even-length batch, so no block splits a pair; each
-    block's pair norms are written as it comes. The pair norms are then added
-    in order within each _SUM_PAIRS group, then the group totals in order,
-    whatever the chunk.
+    ReLU follows; the network's forward taps exactly those layers, all before
+    its first flatten or dense layer, so it hands them over block by block.
+    Each distorted image is stacked right before its clean pair, and each
+    block starts at an even row of the even-length batch, so no block splits a
+    pair; each block's pair norms are written as it comes. The pair norms are
+    then added in order within each _SUM_PAIRS group, then the group totals in
+    order, whatever the chunk.
     """
     pairs = list(pairs)
     if not pairs:
@@ -85,7 +85,7 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
         raise ValueError("the network has no conv layer to score")
     kinds = [layer.kind for layer in model.layers] + [None]
     taps = tuple(i + 1 if kinds[i + 1] == "relu" else i for i in model.conv_ordinals)
-    responses = NetworkModel(model.layers[: max(taps) + 1], taps, model.input_spec)
+    responses = replace(model, tap_points=taps)
     images = np.stack([p[k].pixels for p in pairs for k in (0, 1)])
     norms = [np.empty((len(pairs), n)) for n in model.conv_filter_counts()]
     # one image's float64 difference, made here, not in the reducer: by
@@ -96,8 +96,7 @@ def compute_sensitivity(model: NetworkModel, pairs) -> SensitivityTable:
     def pair_norms(k: int, lo: int, hi: int, rows: np.ndarray) -> None:
         _pair_norms(rows, norms[k][lo // 2 : hi // 2], diff)
 
-    for _ in forward_chunks(responses, images, pair_norms):
-        pass  # the reducer fills norms
+    embed(responses, images, pair_norms)
     sums = (sum(a[g : g + _SUM_PAIRS].sum(axis=0) for g in range(0, len(a), _SUM_PAIRS))
             for a in norms)
     return SensitivityTable(tuple(sums), len(pairs))

@@ -856,15 +856,21 @@ class TestOutOfRangeInputs:
         self._one_line(capsys, "error: detector: a score is not finite")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_network_whose_output_overflows_is_data_error(self, pipeline, tmp_path, capsys):
-        # its finite weights load; every embedding would be all zero and GAR read 0
+    @pytest.mark.parametrize("command", ["evaluate", "sensitivity"])
+    def test_network_whose_output_overflows_is_data_error(self, pipeline, tmp_path, capsys,
+                                                          command):
+        # its finite weights load; every embedding would be all zero and GAR read 0.
+        # Its conv responses are finite, but sensitivity runs the whole network too
         featnet.save_weights(overflowing_network(featnet.default_network(0)),
                              tmp_path / "bad.fnet")
-        assert run("evaluate", "--weights", tmp_path / "bad.fnet", "--dataset",
-                   pipeline["data"], "--distortion", pipeline["spec"],
-                   "--out", tmp_path / "r.csv") == 2
+        out = tmp_path / "out"
+        inputs = {"evaluate": ["--dataset", pipeline["data"], "--distortion", pipeline["spec"]],
+                  "sensitivity": ["--clean", pipeline["data"],
+                                  "--distorted", pipeline["distorted"]]}[command]
+        assert run(command, "--weights", tmp_path / "bad.fnet", *inputs, "--out", out) == 2
         assert capsys.readouterr().err == \
             "error: network output overflows float32: a row's L2 norm is not finite\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
     def test_detector_c_is_data_error(self, pipeline, tmp_path, capsys, c):
@@ -891,19 +897,44 @@ class TestOutOfRangeInputs:
             "usage error: far_target must be in (0, 1) and fraction in [0, 1]\n"
         assert forwards == []
 
-    def test_set_with_no_genuine_pair_fails_before_forwarding(self, pipeline, tmp_path,
-                                                                capsys, forwards):
+    @staticmethod
+    def _one_subject_per_image(pipeline, tmp_path):
+        """A copy of the pipeline's set, its 4 images of 4 subjects."""
         data = tmp_path / "data"
         shutil.copytree(pipeline["data"], data)
         doc = json.loads((data / "manifest.json").read_text())
-        for i, e in enumerate(doc["images"]):  # 4 images of 4 subjects
+        for i, e in enumerate(doc["images"]):
             e["subject_id"] = i
         (data / "manifest.json").write_text(json.dumps(doc))
+        return data
+
+    def test_set_with_no_genuine_pair_fails_before_forwarding(self, pipeline, tmp_path,
+                                                                capsys, forwards):
+        data = self._one_subject_per_image(pipeline, tmp_path)
         assert run("evaluate", "--net-seed", 1, "--dataset", data,
                    "--distortion", pipeline["spec"], "--out", tmp_path / "r.csv") == 2
         assert capsys.readouterr().err == \
             "error: need at least one genuine and one impostor pair\n"
         assert forwards == []
+
+    @pytest.mark.parametrize("refusal, code", [("far-0", 1), ("fraction-1.5", 1),
+                                               ("detector-alone", 1), ("no-genuine-pair", 2)])
+    @pytest.mark.parametrize("existed", [False, True], ids=["new-report", "old-report"])
+    def test_refused_evaluate_leaves_no_report_behind(self, pipeline, tmp_path, capsys,
+                                                      refusal, code, existed):
+        data = (self._one_subject_per_image(pipeline, tmp_path)
+                if refusal == "no-genuine-pair" else pipeline["data"])
+        flags = {"far-0": ["--far", 0], "fraction-1.5": ["--fraction", 1.5],
+                 "detector-alone": ["--detector", pipeline["detector"]],
+                 "no-genuine-pair": []}[refusal]
+        out = tmp_path / "r.csv"
+        if existed:
+            out.write_text("an earlier report\n")
+        assert run("evaluate", "--net-seed", 1, "--dataset", data,
+                   "--distortion", pipeline["spec"], *flags, "--out", out) == code
+        self._one_line(capsys, "usage error: " if code == 1 else "error: ")
+        # the report a refused run made is gone; one that was there before stays as it was
+        assert (out.read_text() == "an earlier report\n") if existed else not out.exists()
 
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
         from advface import synthface

@@ -96,7 +96,7 @@ class TestMeanReps:
             model, MitigationPlan(1, 0.1, FilterMask(frozenset({(0, 1)}))), batch),
     ], ids=["compute_mean_reps", "canberra_features_batch", "embed", "mitigate_batch"])
     def test_empty_rejected(self, monkeypatch, default_model, mean_reps, run):
-        # featnet.forward_chunks alone refuses an empty batch, before any forward
+        # featnet.embed alone refuses an empty batch, before any forward
         calls = []
         monkeypatch.setattr(featnet, "forward_batch", lambda *a: calls.append(a))
         with pytest.raises(ValueError, match="^need at least one image$"):

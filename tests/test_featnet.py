@@ -8,7 +8,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -127,32 +126,6 @@ class TestForward:
     def test_shape_mismatch_rejected(self, default_model):
         with pytest.raises(FormatError, match="does not match model input"):
             forward_batch(default_model, np.zeros((1, 32, 32, 1), dtype=np.uint8))
-
-    def test_forward_chunks_are_slices_in_order(self, default_model, monkeypatch):
-        monkeypatch.setattr(featnet, "FORWARD_CHUNK", 3)
-        rng = np.random.default_rng(7)
-        batch = rng.integers(0, 256, size=(7, 64, 64, 1), dtype=np.uint8)
-        embs = list(featnet.forward_chunks(default_model, batch))
-        assert len(embs) == 3
-        for lo, emb in zip([0, 3, 6], embs):
-            assert np.array_equal(emb, forward_batch(default_model, batch[lo : lo + 3])[0])
-
-    def test_forward_chunks_drop_the_embedding_before_the_next_forward(self, monkeypatch):
-        # a network cut after its first ReLU embeds each image as a whole activation map
-        model = NetworkModel(default_network(43).layers[:2], (1,), (64, 64, 1))
-        monkeypatch.setattr(featnet, "FORWARD_CHUNK", 2)
-        refs, alive_at_forward = [], []
-        real = featnet.forward_batch
-
-        def spy(model, images, *args):
-            alive_at_forward.append([r() is not None for r in refs])
-            return real(model, images, *args)
-
-        monkeypatch.setattr(featnet, "forward_batch", spy)
-        chunks = featnet.forward_chunks(model, np.zeros((5, 64, 64, 1), np.uint8))
-        for _ in range(3):  # the caller binds nothing of a chunk
-            refs.append(weakref.ref(next(chunks)))
-        assert alive_at_forward == [[], [False], [False, False]]
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 256, 257, 263, 400])
     def test_embed_computes_no_taps_and_keeps_the_bits(self, net43, monkeypatch, n):
@@ -289,7 +262,7 @@ def _depth_first_net(name):
         return net
     if name == "conv-taps":  # conv outputs tapped, ReLUs not
         return dataclasses.replace(net, tap_points=(0, 6, 12))
-    if name == "cut-at-responses":  # as compute_sensitivity forwards it: no flatten
+    if name == "cut-at-responses":  # no flatten: every stage comes before the split
         return NetworkModel(net.layers[:11], (1, 4, 7, 10), net.input_spec)
     rng = np.random.default_rng(9)
     if name == "dense-tail":
@@ -472,8 +445,7 @@ class TestReducer:
         assert taps == [] and np.array_equal(emb, want_emb)
         assert calls == [(0, 0, 20)] and np.array_equal(got[0], want)
 
-    def test_forward_chunks_hand_over_rows_of_the_whole_batch(self, net43, batch300,
-                                                             monkeypatch):
+    def test_embed_hands_over_rows_of_the_whole_batch(self, net43, batch300, monkeypatch):
         monkeypatch.setattr(featnet, "FORWARD_CHUNK", 16)
         got = [np.full((40, length), np.nan, np.float32) for length in net43.tap_lengths()]
 
@@ -481,11 +453,11 @@ class TestReducer:
             got[k][lo:hi] = rows
 
         images = batch300[:40]
-        embs = list(featnet.forward_chunks(net43, images, copy))
-        assert len(embs) == 3
-        for lo, emb in zip([0, 16, 32], embs):
+        emb = featnet.embed(net43, images, copy)
+        assert emb.shape == (40, 64) and emb.dtype == np.float32
+        for lo in (0, 16, 32):
             want_emb, want_taps = forward_batch(net43, images[lo : lo + 16])
-            assert np.array_equal(emb, want_emb)
+            assert np.array_equal(emb[lo : lo + 16], want_emb)
             for g, w in zip(got, want_taps):
                 assert np.array_equal(g[lo : lo + 16], w)
 
@@ -558,7 +530,8 @@ class TestReducedTapsMemory:
         run = {"mean_reps": lambda: detector.compute_mean_reps(net43, images),
                "features": lambda: detector.embed_and_features(net43, reps, images),
                "sensitivity": lambda: mitigator.compute_sensitivity(net43, pairs)}[name]
-        # one 256-image chunk of the default net's taps is 58 MiB
+        # one 256-image chunk of the default net's taps is 58 MiB; each run peaks at
+        # 12.0 (mean reps), 13.0 (features) and 12.95 MiB (sensitivity)
         assert sum(net43.tap_lengths()) * 4 * 256 > 58 * 2**20
         tracemalloc.start()
         try:

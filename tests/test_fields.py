@@ -1,5 +1,7 @@
 """Field and function census: every field of a record in src/advface is read
 somewhere in src/advface, and every function or method defined there is named.
+Module boundaries: each name below appears only in the modules that own it, and
+NumPy is the only import outside the standard library.
 
 A field counts as read when some `x.<field>` attribute load names it in any
 module of the package; a field that only a test or the benchmark reads is a
@@ -10,7 +12,11 @@ program carries for nothing.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import advface
 
@@ -103,3 +109,53 @@ def test_every_function_allowlist_entry_is_needed_and_explained():
     named = names_loaded(trees)
     assert all(reason.strip() for reason in ALLOWED_UNNAMED.values())
     assert set(ALLOWED_UNNAMED) <= {name for _, name in defined_functions(trees)} - named
+
+
+def _words(pattern: str) -> str:
+    """pattern matched as whole words only, as `grep -w` matches it."""
+    return rf"(?<!\w)(?:{pattern})(?!\w)"
+
+
+# (pattern, the modules that may match it, why): a line of any other module
+# that matches fails, and each owner must match, so a mistyped rule shows
+BOUNDARIES = [
+    (_words("forward_batch"), {"featnet.py"},
+     "the forward-counting tests patch featnet alone"),
+    (_words("FORWARD_CHUNK"), {"featnet.py"}, "the chunk size stays inside the forward pass"),
+    (_words("ThreadPoolExecutor"), {"featnet.py"}, "one worker pool per process"),
+    (_words("_parallel_blocks"), {"featnet.py"},
+     "the block runner and its per-thread scratch stay inside the forward"),
+    (r"^\s*(import|from)\s.*\bthreading\b", {"featnet.py"},
+     "every lock and wait lives next to the pool"),
+    (_words("median_filter_array|MEDIAN_WINDOW"), {"mitigator.py", "imagecore.py"},
+     "imagecore defines the median filter; the correction has one routine"),
+]
+
+
+@pytest.mark.parametrize("pattern, owners, why", BOUNDARIES,
+                         ids=["forward_batch", "FORWARD_CHUNK", "ThreadPoolExecutor",
+                              "_parallel_blocks", "threading", "median_filter"])
+def test_only_the_owners_name_it(pattern, owners, why):
+    lines = {p.name: p.read_text().splitlines() for p in sorted(SRC.glob("*.py"))}
+    hits = {name: [f"{name}:{i}: {line.strip()}" for i, line in enumerate(text, 1)
+                   if re.search(pattern, line)] for name, text in lines.items()}
+    assert all(hits[name] for name in owners), f"the owners never match {pattern!r}"
+    strays = [hit for name, found in hits.items() if name not in owners for hit in found]
+    assert not strays, f"only {sorted(owners)} may match ({why}):\n" + "\n".join(strays)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Every absolute import of the package is NumPy or the standard library."""
+    allowed = {"numpy", "__future__", *sys.stdlib_module_names}
+    bad = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            bad += [f"{module}:{node.lineno}: {n}" for n in names
+                    if n.split(".")[0] not in allowed]
+    assert not bad, "imports outside NumPy and the standard library:\n" + "\n".join(bad)

@@ -150,12 +150,29 @@ class TestSensitivity:
             for got, exp in zip(table.eps, want):
                 assert np.array_equal(got, exp)
 
-    def test_pairs_share_full_chunks_of_a_network_cut_at_the_last_response(
+    def test_pairs_share_full_chunks_of_the_network_tapped_at_its_responses(
             self, pairs_300, forwards):
+        net = default_network(43)
+        compute_sensitivity(net, pairs_300)
+        # the whole network runs, tapped at the ReLU after each conv and nowhere else
+        assert [(n, len(model.layers)) for model, n in forwards] == [(256, 14), (256, 14),
+                                                                     (88, 14)]
+        assert all(model.tap_points == (1, 4, 7, 10) and model.layers is net.layers
+                   for model, _ in forwards)
+
+    def test_every_forward_returns_the_embeddings_alone(self, pairs_300, monkeypatch):
+        # an (n, 64) matrix, not the (n, 32, 8, 8) map of the last response
+        shapes = []
+        real = featnet.forward_batch
+
+        def spy(model, images, *args):
+            emb, taps = real(model, images, *args)
+            shapes.append((emb.shape, len(taps)))
+            return emb, taps
+
+        monkeypatch.setattr(featnet, "forward_batch", spy)
         compute_sensitivity(default_network(43), pairs_300)
-        # the last response is the ReLU at layer 10: flatten, dense and l2norm never run
-        assert [(n, len(model.layers)) for model, n in forwards] == [(256, 11), (256, 11),
-                                                                     (88, 11)]
+        assert shapes == [((256, 64), 0), ((256, 64), 0), ((88, 64), 0)]
 
     @pytest.mark.parametrize("chunk", [2, 6, 64, 100, 256, 512])
     def test_table_is_the_same_for_every_even_chunk_size(self, response_maps, loop_tables,
